@@ -61,14 +61,18 @@ def _ingest_geojson(doc: dict) -> dict[str, list[np.ndarray]]:
         raise AnnotationError("FeatureCollection without a 'features' list")
     out: dict[str, list[np.ndarray]] = {}
     counters: dict[str, int] = {}
-    for feat in features:
+    for k, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise AnnotationError(f"feature {k}: expected a GeoJSON Feature object")
         geom = feat.get("geometry") or {}
+        props = feat.get("properties") or {}
+        if not isinstance(geom, dict) or not isinstance(props, dict):
+            raise AnnotationError(f"feature {k}: 'geometry' and 'properties' must be objects")
         if geom.get("type") != "Polygon":
             raise AnnotationError(f"unsupported geometry type {geom.get('type')!r}")
         coords = geom.get("coordinates")
-        if not coords:
+        if not coords or not isinstance(coords, list):
             raise AnnotationError("Polygon feature without coordinates")
-        props = feat.get("properties") or {}
         image_id = str(props.get("image_id", ""))
         index = counters.get(image_id, 0)
         counters[image_id] = index + 1
@@ -85,10 +89,3 @@ def ingest_annotations(doc) -> dict[str, list[np.ndarray]]:
         return _ingest_geojson(doc)
     return _ingest_plain(doc)
 
-
-def annotations_to_jsonable(per_image: dict[str, list[np.ndarray]]) -> dict:
-    """Inverse of ingest for the plain schema (used when rewriting crops)."""
-    return {
-        image_id: [{"points": [[float(x), float(y)] for x, y in ring]} for ring in rings]
-        for image_id, rings in per_image.items()
-    }

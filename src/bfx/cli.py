@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,234 +48,26 @@ class _Parser(argparse.ArgumentParser):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-# per-stage defaults; None marks "must be provided by flag or config file"
-STAGE_DEFAULTS: dict[str, dict] = {
-    "targets": {"annotations": None, "out_dir": None, "height": 512, "width": 512,
-                "format": "pgm", "erosion_iterations": 2, "threads": None},
-    "fuse": {"inputs": None, "out": None, "threshold": 0.3, "tta": False, "threads": None},
-    "extract": {"input": None, "building": None, "border": None, "spacing": None,
-                "mode": "multi", "threshold": 0.3, "min_area": 140, "no_spacing": False,
-                "image_id": None, "out_geojson": None, "out_imap": None, "threads": None},
-    "eval": {"pred": None, "gt": None, "iou": 0.5, "colormap": None, "csv": None,
-             "report": None, "threads": None},
-    "tile": {"raster": None, "size": 1024, "nodata": 0, "index": None, "threads": None},
-    "split": {"index": None, "k": 5, "out": None, "threads": None},
-    "lossmath": {"op": None, "pred": None, "gt": None, "channel": 0, "beta": 1.0,
-                 "eps": 1e-4, "gamma1": 0.5, "gamma2": 0.5, "clamp": 1e-7,
-                 "w_building": 1.0, "w_border": 2.0, "w_spacing": 2.0, "step": 1e-5,
-                 "threads": None},
-    "lr": {"schedule": None, "out": None, "total_epochs": 100, "up_epochs": 40,
-           "lr_init": 0.0001 / 20, "lr_max": 0.0001, "lr_final": (0.0001 / 20) / 1000,
-           "poly_power": 0.9, "poly_lr0": 0.001, "poly_recursive": False, "threads": None},
-    "cutmix": {"image_a": None, "masks_a": None, "image_b": None, "masks_b": None,
-               "seed": None, "box": None, "out_image": None, "out_masks": None,
-               "threads": None},
-}
 
-# keys holding paths: relativized in sidecars, excluded from the config hash
-STAGE_PATH_KEYS: dict[str, set[str]] = {
-    "targets": {"annotations", "out_dir"},
-    "fuse": {"inputs", "out"},
-    "extract": {"input", "building", "border", "spacing", "out_geojson", "out_imap"},
-    "eval": {"pred", "gt", "colormap", "csv", "report"},
-    "tile": {"raster", "index"},
-    "split": {"index", "out"},
-    "lossmath": {"pred", "gt"},
-    "lr": {"out"},
-    "cutmix": {"image_a", "masks_a", "image_b", "masks_b", "out_image", "out_masks"},
-}
+class Param(NamedTuple):
+    """One stage parameter: its flag, config key, default and checks.
 
-STAGE_REQUIRED: dict[str, set[str]] = {
-    "targets": {"annotations", "out_dir"},
-    "fuse": {"inputs", "out"},
-    "extract": {"out_geojson", "out_imap"},
-    "eval": {"pred", "gt"},
-    "tile": {"raster", "index"},
-    "split": {"index"},
-    "lossmath": {"op", "pred", "gt"},
-    "lr": {"schedule", "out"},
-    "cutmix": {"image_a", "masks_a", "image_b", "masks_b", "out_image", "out_masks"},
-}
+    `type` is bool (a store-true flag), int, float, str, list (paths, one
+    or more) or a converter applied to flag strings and config values
+    alike. `flag` defaults to the dashed name; one without dashes is a
+    positional. Path parameters are relativized in sidecars and left out
+    of the config hash.
+    """
 
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="bfx", description="Building-footprint extraction pipeline")
-    sub = parser.add_subparsers(dest="stage")
-
-    def stage(name, **kw):
-        s = sub.add_parser(name, **kw)
-        s.add_argument("--config", help="JSON config file; flags override its values")
-        s.add_argument("--threads", type=int, help="worker pool size (results never depend on it)")
-        return s
-
-    s = stage("targets", help="generate ground-truth channels from annotations")
-    s.add_argument("--annotations", help="annotation JSON or GeoJSON")
-    s.add_argument("--out-dir", dest="out_dir")
-    s.add_argument("--height", type=int)
-    s.add_argument("--width", type=int)
-    s.add_argument("--format", choices=("pgm", "pmap"))
-    s.add_argument("--erosion-iterations", dest="erosion_iterations", type=int)
-
-    s = stage("fuse", help="average probability maps and binarize")
-    s.add_argument("inputs", nargs="*", help="PMAP1 files (or fold prefixes with --tta)")
-    s.add_argument("--out", help="fused PMAP1 path")
-    s.add_argument("--threshold", type=float)
-    s.add_argument("--tta", action="store_true", default=None,
-                   help="expect 4 views per fold: .id/.hf/.vf/.r180 before the extension")
-
-    s = stage("extract", help="vectorize instances from fused masks")
-    s.add_argument("--mode", choices=("single", "multi"))
-    s.add_argument("--in", dest="input", help="PMAP1 stack (or building PGM in single mode)")
-    s.add_argument("--building", help="building PGM (multi mode without a PMAP)")
-    s.add_argument("--border", help="border PGM")
-    s.add_argument("--spacing", help="spacing PGM")
-    s.add_argument("--threshold", type=float)
-    s.add_argument("--min-area", dest="min_area", type=int)
-    s.add_argument("--no-spacing", dest="no_spacing", action="store_true", default=None,
-                   help="ignore the spacing channel during extraction")
-    s.add_argument("--image-id", dest="image_id")
-    s.add_argument("--out-geojson", dest="out_geojson")
-    s.add_argument("--out-imap", dest="out_imap")
-
-    s = stage("eval", help="object-level scoring of predictions against ground truth")
-    s.add_argument("--pred", help="GeoJSON or IMAP1 file, or a directory of them")
-    s.add_argument("--gt", help="GeoJSON or IMAP1 file, or a directory of them")
-    s.add_argument("--iou", type=float)
-    s.add_argument("--colormap", help="output PPM (directory inputs: a directory)")
-    s.add_argument("--csv", help="per-image counts CSV")
-    s.add_argument("--report", help="JSON report")
-
-    s = stage("tile", help="index a source raster into fixed-size tiles")
-    s.add_argument("--raster", help="source PGM raster")
-    s.add_argument("--size", type=int)
-    s.add_argument("--nodata", type=int)
-    s.add_argument("--index", help="output tile-index JSON")
-
-    s = stage("split", help="assign k folds to a tile index")
-    s.add_argument("--index", help="tile-index JSON to read")
-    s.add_argument("--k", type=int)
-    s.add_argument("--out", help="output path (default: rewrite --index)")
-
-    s = stage("lossmath", help="loss values and gradient checks on file pairs")
-    s.add_argument("op", nargs="?", choices=("dice", "bce", "channel", "total", "gradcheck"))
-    s.add_argument("--pred", help="prediction PMAP1")
-    s.add_argument("--gt", nargs="+", help="ground-truth PGM(s), one per channel for 'total'")
-    s.add_argument("--channel", type=int)
-    s.add_argument("--beta", type=float)
-    s.add_argument("--eps", type=float)
-    s.add_argument("--gamma1", type=float)
-    s.add_argument("--gamma2", type=float)
-    s.add_argument("--clamp", type=float)
-    s.add_argument("--w-building", dest="w_building", type=float)
-    s.add_argument("--w-border", dest="w_border", type=float)
-    s.add_argument("--w-spacing", dest="w_spacing", type=float)
-    s.add_argument("--step", type=float, help="finite-difference step for gradcheck")
-
-    s = stage("lr", help="dump a learning-rate schedule as CSV")
-    s.add_argument("--schedule", choices=("poly", "onecycle"))
-    s.add_argument("--out")
-    s.add_argument("--total-epochs", dest="total_epochs", type=int)
-    s.add_argument("--up-epochs", dest="up_epochs", type=int)
-    s.add_argument("--lr-init", dest="lr_init", type=float)
-    s.add_argument("--lr-max", dest="lr_max", type=float)
-    s.add_argument("--lr-final", dest="lr_final", type=float)
-    s.add_argument("--poly-power", dest="poly_power", type=float)
-    s.add_argument("--poly-lr0", dest="poly_lr0", type=float)
-    s.add_argument("--poly-recursive", dest="poly_recursive", action="store_true", default=None,
-                   help="use the literal per-epoch recurrence instead of the closed form")
-
-    s = stage("cutmix", help="paste a box from sample B into sample A")
-    s.add_argument("--image-a", dest="image_a", help="PMAP1 image raster")
-    s.add_argument("--masks-a", dest="masks_a", help="3-channel PMAP1 target stack")
-    s.add_argument("--image-b", dest="image_b")
-    s.add_argument("--masks-b", dest="masks_b")
-    s.add_argument("--seed", type=int, help="RNG seed (required unless --box is given)")
-    s.add_argument("--box", help="explicit half-open box r0,c0,r1,c1")
-    s.add_argument("--out-image", dest="out_image")
-    s.add_argument("--out-masks", dest="out_masks")
-    return parser
-
-
-def effective_config(stage: str, args: argparse.Namespace) -> dict:
-    """Merge defaults <- config file <- explicit flags, then validate."""
-    defaults = STAGE_DEFAULTS[stage]
-    cfg = dict(defaults)
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ValidationError("config file must hold a JSON object")
-        for key, value in doc.items():
-            k = key.replace("-", "_")
-            if k not in defaults:
-                raise ValidationError(f"unknown config key {key!r} for stage {stage!r}")
-            cfg[k] = value
-    for k, v in vars(args).items():
-        if k in ("stage", "config") or k not in defaults:
-            continue
-        if v is None or (k == "inputs" and v == []):
-            continue
-        cfg[k] = v
-    _validate(stage, cfg)
-    return cfg
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValidationError(message)
-
-
-def _validate(stage: str, cfg: dict) -> None:
-    for key in STAGE_REQUIRED[stage]:
-        _require(cfg.get(key) is not None, f"{stage}: missing required parameter --{key.replace('_', '-')}")
-    multi_path_keys = {"fuse": ("inputs",), "lossmath": ("gt",)}.get(stage, ())
-    for key in multi_path_keys:
-        # multi-valued path parameters also arrive via config files
-        if cfg.get(key) is not None:
-            if isinstance(cfg[key], str):
-                cfg[key] = [cfg[key]]
-            _require(isinstance(cfg[key], list) and all(isinstance(p, str) for p in cfg[key]),
-                     f"{stage}: {key} must be a path or list of paths")
-    rng_checks = {
-        "threshold": lambda v: 0.0 <= v <= 1.0,
-        "iou": lambda v: 0.0 <= v <= 1.0,
-        "min_area": lambda v: v >= 0,
-        "k": lambda v: v >= 2,
-        "size": lambda v: v >= 1,
-        "nodata": lambda v: 0 <= v <= 255,
-        "threads": lambda v: v >= 1,
-        "height": lambda v: v >= 1,
-        "width": lambda v: v >= 1,
-        "channel": lambda v: v >= 0,
-        "erosion_iterations": lambda v: v >= 0,
-        "seed": lambda v: v >= 0,
-        "step": lambda v: v > 0,
-        "eps": lambda v: v > 0,
-        "clamp": lambda v: 0.0 < v < 0.5,
-        "beta": lambda v: v >= 0,
-        "total_epochs": lambda v: v >= 2,
-        "up_epochs": lambda v: v >= 1,
-        "poly_lr0": lambda v: v > 0,
-    }
-    for key, ok in rng_checks.items():
-        if key in cfg and cfg[key] is not None and not ok(cfg[key]):
-            raise ValidationError(f"{stage}: parameter {key}={cfg[key]!r} out of range")
-    if stage == "cutmix":
-        _require(cfg["seed"] is not None or cfg["box"] is not None,
-                 "cutmix: --seed is mandatory when no explicit --box is given")
-        if cfg["box"] is not None:
-            cfg["box"] = _parse_box(cfg["box"])
-    if stage == "extract":
-        if cfg["mode"] == "multi":
-            _require(cfg["input"] is not None or (cfg["building"] and cfg["border"]),
-                     "extract: multi mode needs --in or --building/--border")
-        else:
-            _require(cfg["input"] is not None, "extract: single mode needs --in")
-    if stage == "eval":
-        _require(any(cfg[k] for k in ("colormap", "csv", "report")),
-                 "eval: need at least one of --colormap/--csv/--report")
-    if stage == "lossmath" and cfg["op"] != "total":
-        _require(len(cfg["gt"]) == 1, f"lossmath {cfg['op']}: expected exactly one --gt mask")
+    name: str
+    type: Callable = str
+    default: object = None
+    required: bool = False
+    path: bool = False
+    check: Callable | None = None
+    choices: tuple | None = None
+    flag: str | None = None
+    help: str | None = None
 
 
 def _parse_box(value) -> list[int]:
@@ -286,8 +79,202 @@ def _parse_box(value) -> list[int]:
         raise ValidationError(f"box must be r0,c0,r1,c1, got {value!r}")
     try:
         return [int(p) for p in parts]
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValidationError(f"box must hold integers, got {value!r}") from None
+
+
+# shared by every stage; never echoed to sidecars or hashed
+THREADS = Param("threads", int, check=lambda v: v >= 1,
+                help="worker pool size (results never depend on it)")
+
+# stage -> (help, parameters); None defaults mark "unset"
+STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
+    "targets": ("generate ground-truth channels from annotations", (
+        Param("annotations", required=True, path=True, help="annotation JSON or GeoJSON"),
+        Param("out_dir", required=True, path=True),
+        Param("height", int, 512, check=lambda v: v >= 1),
+        Param("width", int, 512, check=lambda v: v >= 1),
+        Param("format", str, "pgm", choices=("pgm", "pmap")),
+        Param("erosion_iterations", int, 2, check=lambda v: v >= 0),
+    )),
+    "fuse": ("average probability maps and binarize", (
+        Param("inputs", list, required=True, path=True, flag="inputs",
+              help="PMAP1 files (or fold prefixes with --tta)"),
+        Param("out", required=True, path=True, help="fused PMAP1 path"),
+        Param("threshold", float, 0.3, check=lambda v: 0.0 <= v <= 1.0),
+        Param("tta", bool, False,
+              help="expect 4 views per fold: .id/.hf/.vf/.r180 before the extension"),
+    )),
+    "extract": ("vectorize instances from fused masks", (
+        Param("mode", str, "multi", choices=("single", "multi")),
+        Param("input", path=True, flag="--in", help="PMAP1 stack (or building PGM in single mode)"),
+        Param("building", path=True, help="building PGM (multi mode without a PMAP)"),
+        Param("border", path=True, help="border PGM"),
+        Param("spacing", path=True, help="spacing PGM"),
+        Param("threshold", float, 0.3, check=lambda v: 0.0 <= v <= 1.0),
+        Param("min_area", int, 140, check=lambda v: v >= 0),
+        Param("no_spacing", bool, False, help="ignore the spacing channel during extraction"),
+        Param("image_id"),
+        Param("out_geojson", required=True, path=True),
+        Param("out_imap", required=True, path=True),
+    )),
+    "eval": ("object-level scoring of predictions against ground truth", (
+        Param("pred", required=True, path=True, help="GeoJSON or IMAP1 file, or a directory of them"),
+        Param("gt", required=True, path=True, help="GeoJSON or IMAP1 file, or a directory of them"),
+        Param("iou", float, 0.5, check=lambda v: 0.0 <= v <= 1.0),
+        Param("colormap", path=True, help="output PPM (directory inputs: a directory)"),
+        Param("csv", path=True, help="per-image counts CSV"),
+        Param("report", path=True, help="JSON report"),
+    )),
+    "tile": ("index a source raster into fixed-size tiles", (
+        Param("raster", required=True, path=True, help="source PGM raster"),
+        Param("size", int, 1024, check=lambda v: v >= 1),
+        Param("nodata", int, 0, check=lambda v: 0 <= v <= 255),
+        Param("index", required=True, path=True, help="output tile-index JSON"),
+    )),
+    "split": ("assign k folds to a tile index", (
+        Param("index", required=True, path=True, help="tile-index JSON to read"),
+        Param("k", int, 5, check=lambda v: v >= 2),
+        Param("out", path=True, help="output path (default: rewrite --index)"),
+    )),
+    "lossmath": ("loss values and gradient checks on file pairs", (
+        Param("op", required=True, flag="op",
+              choices=("dice", "bce", "channel", "total", "gradcheck")),
+        Param("pred", required=True, path=True, help="prediction PMAP1"),
+        Param("gt", list, required=True, path=True,
+              help="ground-truth PGM(s), one per channel for 'total'"),
+        Param("channel", int, 0, check=lambda v: v >= 0),
+        Param("beta", float, 1.0, check=lambda v: v >= 0),
+        Param("eps", float, 1e-4, check=lambda v: v > 0),
+        Param("gamma1", float, 0.5),
+        Param("gamma2", float, 0.5),
+        Param("clamp", float, 1e-7, check=lambda v: 0.0 < v < 0.5),
+        Param("w_building", float, 1.0),
+        Param("w_border", float, 2.0),
+        Param("w_spacing", float, 2.0),
+        Param("step", float, 1e-5, check=lambda v: v > 0, help="finite-difference step for gradcheck"),
+    )),
+    "lr": ("dump a learning-rate schedule as CSV", (
+        Param("schedule", required=True, choices=("poly", "onecycle")),
+        Param("out", required=True, path=True),
+        Param("total_epochs", int, 100, check=lambda v: v >= 2),
+        Param("up_epochs", int, 40, check=lambda v: v >= 1),
+        Param("lr_init", float, 0.0001 / 20),
+        Param("lr_max", float, 0.0001),
+        Param("lr_final", float, (0.0001 / 20) / 1000),
+        Param("poly_power", float, 0.9),
+        Param("poly_lr0", float, 0.001, check=lambda v: v > 0),
+        Param("poly_recursive", bool, False,
+              help="use the literal per-epoch recurrence instead of the closed form"),
+    )),
+    "cutmix": ("paste a box from sample B into sample A", (
+        Param("image_a", required=True, path=True, help="PMAP1 image raster"),
+        Param("masks_a", required=True, path=True, help="3-channel PMAP1 target stack"),
+        Param("image_b", required=True, path=True),
+        Param("masks_b", required=True, path=True),
+        Param("seed", int, check=lambda v: v >= 0, help="RNG seed (required unless --box is given)"),
+        Param("box", _parse_box, help="explicit half-open box r0,c0,r1,c1"),
+        Param("out_image", required=True, path=True),
+        Param("out_masks", required=True, path=True),
+    )),
+}
+
+
+def _flag(p: Param) -> str:
+    return p.flag or "--" + p.name.replace("_", "-")
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="bfx", description="Building-footprint extraction pipeline")
+    sub = parser.add_subparsers(dest="stage")
+    for stage, (help_text, params) in STAGES.items():
+        s = sub.add_parser(stage, help=help_text)
+        s.add_argument("--config", help="JSON config file; flags override its values")
+        for p in (THREADS, *params):
+            positional = not _flag(p).startswith("-")
+            kw = {"help": p.help} if positional else {"dest": p.name, "help": p.help}
+            if p.type is bool:
+                kw.update(action="store_true", default=None)
+            elif p.type is list:
+                kw["nargs"] = "*" if positional else "+"
+            elif positional:
+                kw["nargs"] = "?"
+            if p.type in (int, float):
+                kw["type"] = p.type
+            if p.choices:
+                kw["choices"] = p.choices
+            s.add_argument(_flag(p), **kw)
+    return parser
+
+
+def effective_config(stage: str, args: argparse.Namespace) -> dict:
+    """Merge defaults <- config file <- explicit flags, then validate."""
+    params = {p.name: p for p in (THREADS, *STAGES[stage][1])}
+    cfg = {name: p.default for name, p in params.items()}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValidationError("config file must hold a JSON object")
+        for key, value in doc.items():
+            k = key.replace("-", "_")
+            if k not in params:
+                raise ValidationError(f"unknown config key {key!r} for stage {stage!r}")
+            cfg[k] = value
+    for name in params:
+        value = getattr(args, name)
+        if value is not None and value != []:
+            cfg[name] = value
+    for name, p in params.items():
+        cfg[name] = _checked(stage, p, cfg[name])
+    _validate(stage, cfg)
+    return cfg
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ValidationError(message)
+
+
+def _checked(stage: str, p: Param, value):
+    """Type-, choice- and range-check one merged value; returns it normalized."""
+    if value is None:
+        _require(not p.required, f"{stage}: missing required parameter {_flag(p)}")
+        _require(p.default is None, f"{stage}: parameter {p.name} must not be null")
+        return None
+    if p.type is list:  # multi-valued paths also arrive as one string from config files
+        value = [value] if isinstance(value, str) else value
+        _require(isinstance(value, list) and all(isinstance(v, str) for v in value),
+                 f"{stage}: {p.name} must be a path or list of paths")
+    elif isinstance(p.type, type):
+        # bool is an int subclass and JSON has no int/float split: compare exact types
+        _require(type(value) is p.type or (p.type is float and type(value) is int),
+                 f"{stage}: parameter {p.name} must be {p.type.__name__}, got {value!r}")
+        value = p.type(value)
+    else:  # a converter such as _parse_box
+        value = p.type(value)
+    _require(p.choices is None or value in p.choices,
+             f"{stage}: parameter {p.name}={value!r} is not one of {', '.join(p.choices or ())}")
+    _require(p.check is None or p.check(value), f"{stage}: parameter {p.name}={value!r} out of range")
+    return value
+
+
+def _validate(stage: str, cfg: dict) -> None:
+    """Rules that span more than one parameter."""
+    if stage == "cutmix":
+        _require(cfg["seed"] is not None or cfg["box"] is not None,
+                 "cutmix: --seed is mandatory when no explicit --box is given")
+    if stage == "extract":
+        if cfg["mode"] == "multi":
+            _require(cfg["input"] is not None or (cfg["building"] and cfg["border"]),
+                     "extract: multi mode needs --in or --building/--border")
+        else:
+            _require(cfg["input"] is not None, "extract: single mode needs --in")
+    if stage == "eval":
+        _require(any(cfg[k] for k in ("colormap", "csv", "report")),
+                 "eval: need at least one of --colormap/--csv/--report")
+    if stage == "lossmath" and cfg["op"] != "total":
+        _require(len(cfg["gt"]) == 1, f"lossmath {cfg['op']}: expected exactly one --gt mask")
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +312,15 @@ def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], pr
     def rel(p: str) -> str:
         return os.path.relpath(os.path.abspath(p), base_dir)
 
-    path_keys = STAGE_PATH_KEYS[stage]
     echo = {}
     hashed = {"stage": stage}
-    for key in sorted(cfg):
-        if key == "threads":
-            continue
-        value = cfg[key]
-        if key in path_keys and value is not None:
-            echo[key] = [rel(v) for v in value] if isinstance(value, list) else rel(value)
+    for p in STAGES[stage][1]:
+        value = cfg[p.name]
+        if p.path and value is not None:
+            echo[p.name] = [rel(v) for v in value] if p.type is list else rel(value)
         else:
-            echo[key] = value
-            hashed[key] = value
+            echo[p.name] = value
+            hashed[p.name] = value
     config_hash = hashlib.sha256(_canonical_json(hashed).encode("utf-8")).hexdigest()
 
     config_path = primary + ".config.json"
@@ -471,6 +455,9 @@ def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
         for name in os.listdir(d):
             stem, ext = os.path.splitext(name)
             if ext in known:
+                if stem in out:  # listdir order would pick the winner
+                    raise ValidationError(
+                        f"eval: image id {stem!r} has both an IMAP and a GeoJSON file in {d}")
                 out[stem] = os.path.join(d, name)
         return out
 
@@ -591,7 +578,7 @@ def run_lr(cfg: dict):
     lines = ["epoch,lr"]
     for epoch in range(cfg["total_epochs"] + 1):
         if cfg["schedule"] == "poly":
-            lr = trainmath.lr_poly(epoch, sched, recursive=bool(cfg["poly_recursive"]))
+            lr = trainmath.lr_poly(epoch, sched, recursive=cfg["poly_recursive"])
         else:
             lr = trainmath.lr_one_cycle(epoch, sched)
         lines.append(f"{epoch},{lr!r}")

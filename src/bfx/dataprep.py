@@ -40,8 +40,12 @@ class TileRecord:
 
     @classmethod
     def from_json(cls, obj: dict, size: int) -> "TileRecord":
-        return cls(int(obj["tile_id"]), int(obj["row"]), int(obj["col"]), size,
-                   bool(obj["blank"]), None if obj.get("fold") is None else int(obj["fold"]))
+        try:
+            return cls(int(obj["tile_id"]), int(obj["row"]), int(obj["col"]), size,
+                       bool(obj["blank"]), None if obj.get("fold") is None else int(obj["fold"]))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"tile record {obj!r} is not an object with integer tile_id, "
+                             "row and col and a blank flag") from None
 
 
 def tile_index(height: int, width: int, tile_size: int = 1024,

@@ -260,18 +260,34 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     except (KeyError, TypeError, ValueError):
         raise ValueError("FeatureCollection lacks integer 'height'/'width' members") from None
     ps = PolygonSet(str(doc.get("image_id", "")), height, width)
-    for k, feat in enumerate(doc.get("features", [])):
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError("FeatureCollection 'features' must be a list")
+    for k, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise ValueError(f"feature {k}: expected a GeoJSON Feature object")
         geom = feat.get("geometry") or {}
-        if geom.get("type") != "Polygon" or not geom.get("coordinates"):
+        props = feat.get("properties") or {}
+        if not isinstance(geom, dict) or not isinstance(props, dict):
+            raise ValueError(f"feature {k}: 'geometry' and 'properties' must be objects")
+        coords = geom.get("coordinates")
+        if geom.get("type") != "Polygon" or not coords or not isinstance(coords, list):
             raise ValueError(f"feature {k}: expected a Polygon with coordinates")
-        ring = np.asarray(geom["coordinates"][0], np.float64)
+        try:
+            ring = np.asarray(coords[0], np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"feature {k}: malformed ring") from None
         if ring.ndim != 2 or ring.shape[1] != 2:
             raise ValueError(f"feature {k}: malformed ring")
         if len(ring) >= 2 and np.array_equal(ring[0], ring[-1]):
             ring = ring[:-1]
         if len(ring) < 3:
             raise ValueError(f"feature {k}: ring has fewer than 3 vertices")
-        props = feat.get("properties") or {}
-        ps.instances.append(PolygonInstance(
-            int(props.get("id", k + 1)), ring, int(props.get("area_px", 0))))
+        try:
+            inst_id, area_px = int(props.get("id", k + 1)), int(props.get("area_px", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"feature {k}: 'id' and 'area_px' must be integers") from None
+        if not 0 < inst_id < 2 ** 32:
+            raise ValueError(f"feature {k}: id {inst_id} is not a positive uint32 label")
+        ps.instances.append(PolygonInstance(inst_id, ring, area_px))
     return ps

@@ -75,6 +75,8 @@ def _read_pnm_header(data: bytes, magic: bytes):
                 end += 1
             fields.append(int(data[pos:end]))
             pos = end
+    if fields[0] < 1 or fields[1] < 1:
+        raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
     # exactly one whitespace byte separates the header from the payload
     return fields[0], fields[1], fields[2], pos + 1
 
@@ -150,6 +152,8 @@ def decode_pmap(data: bytes) -> np.ndarray:
     if not data.startswith(PMAP_MAGIC):
         raise ValueError("not a PMAP1 file")
     off = len(PMAP_MAGIC)
+    if len(data) - off < 12:
+        raise ValueError("truncated PMAP1 header")
     c, h, w = struct.unpack_from("<III", data, off)
     off += 12
     count = c * h * w
@@ -192,6 +196,8 @@ def decode_imap(data: bytes) -> np.ndarray:
     if not data.startswith(IMAP_MAGIC):
         raise ValueError("not an IMAP1 file")
     off = len(IMAP_MAGIC)
+    if len(data) - off < 12:
+        raise ValueError("truncated IMAP1 header")
     h, w, max_label = struct.unpack_from("<III", data, off)
     off += 12
     count = h * w

@@ -330,3 +330,87 @@ def test_cutmix_stage_seed_required(tmp_path):
     assert cli.main(args + ["--box", "0,0,16,16"]) == 0
     assert np.array_equal(formats.read_pmap(tmp_path / "out.pmap"),
                           formats.read_pmap(tmp_path / "ib.pmap"))
+
+
+def assert_rejected(capsys, tmp_path, argv):
+    """Exit 1 with one `bfx: error:` line and nothing new on disk."""
+    files_before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("bfx: error:")
+    assert sorted(tmp_path.rglob("*")) == files_before
+    return err
+
+
+@pytest.mark.parametrize("stage,doc", [
+    ("targets", {"format": "tiff"}),
+    ("targets", {"height": "32"}),
+    ("targets", {"height": True}),
+    ("targets", {"erosion_iterations": 1.5}),
+    ("lr", {"schedule": "bogus"}),
+    ("fuse", {"threshold": "x"}),
+    ("fuse", {"tta": "no"}),
+    ("lossmath", {"op": "bogus"}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_config_values_are_type_and_choice_checked(tmp_path, capsys, stage, doc):
+    write_annotations(tmp_path / "ann.json")
+    formats.write_pmap(tmp_path / "p.pmap", np.full((1, 4, 4), 0.5, np.float32))
+    formats.write_pgm(tmp_path / "g.pgm", np.ones((4, 4), np.uint8))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rest = {"targets": ["--annotations", str(tmp_path / "ann.json"), "--out-dir", str(tmp_path / "o")],
+            "lr": ["--out", str(tmp_path / "lr.csv")],
+            "fuse": [str(tmp_path / "p.pmap"), "--out", str(tmp_path / "f.pmap")],
+            "lossmath": ["--pred", str(tmp_path / "p.pmap"), "--gt", str(tmp_path / "g.pgm")]}[stage]
+    assert_rejected(capsys, tmp_path, [stage, "--config", str(cfg), *rest])
+
+
+def test_config_integer_for_float_parameter_matches_the_flag(tmp_path):
+    formats.write_pmap(tmp_path / "p.pmap", np.full((1, 4, 4), 0.5, np.float32))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threshold": 0}))
+    args = ["fuse", str(tmp_path / "p.pmap"), "--out", str(tmp_path / "f.pmap")]
+    assert cli.main(args + ["--config", str(cfg)]) == 0
+    from_config = (tmp_path / "f.config.json").read_bytes()
+    assert b'"threshold":0.0' in from_config
+    assert cli.main(args + ["--threshold", "0"]) == 0
+    assert (tmp_path / "f.config.json").read_bytes() == from_config
+
+
+def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
+    labels = np.zeros((4, 4), np.uint32)
+    labels[1:3, 1:3] = 1
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        formats.write_imap(tmp_path / d / "a.imap", labels)
+    (tmp_path / "pred" / "a.geojson").write_text(json.dumps(
+        {"type": "FeatureCollection", "height": 4, "width": 4, "features": []}))
+    argv = ["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+            "--report", str(tmp_path / "report.json")]
+    assert "'a'" in assert_rejected(capsys, tmp_path, argv)
+
+
+@pytest.mark.parametrize("name,data,stage", [
+    pytest.param("bad.pgm", b"P5\n3 -2\n255\n", "tile", id="pgm-negative-height"),
+    pytest.param("bad.pmap", formats.PMAP_MAGIC + b"\x01\x00", "fuse", id="pmap-short-header"),
+    pytest.param("bad.imap", formats.IMAP_MAGIC + b"\x01\x00\x00\x00", "eval", id="imap-short-header"),
+    pytest.param("bad.json", b'[{"row": 0, "col": 0, "blank": false}]', "split",
+                 id="tile-record-without-id"),
+    pytest.param("bad.geojson", b'{"type": "FeatureCollection", "features": [1]}', "targets",
+                 id="annotation-feature-not-object"),
+    pytest.param("bad.geojson",
+                 b'{"type": "FeatureCollection", "height": 4, "width": 4, "features": [1]}', "eval",
+                 id="eval-feature-not-object"),
+])
+def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data, stage):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    formats.write_imap(tmp_path / "ok.imap", np.zeros((4, 4), np.uint32))
+    out = str(tmp_path / "out")
+    argv = {"tile": ["--raster", str(bad), "--index", out + ".json"],
+            "fuse": [str(bad), "--out", out + ".pmap"],
+            "eval": ["--pred", str(bad), "--gt", str(tmp_path / "ok.imap"), "--report", out + ".json"],
+            "split": ["--index", str(bad), "--out", out + ".json"],
+            "targets": ["--annotations", str(bad), "--out-dir", out]}[stage]
+    assert_rejected(capsys, tmp_path, [stage, *argv])

@@ -176,6 +176,13 @@ def test_tile_record_json_round_trip():
     assert back == rec
 
 
+@pytest.mark.parametrize("obj", [1, [7, 1, 3], {"row": 1, "col": 3, "blank": False},
+                                 {"tile_id": None, "row": 1, "col": 3, "blank": False}])
+def test_tile_record_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError, match="tile record"):
+        TileRecord.from_json(obj, size=0)
+
+
 # ---------------------------------------------------------------------------
 # ingest_annotations
 # ---------------------------------------------------------------------------
@@ -227,6 +234,20 @@ def test_ingest_geojson_rejects_non_polygon():
            "features": [{"type": "Feature", "properties": {},
                          "geometry": {"type": "Point", "coordinates": [0, 0]}}]}
     with pytest.raises(AnnotationError):
+        ingest_annotations(doc)
+
+
+@pytest.mark.parametrize("feature", [1, {"geometry": "x"}, {"properties": [1]}],
+                         ids=["not-object", "geometry-not-object", "properties-not-object"])
+def test_ingest_geojson_rejects_non_object_feature(feature):
+    with pytest.raises(AnnotationError, match="feature 0"):
+        ingest_annotations({"type": "FeatureCollection", "features": [feature]})
+
+
+def test_ingest_geojson_rejects_non_list_coordinates():
+    doc = {"type": "FeatureCollection",
+           "features": [{"geometry": {"type": "Polygon", "coordinates": {"a": 1}}}]}
+    with pytest.raises(AnnotationError, match="coordinates"):
         ingest_annotations(doc)
 
 

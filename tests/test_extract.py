@@ -382,3 +382,19 @@ def test_geojson_round_trip():
 def test_geojson_requires_dimensions():
     with pytest.raises(ValueError):
         extract.polygon_set_from_geojson({"type": "FeatureCollection", "features": []})
+
+
+SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [2, 0], [2, 2], [0, 2]]]}
+
+
+@pytest.mark.parametrize("feature", [
+    1, {"geometry": 1}, {"geometry": SQUARE, "properties": True},
+    {"geometry": {"type": "Polygon", "coordinates": {"a": 1}}},
+    {"geometry": {"type": "Polygon", "coordinates": [{}]}},
+    {"geometry": SQUARE, "properties": {"id": None}}, {"geometry": SQUARE, "properties": {"id": -1}},
+], ids=["not-object", "geometry-not-object", "properties-not-object", "coordinates-not-list",
+        "ring-not-numeric", "id-null", "id-negative"])
+def test_geojson_rejects_malformed_feature(feature):
+    doc = {"type": "FeatureCollection", "height": 4, "width": 4, "features": [feature]}
+    with pytest.raises(ValueError, match="feature 0"):
+        extract.polygon_set_from_geojson(doc)

@@ -106,3 +106,17 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert path.read_bytes() == b"second"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "f.bin"]
     assert leftovers == []  # no temp files left behind
+
+
+@pytest.mark.parametrize("decode,magic", [(formats.decode_pmap, formats.PMAP_MAGIC),
+                                          (formats.decode_imap, formats.IMAP_MAGIC)])
+def test_truncated_binary_header_is_value_error(decode, magic):
+    for cut in (0, 4, 11):
+        with pytest.raises(ValueError, match="truncated .* header"):
+            decode(magic + bytes(cut))
+
+
+@pytest.mark.parametrize("size", [b"3 -2", b"0 4", b"4 0"])
+def test_pnm_rejects_non_positive_size(size):
+    with pytest.raises(ValueError, match="not positive"):
+        formats.decode_pgm_raw(b"P5\n" + size + b"\n255\n")
