@@ -73,6 +73,9 @@ class Param(NamedTuple):
 def _parse_box(value) -> list[int]:
     if isinstance(value, (list, tuple)):
         parts = list(value)
+        # config-file lists: exact ints only, as for int parameters (no bool, no float)
+        if not all(type(p) is int for p in parts):
+            raise ValidationError(f"box must hold integers, got {value!r}")
     else:
         parts = str(value).split(",")
     if len(parts) != 4:

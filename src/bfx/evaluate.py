@@ -211,14 +211,19 @@ def rasterize_polygon_set(ps: PolygonSet) -> np.ndarray:
 
     Instances are rasterized in ascending id order (later ids overwrite on
     overlap, which cannot happen for sets produced by the extractor) and
-    relabeled densely preserving that order.
+    relabeled densely preserving that order. The canvas holds each id's
+    rank among the distinct ids, so the relabel table has one entry per
+    distinct id however large the ids are.
     """
+    ids = np.array([inst.id for inst in ps.instances], np.int64)
+    distinct, rank = np.unique(ids, return_inverse=True)
     labels = np.zeros((ps.height, ps.width), np.uint32)
-    for inst in sorted(ps.instances, key=lambda i: i.id):
-        filled = targets.rasterize_polygon(inst.exterior, ps.height, ps.width)
-        labels[filled == 1] = inst.id
-    used = np.unique(labels)
-    used = used[used > 0]
-    remap = np.zeros(int(labels.max(initial=0)) + 1, np.uint32)
-    remap[used] = np.arange(1, used.size + 1, dtype=np.uint32)
+    for k in np.argsort(ids, kind="stable"):
+        filled = targets.rasterize_polygon(ps.instances[k].exterior, ps.height, ps.width)
+        labels[filled == 1] = rank[k] + 1
+    used = np.zeros(distinct.size + 1, bool)
+    used[labels] = True
+    used[0] = False
+    remap = np.zeros(distinct.size + 1, np.uint32)
+    remap[used] = np.arange(1, np.count_nonzero(used) + 1, dtype=np.uint32)
     return remap[labels]

@@ -9,6 +9,13 @@ the partition independent of seed enumeration order. Region components
 that contain no seed receive one fresh label each, appended after the seed
 labels in anchor order, so a building whose interior was fully predicted
 as border is not silently dropped (the area filter still removes debris).
+The expansion is FIFO flooding (Vincent & Soille, IEEE TPAMI 1991) on a
+flat, padded canvas. The first frontier is the seed pixels that touch an
+unassigned region pixel; each layer is the frontier's unassigned
+8-neighbours, and each of its pixels takes the smallest label among its 8
+neighbours, all of which are either in the previous layer or unlabelled.
+Every pixel enters a layer once, so the whole assignment is O(H*W) however
+deep the region is.
 
 Exteriors are traced along pixel edges in corner coordinates. At a pinch
 corner (two pixels of one 8-connected instance touching only diagonally)
@@ -66,29 +73,71 @@ def watershed_assign(seeds, region) -> np.ndarray:
         raise ValueError(f"seed/region dimensions differ: {s.shape} vs {reg.shape}")
     if not np.issubdtype(s.dtype, np.integer):
         raise ValueError("seed map must be integer labels")
-    if ((s > 0) & (reg == 0)).any():
+    top = int(s.max())
+    if int(s.min()) < 0 or top >= int(LABEL_SENTINEL):
+        raise ValueError(f"seed labels must lie in 0..{int(LABEL_SENTINEL) - 1}")
+    seeded = s > 0
+    if (seeded & (reg == 0)).any():
         raise ValueError("seed pixel outside region")
 
-    labels = s.astype(np.uint32)
-    frontier = labels > 0
-    unassigned = (reg == 1) & ~frontier
-    while frontier.any() and unassigned.any():
-        staged = np.where(frontier, labels, LABEL_SENTINEL)
-        candidate = np.full(labels.shape, LABEL_SENTINEL, np.uint32)
-        for dr, dc in raster.NEIGHBORS_8:
-            np.minimum(candidate, raster.shift(staged, dr, dc, LABEL_SENTINEL), out=candidate)
-        newly = unassigned & (candidate != LABEL_SENTINEL)
-        if not newly.any():
-            break
-        labels[newly] = candidate[newly]
-        frontier = newly
-        unassigned &= ~newly
+    # canvas padded by one pixel, so flat neighbour offsets never wrap; every
+    # pixel without a label (unreached, outside the region, pad) holds the
+    # sentinel, which is larger than any label
+    h, w = reg.shape
+    stride = w + 2
+    labels = np.full((h + 2, stride), LABEL_SENTINEL, np.uint32)
+    inner = labels[1:-1, 1:-1]
+    np.copyto(inner, s, where=seeded, casting="unsafe")
+    unreached = np.zeros(labels.shape, bool)
+    unassigned = unreached[1:-1, 1:-1]
+    unassigned[...] = (reg == 1) & ~seeded
 
-    if unassigned.any():
+    # the first frontier is the seed pixels with an open 8-neighbour
+    touches = np.zeros_like(unreached)
+    near = touches[1:-1, 1:-1]
+    for dr, dc in raster.NEIGHBORS_8:
+        near |= unreached[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
+    near &= seeded
+    frontier = np.flatnonzero(touches)
+
+    # offsets are shifted by base, so neighbour p + dr*stride + dc of pixel p
+    # is element p - base of the view starting at its offset; one view per
+    # offset saves an index addition per gather
+    flat = labels.ravel()
+    unreached = unreached.ravel()
+    base = stride + 1
+    offsets = [base + dr * stride + dc for dr, dc in raster.NEIGHBORS_8]
+    remaining = int(np.count_nonzero(unassigned))
+    while frontier.size and remaining:
+        # the open neighbours of the frontier are the next layer; clearing
+        # them per offset keeps later offsets from taking a pixel twice
+        rel = frontier - base
+        layer = []
+        for off in offsets:
+            nbr = rel[unreached[off:][rel]] + off
+            unreached[nbr] = False
+            layer.append(nbr)
+        frontier = np.concatenate(layer)
+        remaining -= frontier.size
+        # every labelled neighbour of a new pixel is in the previous layer (an
+        # older one would have reached it sooner) and the others hold the
+        # sentinel, so the minimum over all 8 is its nearest seeds' smallest
+        # label; all gathers precede the write, so the layer never reads itself
+        rel = frontier - base
+        best = flat[offsets[0]:][rel]
+        for off in offsets[1:]:
+            np.minimum(best, flat[off:][rel], out=best)
+        flat[frontier] = best
+
+    out = np.zeros((h, w), np.uint32)
+    np.copyto(out, inner, where=reg == 1)
+    if remaining:
         # seedless region components: one fresh label each, anchor order
-        extra = raster.connected_components(unassigned.astype(np.uint8), 8)
-        labels[unassigned] = extra[unassigned] + np.uint32(int(s.max(initial=0)))
-    return labels
+        extra = raster.connected_components(unassigned, 8)
+        if top + int(extra.max()) > int(LABEL_SENTINEL):
+            raise ValueError("seedless components would push labels past uint32")
+        out[unassigned] = extra[unassigned] + np.uint32(top)
+    return out
 
 
 def filter_small(instances, min_area: int = 140) -> np.ndarray:

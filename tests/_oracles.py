@@ -182,3 +182,14 @@ def disjoint_rectangles(rng, height, width, count, min_side=4, max_side=12, gap=
         boxes.append(box)
         rings.append(np.array([(c0, r0), (c0 + sw, r0), (c0 + sw, r0 + sh), (c0, r0 + sh)], float))
     return rings, boxes
+
+
+def serpentine(n):
+    """Vertical corridors joined at alternating ends: one component whose
+    pixels form a single path of about n*n/2 pixels; for odd n it runs
+    from (0, 0) to (0, n - 1)."""
+    m = np.zeros((n, n), np.uint8)
+    m[:, ::2] = 1
+    m[-1, 1::4] = 1
+    m[0, 3::4] = 1
+    return m

@@ -352,17 +352,24 @@ def assert_rejected(capsys, tmp_path, argv):
     ("fuse", {"threshold": "x"}),
     ("fuse", {"tta": "no"}),
     ("lossmath", {"op": "bogus"}),
+    ("cutmix", {"box": [0, 0, 1.5, 4]}),
+    ("cutmix", {"box": [0, 0, True, 4]}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_config_values_are_type_and_choice_checked(tmp_path, capsys, stage, doc):
     write_annotations(tmp_path / "ann.json")
     formats.write_pmap(tmp_path / "p.pmap", np.full((1, 4, 4), 0.5, np.float32))
+    formats.write_pmap(tmp_path / "m.pmap", np.ones((3, 4, 4), np.float32))
     formats.write_pgm(tmp_path / "g.pgm", np.ones((4, 4), np.uint8))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     rest = {"targets": ["--annotations", str(tmp_path / "ann.json"), "--out-dir", str(tmp_path / "o")],
             "lr": ["--out", str(tmp_path / "lr.csv")],
             "fuse": [str(tmp_path / "p.pmap"), "--out", str(tmp_path / "f.pmap")],
-            "lossmath": ["--pred", str(tmp_path / "p.pmap"), "--gt", str(tmp_path / "g.pgm")]}[stage]
+            "lossmath": ["--pred", str(tmp_path / "p.pmap"), "--gt", str(tmp_path / "g.pgm")],
+            "cutmix": ["--image-a", str(tmp_path / "p.pmap"), "--masks-a", str(tmp_path / "m.pmap"),
+                       "--image-b", str(tmp_path / "p.pmap"), "--masks-b", str(tmp_path / "m.pmap"),
+                       "--out-image", str(tmp_path / "o.pmap"),
+                       "--out-masks", str(tmp_path / "om.pmap")]}[stage]
     assert_rejected(capsys, tmp_path, [stage, "--config", str(cfg), *rest])
 
 

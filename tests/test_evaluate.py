@@ -315,3 +315,11 @@ def test_rasterize_polygon_set_round_trip():
     ps = extract.polygonize(lab)
     back = evaluate.rasterize_polygon_set(ps)
     assert np.array_equal(back, lab)
+
+
+def test_rasterize_polygon_set_largest_id_relabels_to_one():
+    ring = np.array([(0, 0), (2, 0), (2, 2), (0, 2)], float)
+    ps = extract.PolygonSet("big", 4, 4, [extract.PolygonInstance(4294967295, ring, 4)])
+    out = evaluate.rasterize_polygon_set(ps)
+    assert out.dtype == np.uint32
+    assert out.tolist() == [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]

@@ -3,7 +3,7 @@ import pytest
 
 from bfx import extract, raster, targets
 
-from _oracles import disjoint_rectangles, geodesic_watershed, point_fill
+from _oracles import disjoint_rectangles, geodesic_watershed, point_fill, serpentine
 
 
 def rect_ring(x0, y0, x1, y1):
@@ -129,6 +129,61 @@ def test_watershed_matches_geodesic_oracle():
         seeds = remap[seeds]
         out = extract.watershed_assign(seeds, region)
         assert np.array_equal(out, geodesic_watershed(seeds, region))
+
+
+@pytest.mark.parametrize("first,last", [(1, 2), (2, 1)])
+def test_watershed_serpentine_tie_goes_to_smaller_label(first, last):
+    region = serpentine(31)
+    seeds = np.zeros(region.shape, np.uint32)
+    seeds[0, 0] = first
+    seeds[0, 30] = last
+    out = extract.watershed_assign(seeds, region)
+    assert np.array_equal(out, geodesic_watershed(seeds, region))
+    # 511 pixels: one pixel equidistant from both ends, whichever end holds 1
+    assert (int((out == 1).sum()), int((out == 2).sum())) == (256, 255)
+
+
+def test_watershed_full_region_seeds_in_opposite_corners():
+    region = np.ones((48, 48), np.uint8)
+    seeds = np.zeros(region.shape, np.uint32)
+    seeds[0, 0] = 1
+    seeds[47, 47] = 2
+    out = extract.watershed_assign(seeds, region)
+    assert np.array_equal(out, geodesic_watershed(seeds, region))
+    assert out[0, 47] == out[47, 0] == 1  # Chebyshev ties on the anti-diagonal
+
+
+def test_watershed_seeded_and_seedless_components_mixed():
+    region = np.zeros((20, 30), np.uint8)
+    for r0, c0 in ((1, 1), (1, 12), (11, 1), (11, 12), (5, 24)):
+        region[r0:r0 + 6, c0:c0 + 6] = 1
+    seeds = np.zeros(region.shape, np.int64)
+    seeds[3, 14] = 2
+    seeds[13, 3] = 1
+    seeds[12, 13] = 3
+    out = extract.watershed_assign(seeds, region)
+    assert np.array_equal(out, geodesic_watershed(seeds, region))
+    # the seedless blocks follow the seed labels in anchor order
+    assert [int(out[r0 + 2, c0 + 2]) for r0, c0 in ((1, 1), (1, 12), (11, 1), (11, 12), (5, 24))] \
+        == [4, 2, 1, 3, 5]
+
+
+@pytest.mark.parametrize("bad", [-1, 2 ** 32 - 1, 2 ** 32 + 1])
+def test_watershed_seed_label_out_of_range_rejected(bad):
+    seeds = np.zeros((3, 3), np.int64)
+    seeds[1, 1] = bad
+    with pytest.raises(ValueError, match="seed labels"):
+        extract.watershed_assign(seeds, np.ones((3, 3), np.uint8))
+
+
+def test_watershed_seedless_labels_past_uint32_rejected():
+    region = np.zeros((1, 7), np.uint8)
+    region[0, [0, 2, 4]] = 1
+    seeds = np.zeros((1, 7), np.int64)
+    seeds[0, 4] = 2 ** 32 - 2
+    assert extract.watershed_assign(seeds[:, 1:], region[:, 1:])[0, 1] == 2 ** 32 - 1
+    with pytest.raises(ValueError, match="uint32"):
+        extract.watershed_assign(seeds, region)  # the second fresh label would wrap to 0
 
 
 def test_watershed_determinism_and_layout_independence():

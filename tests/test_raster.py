@@ -3,7 +3,7 @@ import pytest
 
 from bfx import raster
 
-from _oracles import bfs_chebyshev, flood_components, window_dilate, window_erode
+from _oracles import bfs_chebyshev, flood_components, serpentine, window_dilate, window_erode
 
 
 def block(h, w, r0, c0, r1, c1):
@@ -162,6 +162,52 @@ def test_components_match_flood_oracle(connectivity):
         m = (rng.random((24, 20)) < 0.45).astype(np.uint8)
         assert np.array_equal(raster.connected_components(m, connectivity),
                               flood_components(m, connectivity))
+
+
+def spiral(n):
+    """A one-pixel path winding inward with one-pixel gaps between turns."""
+    m = np.zeros((n, n), np.uint8)
+    r = c = 0
+    m[0, 0] = 1
+    lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in (0, 1)]
+    for k, length in enumerate(lengths):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[k % 4]
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            m[r, c] = 1
+    return m
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("m,count8,count4", [pytest.param(m, c8, c4, id=name) for name, m, c8, c4 in [
+    ("serpentine", serpentine(63), 1, 1),
+    ("serpentine-transposed", serpentine(63).T, 1, 1),
+    ("spiral", spiral(64), 1, 1),
+    ("checkerboard", (np.add.outer(np.arange(12), np.arange(15)) % 2 == 0).astype(np.uint8), 1, 90),
+    ("all-ones", np.ones((7, 9), np.uint8), 1, 1),
+    ("1x1-set", np.ones((1, 1), np.uint8), 1, 1),
+    ("1x1-clear", np.zeros((1, 1), np.uint8), 0, 0),
+    ("1xN", (np.random.default_rng(11).random((1, 41)) < 0.5).astype(np.uint8), None, None),
+    ("Nx1", (np.random.default_rng(12).random((41, 1)) < 0.5).astype(np.uint8), None, None),
+]])
+def test_components_match_flood_oracle_on_adversarial_masks(connectivity, m, count8, count4):
+    labels = raster.connected_components(m, connectivity)
+    assert labels.dtype == np.uint32
+    assert np.array_equal(labels, flood_components(m, connectivity))
+    count = count8 if connectivity == 8 else count4
+    if count is not None:
+        assert int(labels.max()) == count
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_components_input_dtype_and_layout_independence(connectivity):
+    rng = np.random.default_rng(13)
+    big = (rng.random((40, 48)) < 0.45).astype(np.uint8)
+    m = big[::2, ::3]  # strided view
+    expected = flood_components(np.ascontiguousarray(m), connectivity)
+    for variant in (m, m.astype(bool), m.astype(np.int64) * 5, np.asfortranarray(m)):
+        out = raster.connected_components(variant, connectivity)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_components_dense_and_anchor_ordered():
