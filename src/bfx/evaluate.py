@@ -86,6 +86,21 @@ def instance_iou(a, b) -> float:
     return int(np.count_nonzero(ma & mb)) / union
 
 
+def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
+    """Pixel count of each label 0..N of an instance map whose nonzero
+    labels must be dense in 1..N. N is checked against the pixel count
+    before any table is sized from it."""
+    n = int(labels.max(initial=0))
+    if n > labels.size:
+        raise ValueError(f"{what} map labels are not dense: largest label {n} "
+                         f"exceeds the pixel count {labels.size}")
+    area = np.bincount(labels.ravel(), minlength=n + 1)
+    absent = np.flatnonzero(area[1:] == 0)
+    if absent.size:
+        raise ValueError(f"{what} map labels are not dense in 1..{n}: label {absent[0] + 1} is absent")
+    return area
+
+
 def _overlap_table(pred: np.ndarray, gt: np.ndarray):
     """Sparse intersection counts between nonzero pred and gt labels."""
     both = (pred > 0) & (gt > 0)
@@ -104,8 +119,8 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     p = p.astype(np.uint32)
     g = g.astype(np.uint32)
 
-    area_p = np.bincount(p.ravel(), minlength=int(p.max(initial=0)) + 1)
-    area_g = np.bincount(g.ravel(), minlength=int(g.max(initial=0)) + 1)
+    area_p = _label_areas(p, "prediction")
+    area_g = _label_areas(g, "ground-truth")
     pid, gid, inter = _overlap_table(p, g)
 
     candidates = []
@@ -125,8 +140,8 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
         used_g.add(gg)
         pairs.append((pp, gg, iou))
 
-    all_p = range(1, int(p.max(initial=0)) + 1)
-    all_g = range(1, int(g.max(initial=0)) + 1)
+    all_p = range(1, area_p.size)
+    all_g = range(1, area_g.size)
     unmatched_p = [i for i in all_p if i not in used_p]
     unmatched_g = [i for i in all_g if i not in used_g]
     counts = EvalCounts(len(pairs), len(unmatched_p), len(unmatched_g))
@@ -159,18 +174,18 @@ def color_map(pred, gt, match: MatchResult) -> np.ndarray:
     g = np.asarray(gt).astype(np.uint32)
     if p.shape != g.shape:
         raise ValueError(f"instance map dimensions differ: {p.shape} vs {g.shape}")
+    n_p = _label_areas(p, "prediction").size - 1
+    n_g = _label_areas(g, "ground-truth").size - 1
 
     matched_p = {pp for pp, _, _ in match.pairs}
     matched_g = {gg for _, gg, _ in match.pairs}
-    pred_ids = set(range(1, int(p.max(initial=0)) + 1))
-    gt_ids = set(range(1, int(g.max(initial=0)) + 1))
+    pred_ids = set(range(1, n_p + 1))
+    gt_ids = set(range(1, n_g + 1))
     if matched_p | set(match.unmatched_pred) != pred_ids or matched_p & set(match.unmatched_pred):
         raise ValueError("match result inconsistent with the prediction map")
     if matched_g | set(match.unmatched_gt) != gt_ids or matched_g & set(match.unmatched_gt):
         raise ValueError("match result inconsistent with the ground-truth map")
 
-    n_p = int(p.max(initial=0))
-    n_g = int(g.max(initial=0))
     tp_lut = np.zeros(n_p + 1, bool)
     for i in matched_p:
         tp_lut[i] = True
@@ -218,12 +233,13 @@ def rasterize_polygon_set(ps: PolygonSet) -> np.ndarray:
     ids = np.array([inst.id for inst in ps.instances], np.int64)
     distinct, rank = np.unique(ids, return_inverse=True)
     labels = np.zeros((ps.height, ps.width), np.uint32)
-    for k in np.argsort(ids, kind="stable"):
-        filled = targets.rasterize_polygon(ps.instances[k].exterior, ps.height, ps.width)
-        labels[filled == 1] = rank[k] + 1
+    order = np.argsort(ids, kind="stable")
+    rings = [ps.instances[k].exterior for k in order]
+    for j, win, filled in targets._ring_fills(rings, ps.height, ps.width):
+        labels[win][filled == 1] = rank[order[j]] + 1
     used = np.zeros(distinct.size + 1, bool)
     used[labels] = True
     used[0] = False
     remap = np.zeros(distinct.size + 1, np.uint32)
     remap[used] = np.arange(1, np.count_nonzero(used) + 1, dtype=np.uint32)
-    return remap[labels]
+    return remap.take(labels)

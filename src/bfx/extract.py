@@ -33,6 +33,11 @@ from . import fusion, raster
 
 LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
 
+# Largest canvas, in pixels, that a GeoJSON FeatureCollection may declare:
+# rebuilding its instance map allocates that canvas (2**28 uint32 labels are
+# 1 GiB), so a larger declared size is rejected as malformed input.
+MAX_GEOJSON_CANVAS_PIXELS = 2 ** 28
+
 # corner-walk directions: +x, +y, -x, -y (y grows downward)
 _DX = (1, 0, -1, 0)
 _DY = (0, 1, 0, -1)
@@ -306,8 +311,11 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     try:
         height = int(doc["height"])
         width = int(doc["width"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValueError("FeatureCollection lacks integer 'height'/'width' members") from None
+    if height < 1 or width < 1 or height * width > MAX_GEOJSON_CANVAS_PIXELS:
+        raise ValueError(f"FeatureCollection canvas {height}x{width} is outside "
+                         f"1..{MAX_GEOJSON_CANVAS_PIXELS} pixels")
     ps = PolygonSet(str(doc.get("image_id", "")), height, width)
     features = doc.get("features", [])
     if not isinstance(features, list):
@@ -328,6 +336,8 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
             raise ValueError(f"feature {k}: malformed ring") from None
         if ring.ndim != 2 or ring.shape[1] != 2:
             raise ValueError(f"feature {k}: malformed ring")
+        if not np.isfinite(ring).all():
+            raise ValueError(f"feature {k}: non-finite coordinate")
         if len(ring) >= 2 and np.array_equal(ring[0], ring[-1]):
             ring = ring[:-1]
         if len(ring) < 3:

@@ -52,11 +52,13 @@ def check_kernel_side(side: int) -> int:
 def _window_extreme(arr: np.ndarray, side: int, op, axis: int) -> np.ndarray:
     """Running min/max over a centered window along one axis, zero padded."""
     r = side // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    p = np.pad(arr, pad, constant_values=0)
     n = arr.shape[axis]
+    shape = list(arr.shape)
+    shape[axis] += 2 * r
+    p = np.zeros(shape, arr.dtype)  # not np.pad, whose per-call overhead dominates small crops
     sl = [slice(None), slice(None)]
+    sl[axis] = slice(r, r + n)
+    p[tuple(sl)] = arr
     sl[axis] = slice(0, n)
     out = p[tuple(sl)].copy()
     for k in range(1, side):

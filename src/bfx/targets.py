@@ -12,10 +12,21 @@ when its center (j+0.5, i+0.5) is inside the ring, counting edge crossings
 strictly left of the center along the scanline. Horizontal edges never
 cross, so a center on a horizontal edge is covered exactly when the
 interior continues below it.
+
+The fill is one crossing list over the ring's window, the canvas rows and
+columns outside which the fill is 0: sorted searches over the row centers
+give each edge its scanlines, every (edge, row) pair gives one crossing,
+a sorted search over the column centers gives the first pixel each
+crossing flips, and a running XOR along each row gives the parity. Its
+cost is O(edges + crossings + window), not O(canvas). Borders are eroded
+and painted inside that window too, which is exact because erosion counts
+pixels outside the canvas as 0, the same value the fill has outside the
+window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +65,26 @@ class TargetStack:
         return cls(*((arr[i] >= 0.5).astype(np.uint8) for i in range(3)))
 
 
+def _clamp(v: int, n: int) -> int:
+    return min(max(v, 0), n)
+
+
+def _ring_window(pts: np.ndarray, height: int, width: int) -> tuple[slice, slice]:
+    """Canvas rows and columns outside which the ring's fill is 0.
+
+    Row r has crossings only if some edge spans its center r + 0.5, so the
+    rows lie in [floor(ymin), ceil(ymax)). A crossing x1 + t*(x2 - x1),
+    with t in [0, 1], rounds to within 3 ulps of max|x| outside its edge's
+    x extent, and pixel j is set only between two crossings, so the x
+    extent padded by one pixel and 4 ulps holds every set column.
+    """
+    xmin, ymin = pts.min(axis=0).tolist()
+    xmax, ymax = pts.max(axis=0).tolist()
+    pad = 1 + 4 * math.ulp(max(-xmin, xmax))
+    return (slice(_clamp(math.floor(ymin), height), _clamp(math.ceil(ymax), height)),
+            slice(_clamp(math.floor(xmin - pad), width), _clamp(math.ceil(xmax + pad), width)))
+
+
 def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     """Scanline even-odd fill of one ring at pixel centers (see module doc)."""
     if height < 1 or width < 1:
@@ -65,26 +96,46 @@ def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
         pts = pts[:-1]
     if len(pts) < 3:
         raise ValueError("ring has fewer than 3 vertices")
-
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    ymin = np.minimum(y1, y2)
-    ymax = np.maximum(y1, y2)
+    if not np.isfinite(pts).all():
+        raise ValueError("ring has a non-finite coordinate")
 
     out = np.zeros((height, width), np.uint8)
-    lo = max(0, int(np.floor(ymin.min() - 0.5)))
-    hi = min(height - 1, int(np.ceil(ymax.max() - 0.5)))
-    centers = np.arange(width) + 0.5
-    for r in range(lo, hi + 1):
-        yc = r + 0.5
-        # half-open span [ymin, ymax) so shared vertices count once
-        sel = (ymin <= yc) & (yc < ymax)
-        if not sel.any():
-            continue
-        t = (yc - y1[sel]) / (y2[sel] - y1[sel])
-        xs = np.sort(x1[sel] + t * (x2[sel] - x1[sel]))
-        out[r] = (np.searchsorted(xs, centers, side="left") & 1).astype(np.uint8)
+    rows, cols = _ring_window(pts, height, width)
+    n_rows, n_cols = rows.stop - rows.start, cols.stop - cols.start
+    closed = np.concatenate([pts, pts[:1]])
+    x1, y1 = closed[:-1, 0], closed[:-1, 1]
+    x2, y2 = closed[1:, 0], closed[1:, 1]
+    # each edge crosses the scanlines with ymin <= yc < ymax (half-open, so
+    # a shared vertex counts once); horizontal edges cross none
+    yc = np.arange(rows.start, rows.stop) + 0.5
+    first = np.searchsorted(yc, np.minimum(y1, y2), side="left")
+    count = np.searchsorted(yc, np.maximum(y1, y2), side="left") - first
+    edge = np.repeat(np.arange(len(pts)), count)
+    row = np.arange(edge.size) - np.repeat(np.cumsum(count) - count - first, count)
+    t = (yc[row] - y1[edge]) / (y2[edge] - y1[edge])
+    x = x1[edge] + t * (x2[edge] - x1[edge])
+
+    # a crossing flips every pixel whose center lies strictly right of it;
+    # index n_cols means it flips none inside the window
+    flip = np.searchsorted(np.arange(cols.start, cols.stop) + 0.5, x, side="right")
+    flips = np.zeros((n_rows, n_cols + 1), np.uint8)
+    np.bitwise_xor.at(flips, (row, flip), 1)
+    out[rows, cols] = np.bitwise_xor.accumulate(flips[:, :n_cols], axis=1)
     return out
+
+
+def _ring_fills(rings, height: int, width: int):
+    """Yield (index, window, fill cropped to the window) for every ring whose
+    window is not empty, calling `rasterize_polygon` once per ring."""
+    for i, ring in enumerate(rings):
+        try:
+            filled = rasterize_polygon(ring, height, width)
+        except ValueError as exc:
+            raise ValueError(f"polygon {i}: {exc}") from exc
+        win = _ring_window(np.asarray(ring, np.float64), height, width)
+        crop = filled[win]
+        if crop.size:
+            yield i, win, crop
 
 
 def make_border_mask(rings, height: int, width: int,
@@ -92,13 +143,9 @@ def make_border_mask(rings, height: int, width: int,
                      kernel_side: int = BORDER_KERNEL_SIDE) -> np.ndarray:
     """Union of per-polygon borders: fill, erode, XOR, independently per ring."""
     border = np.zeros((height, width), np.uint8)
-    for i, ring in enumerate(rings):
-        try:
-            filled = rasterize_polygon(ring, height, width)
-        except ValueError as exc:
-            raise ValueError(f"polygon {i}: {exc}") from exc
+    for _, win, filled in _ring_fills(rings, height, width):
         eroded = raster.erode(filled, kernel_side, erosion_iterations)
-        border |= raster.mask_xor(filled, eroded)
+        border[win] |= raster.mask_xor(filled, eroded)
     return border
 
 
@@ -111,7 +158,8 @@ def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
     pixel 8-adjacent to a differently-labeled pixel; XOR against the
     dilation to keep exactly those separation-line pixels; finally cut to
     Chebyshev distance <= max_dist from a building and exclude the
-    buildings themselves.
+    buildings themselves. The chessboard ball of radius max_dist is a
+    square, so the cut is a dilation by a (2*max_dist + 1) square.
     """
     b = raster.as_mask(building)
     seeds = raster.connected_components(b, 8)
@@ -128,7 +176,7 @@ def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
     carved[boundary] = 0
     lines = raster.mask_xor(grown, carved)
 
-    near = raster.chebyshev_distance(b) <= max_dist
+    near = raster.dilate(b, 2 * max_dist + 1) == 1
     return ((lines == 1) & near & (b == 0)).astype(np.uint8)
 
 
@@ -142,12 +190,8 @@ def assemble_targets(rings, height: int, width: int,
     """
     building = np.zeros((height, width), np.uint8)
     border = np.zeros((height, width), np.uint8)
-    for i, ring in enumerate(rings):
-        try:
-            filled = rasterize_polygon(ring, height, width)
-        except ValueError as exc:
-            raise ValueError(f"polygon {i}: {exc}") from exc
-        building |= filled
+    for _, win, filled in _ring_fills(rings, height, width):
+        building[win] |= filled
         eroded = raster.erode(filled, BORDER_KERNEL_SIDE, erosion_iterations)
-        border |= raster.mask_xor(filled, eroded)
+        border[win] |= raster.mask_xor(filled, eroded)
     return TargetStack(building, border, make_spacing_mask(building))

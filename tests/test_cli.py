@@ -409,6 +409,15 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
     pytest.param("bad.geojson",
                  b'{"type": "FeatureCollection", "height": 4, "width": 4, "features": [1]}', "eval",
                  id="eval-feature-not-object"),
+    *[pytest.param("bad.geojson", b'{"type": "FeatureCollection", "height": 4, "width": 4, "features": '
+                   b'[{"geometry": {"type": "Polygon", "coordinates": [[[0, 0], %s, [2, 2]]]}}]}' % vertex,
+                   "eval", id=f"eval-vertex-{name}")
+      for name, vertex in [("infinite", b"[2, Infinity]"), ("overflow", b"[2, 1e400]"), ("nan", b"[NaN, 0]")]],
+    pytest.param("bad.geojson",
+                 b'{"type": "FeatureCollection", "height": 65536, "width": 65536, "features": []}', "eval",
+                 id="eval-canvas-too-large"),
+    pytest.param("bad.imap", formats.encode_imap(np.diag([0, 0, 2_000_000, 0])), "eval",
+                 id="eval-imap-labels-not-dense"),
 ])
 def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data, stage):
     bad = tmp_path / name

@@ -6,6 +6,8 @@ import pytest
 from bfx import evaluate, extract, raster
 from bfx.evaluate import EvalCounts
 
+from _oracles import point_fill
+
 
 def inst_map(h, w, boxes):
     """Instance map from (r0, c0, r1, c1) boxes, labeled in list order."""
@@ -172,6 +174,28 @@ def test_match_equals_bruteforce_on_random_scenes():
         assert {(p, g) for p, g, _ in m.pairs} <= set(table)
 
 
+def sparse_maps():
+    far = np.zeros((4, 4), np.uint32)
+    far[1, 2] = 2_000_000  # checked before any table is sized from it
+    gap = inst_map(6, 6, [(0, 0, 2, 2), (3, 3, 5, 5)])
+    gap[gap == 2] = 3
+    return {"far": far, "gap": gap}
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("far", "not dense: largest label 2000000 exceeds the pixel count 16"),
+    ("gap", r"not dense in 1\.\.3: label 2 is absent")])
+def test_match_and_color_map_reject_sparse_labels(kind, reason):
+    sparse = sparse_maps()[kind]
+    dense = inst_map(*sparse.shape, [(0, 0, 2, 2)])
+    match = evaluate.match_instances(dense, dense)
+    for pred, gt, what in [(sparse, dense, "prediction"), (dense, sparse, "ground-truth")]:
+        with pytest.raises(ValueError, match=f"{what} map labels are {reason}"):
+            evaluate.match_instances(pred, gt)
+        with pytest.raises(ValueError, match=f"{what} map labels are {reason}"):
+            evaluate.color_map(pred, gt, match)
+
+
 def test_match_dimension_mismatch():
     with pytest.raises(ValueError):
         evaluate.match_instances(np.zeros((4, 4), np.uint32), np.zeros((4, 5), np.uint32))
@@ -323,3 +347,22 @@ def test_rasterize_polygon_set_largest_id_relabels_to_one():
     out = evaluate.rasterize_polygon_set(ps)
     assert out.dtype == np.uint32
     assert out.tolist() == [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def test_rasterize_polygon_set_clipped_rings_match_point_oracle():
+    rings = [np.array([(-3, -2), (5, -1), (4.5, 4.5), (-1, 3)]),  # clipped top-left
+             np.array([(8, 5), (14, 5), (14, 12), (8, 12)]),  # clipped right and bottom
+             np.array([(20, 1), (30, 1), (30, 3), (20, 3)]),  # fully off the canvas
+             np.array([(2.5, 6.5), (6.5, 6.5), (6.5, 11), (2.5, 11)]),  # clipped bottom
+             np.array([(1, 1), (3, 1), (3, 3), (1, 3)]),  # inside ring 0, painted over it
+             np.array([(1, 8), (4, 8), (4, 12), (1, 12)])]  # partly painted over by ring 3
+    ids = [4, 2, 7, 9, 5, 3]
+    h, w = 10, 11
+    ps = extract.PolygonSet("clip", h, w, [extract.PolygonInstance(i, r, 0) for i, r in zip(ids, rings)])
+    painted = np.zeros((h, w), np.uint32)
+    for k in np.argsort(ids):
+        painted[point_fill(rings[k], h, w) == 1] = ids[k]
+    present = np.unique(painted[painted > 0])
+    want = np.searchsorted(present, painted).astype(np.uint32) + (painted > 0)
+    assert present.tolist() == [2, 3, 4, 5, 9]
+    assert np.array_equal(evaluate.rasterize_polygon_set(ps), want)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -453,3 +455,21 @@ def test_geojson_rejects_malformed_feature(feature):
     doc = {"type": "FeatureCollection", "height": 4, "width": 4, "features": [feature]}
     with pytest.raises(ValueError, match="feature 0"):
         extract.polygon_set_from_geojson(doc)
+
+
+@pytest.mark.parametrize("vertex", ["[2, Infinity]", "[2, 1e400]", "[NaN, 0]", "[-Infinity, 1]"])
+def test_geojson_rejects_non_finite_coordinates(vertex):
+    text = ('{"type": "FeatureCollection", "height": 4, "width": 4, "features": [{"geometry": '
+            '{"type": "Polygon", "coordinates": [[[0, 0], %s, [2, 2], [0, 2]]]}}]}' % vertex)
+    with pytest.raises(ValueError, match="feature 0: non-finite coordinate"):
+        extract.polygon_set_from_geojson(json.loads(text))
+
+
+@pytest.mark.parametrize("height,width", [(0, 4), (4, -1), (2 ** 14, 2 ** 14 + 1), (1, 2 ** 28 + 1),
+                                          (float("inf"), 4)])
+def test_geojson_canvas_is_bounded(height, width):
+    doc = {"type": "FeatureCollection", "height": height, "width": width, "features": []}
+    with pytest.raises(ValueError, match="canvas|integer"):
+        extract.polygon_set_from_geojson(doc)
+    largest = dict(doc, height=2 ** 14, width=2 ** 14)
+    assert extract.polygon_set_from_geojson(largest).height == 2 ** 14

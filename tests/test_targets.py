@@ -4,7 +4,7 @@ import pytest
 from bfx import raster, targets
 
 from _oracles import (bfs_chebyshev, disjoint_rectangles, flood_components,
-                      geodesic_watershed, point_fill, window_dilate)
+                      geodesic_watershed, point_fill, window_dilate, window_erode)
 
 
 def rect_ring(x0, y0, x1, y1):
@@ -61,6 +61,44 @@ def test_fill_accepts_explicitly_closed_ring():
                           targets.rasterize_polygon(open_ring, 6, 6))
 
 
+def test_fill_matches_point_oracle_off_canvas_and_non_square():
+    rng = np.random.default_rng(34)
+    for height, width in [(7, 19), (19, 7), (1, 12), (12, 1), (1, 1), (13, 13)]:
+        for _ in range(15):
+            n = int(rng.integers(3, 9))
+            # vertices from well left/above to well right/below the canvas
+            ring = rng.uniform(-8, 8, size=(n, 2)) + rng.uniform(-10, 1.5, size=2) * [width, height]
+            assert np.array_equal(targets.rasterize_polygon(ring, height, width),
+                                  point_fill(ring, height, width))
+
+
+@pytest.mark.parametrize("ring", [
+    [(0.5, 0.5), (4.5, 0.5), (4.5, 3.5), (2.5, 5.5), (0.5, 3.5)],  # vertices at pixel centers
+    [(0.49999999999999994, 0), (3.49999999999999994, 0), (3.5, 4), (0.5000000000000001, 4)],
+    [(0, 0.49999999999999994), (5, 0.5), (5, 2.49999999999999994), (0, 2.5000000000000004)],
+    [(0, 0), (6, 5), (6, 0), (0, 5)],  # bow tie
+    [(3, -1), (5, 7), (-1, 2), (7, 2), (1, 7)],  # pentagram, centre covered twice
+    [(1, 1), (5, 1), (5, 5), (1, 5), (1, 1), (3, 0), (6, 3), (3, 6), (0, 3), (3, 0)],
+    [(-1e17, 2.5), (4.3, 0.2), (5.7, 5.9)],  # one vertex far off the canvas
+    [(1e17, 2.5), (0.3, 0.2), (1.7, 5.9)],
+    [(2, -1e17), (4.5, 5.5), (0.5, 4.5)],
+    # t rounds to 1.0 on row 0, so that crossing lands at x = 32, past every vertex
+    [(-1e17, -1e17), (25.5, 2.35), (20, 6)],
+], ids=["centers", "x-just-below-half", "y-just-below-half", "bow-tie", "pentagram",
+        "self-touching", "far-left", "far-right", "far-up", "crossing-past-vertices"])
+def test_fill_tie_and_self_intersecting_rings_match_point_oracle(ring):
+    for height, width in [(6, 6), (4, 9), (9, 3), (7, 40)]:
+        assert np.array_equal(targets.rasterize_polygon(np.array(ring), height, width),
+                              point_fill(ring, height, width))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fill_rejects_non_finite_coordinates(bad):
+    for vertex in ([2.0, bad], [bad, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            targets.rasterize_polygon(np.array([(0, 0), (4, 0), vertex, (0, 4)], float), 6, 6)
+
+
 # ---------------------------------------------------------------------------
 # make_border_mask
 # ---------------------------------------------------------------------------
@@ -99,6 +137,29 @@ def test_border_count_equals_fill_minus_erosion_when_interior_survives():
     assert eroded.sum() > 0
     border = targets.make_border_mask([ring], 16, 16)
     assert border.sum() == filled.sum() - eroded.sum()
+
+
+def edge_rings(height, width):
+    """Rings touching, crossing or lying outside each canvas edge."""
+    return [rect_ring(-3, 2, 4, 6), rect_ring(width - 3, -2, width + 5, 4),
+            rect_ring(1.5, height - 2.5, 6.5, height + 3), np.array([(-2, -2), (5, 1), (1, 5)], float),
+            rect_ring(width + 1, 0, width + 4, height), rect_ring(-4, -4, width + 4, -1),
+            np.array([(width - 0.5, height - 5), (width + 6, height + 1), (width - 6, height + 2)])]
+
+
+def test_border_and_targets_on_canvas_edges_match_full_canvas_oracle():
+    for height, width in [(12, 17), (9, 9), (15, 8)]:
+        rings = edge_rings(height, width)
+        for iterations, side in [(2, 3), (1, 5), (0, 3)]:
+            fills = [point_fill(r, height, width) for r in rings]
+            want = np.zeros((height, width), np.uint8)
+            for f in fills:
+                want |= f ^ window_erode(f, side, iterations)
+            assert np.array_equal(targets.make_border_mask(rings, height, width, iterations, side), want)
+            if side == 3:
+                stack = targets.assemble_targets(rings, height, width, iterations)
+                assert np.array_equal(stack.border, want)
+                assert np.array_equal(stack.building, np.bitwise_or.reduce(fills))
 
 
 def test_border_bad_ring_reports_index():
@@ -170,6 +231,17 @@ def test_spacing_matches_procedure_oracle_on_random_scenes():
         for r0, c0, r1, c1 in boxes:
             b[r0:r1, c0:c1] = 1
         assert np.array_equal(targets.make_spacing_mask(b), spacing_oracle(b))
+
+
+@pytest.mark.parametrize("max_dist", [0, 1, 3, 40])
+def test_spacing_distance_cut_matches_oracle_at_other_radii(max_dist):
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        rings, boxes = disjoint_rectangles(rng, 30, 34, 4, min_side=3, max_side=8, gap=2)
+        b = np.zeros((30, 34), np.uint8)
+        for r0, c0, r1, c1 in boxes:
+            b[r0:r1, c0:c1] = 1
+        assert np.array_equal(targets.make_spacing_mask(b, 9, max_dist), spacing_oracle(b, 9, max_dist))
 
 
 # ---------------------------------------------------------------------------
