@@ -308,11 +308,9 @@ def polygon_set_to_geojson(ps: PolygonSet) -> dict:
 def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
-    try:
-        height = int(doc["height"])
-        width = int(doc["width"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError("FeatureCollection lacks integer 'height'/'width' members") from None
+    height, width = doc.get("height"), doc.get("width")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (height, width)):
+        raise ValueError("FeatureCollection lacks integer 'height'/'width' members")
     if height < 1 or width < 1 or height * width > MAX_GEOJSON_CANVAS_PIXELS:
         raise ValueError(f"FeatureCollection canvas {height}x{width} is outside "
                          f"1..{MAX_GEOJSON_CANVAS_PIXELS} pixels")

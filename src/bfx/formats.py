@@ -11,6 +11,8 @@ so interrupted runs never leave partial artifacts behind.
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import struct
 import tempfile
@@ -23,7 +25,9 @@ PMAP_MAGIC = b"PMAP1\n"
 IMAP_MAGIC = b"IMAP1\n"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data) -> None:
+    """Write a bytes-like object (bytes, or a C-contiguous array's buffer)
+    to `path` through a temp file renamed over it."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")
@@ -48,10 +52,28 @@ def atomic_write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def encode_pgm(mask) -> bytes:
+def _frame(header: bytes, shape, dtype):
+    """Allocate `header` and an unfilled C-order payload of `shape` and
+    `dtype` as one uint8 buffer; return the buffer and the payload view.
+
+    Writers fill the view in place (casting on the way), so an artifact's
+    bytes are built with a single pass over the payload."""
+    n = len(header)
+    frame = np.empty(n + math.prod(shape) * np.dtype(dtype).itemsize, np.uint8)
+    frame[:n] = np.frombuffer(header, np.uint8)
+    return frame, frame[n:].view(dtype).reshape(shape)
+
+
+def _pgm_frame(mask) -> np.ndarray:
     m = raster.as_mask(mask)
     h, w = m.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + (m * np.uint8(255)).tobytes()
+    frame, payload = _frame(b"P5\n%d %d\n255\n" % (w, h), (h, w), np.uint8)
+    np.multiply(m, np.uint8(255), out=payload)
+    return frame
+
+
+def encode_pgm(mask) -> bytes:
+    return _pgm_frame(mask).tobytes()
 
 
 def _read_pnm_header(data: bytes, magic: bytes):
@@ -97,7 +119,7 @@ def decode_pgm(data: bytes) -> np.ndarray:
 
 
 def write_pgm(path, mask) -> None:
-    atomic_write_bytes(path, encode_pgm(mask))
+    atomic_write_bytes(path, _pgm_frame(mask))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -110,16 +132,22 @@ def read_pgm_raw(path) -> np.ndarray:
         return decode_pgm_raw(f.read())
 
 
-def encode_ppm(rgb) -> bytes:
+def _ppm_frame(rgb) -> np.ndarray:
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
         raise ValueError("PPM payload must be an (h, w, 3) uint8 array")
     h, w, _ = arr.shape
-    return b"P6\n%d %d\n255\n" % (w, h) + arr.tobytes()
+    frame, payload = _frame(b"P6\n%d %d\n255\n" % (w, h), arr.shape, np.uint8)
+    payload[...] = arr
+    return frame
+
+
+def encode_ppm(rgb) -> bytes:
+    return _ppm_frame(rgb).tobytes()
 
 
 def write_ppm(path, rgb) -> None:
-    atomic_write_bytes(path, encode_ppm(rgb))
+    atomic_write_bytes(path, _ppm_frame(rgb))
 
 
 def read_ppm(path) -> np.ndarray:
@@ -134,45 +162,102 @@ def read_ppm(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# PMAP1 and IMAP1 share one layout: a 6-byte magic, three little-endian u32
+# header fields, then the payload
+# ---------------------------------------------------------------------------
+
+_FIELDS = struct.Struct("<III")
+_BINARY_HEADER = len(PMAP_MAGIC) + _FIELDS.size
+
+
+class _Layout:
+    """What PMAP1 and IMAP1 do not share."""
+
+    def __init__(self, magic: bytes, bad_magic: str, ndim: int, dtype: str):
+        self.magic = magic
+        self.name = magic.decode().strip()
+        self.bad_magic = bad_magic  # the error for a file without the magic
+        self.ndim = ndim  # the payload shape is the first `ndim` header fields
+        self.dtype = dtype
+
+
+_PMAP = _Layout(PMAP_MAGIC, "not a PMAP1 file", 3, "<f4")
+_IMAP = _Layout(IMAP_MAGIC, "not an IMAP1 file", 2, "<u4")
+
+
+def _load_binary(f, size: int, layout: _Layout):
+    """Header fields and payload of an open file of `size` bytes, the
+    payload read into one preallocated array.
+
+    The payload size the header declares is checked against `size` before
+    anything is allocated, so a forged header cannot ask for more memory
+    than the file holds. Trailing bytes are ignored."""
+    head = f.read(_BINARY_HEADER)
+    if not head.startswith(layout.magic):
+        raise ValueError(layout.bad_magic)
+    if len(head) < _BINARY_HEADER:
+        raise ValueError(f"truncated {layout.name} header")
+    fields = _FIELDS.unpack_from(head, len(layout.magic))
+    shape = fields[:layout.ndim]
+    nbytes = math.prod(shape) * np.dtype(layout.dtype).itemsize
+    if size - _BINARY_HEADER < nbytes:
+        raise ValueError(f"truncated {layout.name} payload")
+    arr = np.empty(shape, layout.dtype)
+    if f.readinto(arr) != nbytes:  # the file shrank after its size was taken
+        raise ValueError(f"truncated {layout.name} payload")
+    return fields, arr
+
+
+def _read_binary(path, layout: _Layout):
+    with open(path, "rb") as f:
+        return _load_binary(f, os.fstat(f.fileno()).st_size, layout)
+
+
+def _decode_binary(data: bytes, layout: _Layout):
+    return _load_binary(io.BytesIO(data), len(data), layout)
+
+
+def _in_unit_interval(arr) -> bool:
+    # min/max propagate NaN, and NaN fails both comparisons
+    return arr.size == 0 or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
+
+
+# ---------------------------------------------------------------------------
 # PMAP1: float32 probability stacks
 # ---------------------------------------------------------------------------
 
 
-def encode_pmap(pmap) -> bytes:
+def _pmap_frame(pmap) -> np.ndarray:
     arr = np.asarray(pmap, dtype=np.float32)
     if arr.ndim != 3:
         raise ValueError(f"probability map must be (channels, h, w), got shape {arr.shape}")
-    if arr.size and (not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0):
+    if not _in_unit_interval(arr):
         raise ValueError("probability values must lie in [0, 1]")
-    c, h, w = arr.shape
-    return PMAP_MAGIC + struct.pack("<III", c, h, w) + arr.astype("<f4").tobytes()
+    frame, payload = _frame(PMAP_MAGIC + _FIELDS.pack(*arr.shape), arr.shape, _PMAP.dtype)
+    payload[...] = arr
+    return frame
+
+
+def _checked_pmap(arr: np.ndarray) -> np.ndarray:
+    if not _in_unit_interval(arr):
+        raise ValueError("PMAP1 values outside [0, 1]")
+    return arr.astype(np.float32, copy=False)
+
+
+def encode_pmap(pmap) -> bytes:
+    return _pmap_frame(pmap).tobytes()
 
 
 def decode_pmap(data: bytes) -> np.ndarray:
-    if not data.startswith(PMAP_MAGIC):
-        raise ValueError("not a PMAP1 file")
-    off = len(PMAP_MAGIC)
-    if len(data) - off < 12:
-        raise ValueError("truncated PMAP1 header")
-    c, h, w = struct.unpack_from("<III", data, off)
-    off += 12
-    count = c * h * w
-    if len(data) - off < 4 * count:
-        raise ValueError("truncated PMAP1 payload")
-    arr = np.frombuffer(data[off:off + 4 * count], "<f4").reshape(c, h, w)
-    arr = arr.astype(np.float32)
-    if arr.size and (not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("PMAP1 values outside [0, 1]")
-    return arr
+    return _checked_pmap(_decode_binary(data, _PMAP)[1])
 
 
 def write_pmap(path, pmap) -> None:
-    atomic_write_bytes(path, encode_pmap(pmap))
+    atomic_write_bytes(path, _pmap_frame(pmap))
 
 
 def read_pmap(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return decode_pmap(f.read())
+    return _checked_pmap(_read_binary(path, _PMAP)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +265,36 @@ def read_pmap(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def encode_imap(labels) -> bytes:
+def _imap_frame(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ValueError(f"instance map must be 2-D, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer) or (arr.size and arr.min() < 0):
         raise ValueError("instance labels must be non-negative integers")
-    arr = arr.astype(np.uint32)
-    h, w = arr.shape
+    arr = arr.astype(np.uint32, copy=False)
     max_label = int(arr.max(initial=0))
-    return IMAP_MAGIC + struct.pack("<III", h, w, max_label) + arr.astype("<u4").tobytes()
+    frame, payload = _frame(IMAP_MAGIC + _FIELDS.pack(*arr.shape, max_label), arr.shape, _IMAP.dtype)
+    payload[...] = arr
+    return frame
+
+
+def _checked_imap(fields, arr: np.ndarray) -> np.ndarray:
+    if int(arr.max(initial=0)) > fields[2]:
+        raise ValueError("IMAP1 labels exceed the declared max_label")
+    return arr.astype(np.uint32, copy=False)
+
+
+def encode_imap(labels) -> bytes:
+    return _imap_frame(labels).tobytes()
 
 
 def decode_imap(data: bytes) -> np.ndarray:
-    if not data.startswith(IMAP_MAGIC):
-        raise ValueError("not an IMAP1 file")
-    off = len(IMAP_MAGIC)
-    if len(data) - off < 12:
-        raise ValueError("truncated IMAP1 header")
-    h, w, max_label = struct.unpack_from("<III", data, off)
-    off += 12
-    count = h * w
-    if len(data) - off < 4 * count:
-        raise ValueError("truncated IMAP1 payload")
-    arr = np.frombuffer(data[off:off + 4 * count], "<u4").reshape(h, w).astype(np.uint32)
-    if int(arr.max(initial=0)) > max_label:
-        raise ValueError("IMAP1 labels exceed the declared max_label")
-    return arr
+    return _checked_imap(*_decode_binary(data, _IMAP))
 
 
 def write_imap(path, labels) -> None:
-    atomic_write_bytes(path, encode_imap(labels))
+    atomic_write_bytes(path, _imap_frame(labels))
 
 
 def read_imap(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return decode_imap(f.read())
+    return _checked_imap(*_read_binary(path, _IMAP))

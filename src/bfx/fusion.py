@@ -5,7 +5,10 @@ The four supported views (identity, horizontal flip, vertical flip, 180
 degree rotation) are involutions, so mapping a view back to the reference
 frame applies the same transform again. Averages accumulate in float64 and
 round to float32 once; the ensemble additionally sorts the per-pixel
-summands so the result is independent of the order the maps arrive in.
+summands (a compare-exchange network over whole planes) so the result is
+independent of the order the maps arrive in. Both work plane by plane:
+views are added into the accumulator through strided indexing, and folds
+are compared and summed without stacking them.
 """
 
 from __future__ import annotations
@@ -16,65 +19,83 @@ import numpy as np
 
 VIEWS = ("identity", "hflip", "vflip", "rot180")
 
+_FLIP = slice(None, None, -1)
+# each view as an index over the trailing (h, w) axes; applying it again
+# maps the view back to the reference frame
+_VIEW_INDEX = {
+    "identity": (Ellipsis,),
+    "hflip": (Ellipsis, _FLIP),
+    "vflip": (Ellipsis, _FLIP, slice(None)),
+    "rot180": (Ellipsis, _FLIP, _FLIP),
+}
+
 
 def apply_view(arr, view: str) -> np.ndarray:
     """Transform the pixel grid of a mask (2-D) or probability stack (3-D)."""
     a = np.asarray(arr)
     if a.ndim not in (2, 3):
         raise ValueError(f"expected a 2-D mask or (c, h, w) stack, got shape {a.shape}")
-    if view == "identity":
-        return a.copy()
-    if view == "hflip":
-        return a[..., ::-1].copy()
-    if view == "vflip":
-        return a[..., ::-1, :].copy()
-    if view == "rot180":
-        return a[..., ::-1, ::-1].copy()
-    raise ValueError(f"unknown view {view!r}")
+    if view not in _VIEW_INDEX:
+        raise ValueError(f"unknown view {view!r}")
+    return a[_VIEW_INDEX[view]].copy()
 
 
 def tta_average(views: Mapping[str, np.ndarray]) -> np.ndarray:
     """Align four tagged views back to the reference frame and average them.
 
     `views` must hold exactly the keys in VIEWS. The result does not depend
-    on mapping order: views are realigned and summed in a fixed canonical
-    order.
+    on mapping order: each view's strided alignment (no copy) is added into
+    one float64 accumulator in the canonical VIEWS order, as
+    ((a0 + a1) + a2) + a3, then divided by 4 and rounded to float32 once.
+    The accumulator starts as a0 + a1, not from zeros, so a pixel that is
+    -0.0 in every view stays -0.0.
     """
     if set(views) != set(VIEWS):
         raise ValueError(f"expected exactly the views {VIEWS}, got {sorted(views)}")
     aligned = []
-    shape = None
     for name in VIEWS:
         a = np.asarray(views[name], np.float32)
         if a.ndim != 3:
             raise ValueError(f"view {name!r} must be a (c, h, w) stack")
-        if shape is None:
-            shape = a.shape
-        elif a.shape != shape:
-            raise ValueError(f"view {name!r} has shape {a.shape}, expected {shape}")
-        aligned.append(apply_view(a, name).astype(np.float64))
-    total = aligned[0] + aligned[1] + aligned[2] + aligned[3]
-    return (total / 4.0).astype(np.float32)
+        if aligned and a.shape != aligned[0].shape:
+            raise ValueError(f"view {name!r} has shape {a.shape}, expected {aligned[0].shape}")
+        aligned.append(a[_VIEW_INDEX[name]])
+    total = np.add(aligned[0], aligned[1], dtype=np.float64)
+    total += aligned[2]
+    total += aligned[3]
+    return np.divide(total, 4.0, out=np.empty(total.shape, np.float32))
 
 
 def ensemble_average(maps: Sequence[np.ndarray]) -> np.ndarray:
     """Pixelwise arithmetic mean of one or more probability stacks.
 
-    Summands are sorted per pixel before accumulation, which makes the
-    floating-point result invariant to the input ordering.
+    The K planes of each pixel are put in ascending order by an odd-even
+    transposition network of np.minimum/np.maximum over whole planes
+    (Batcher, AFIPS 1968), then summed in that order into a float64
+    accumulator that starts from +0.0, divided by K and rounded to float32
+    once. The result is therefore invariant to the input ordering.
     """
-    arrs = [np.asarray(m, np.float32) for m in maps]
-    if not arrs:
+    planes = [np.asarray(m, np.float32) for m in maps]
+    if not planes:
         raise ValueError("ensemble_average needs at least one map")
-    shape = arrs[0].shape
-    if arrs[0].ndim != 3:
+    shape = planes[0].shape
+    if planes[0].ndim != 3:
         raise ValueError(f"expected (c, h, w) stacks, got shape {shape}")
-    for a in arrs[1:]:
+    for a in planes[1:]:
         if a.shape != shape:
             raise ValueError(f"map shapes differ: {a.shape} vs {shape}")
-    stacked = np.stack(arrs).astype(np.float64)
-    stacked.sort(axis=0)
-    return (np.add.reduce(stacked, axis=0) / len(arrs)).astype(np.float32)
+    k = len(planes)
+    if k > 2:  # (+0.0 + x) + y == (+0.0 + y) + x, so two planes need no ordering
+        for rnd in range(k):
+            for i in range(rnd % 2, k - 1, 2):
+                lo, hi = planes[i], planes[i + 1]
+                planes[i], planes[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    # np.minimum/np.maximum may return one sign of zero in both lanes of a
+    # (+0.0, -0.0) pair; a sum that starts from +0.0 is the same either way
+    total = np.add(planes[0], 0.0, dtype=np.float64)
+    for p in planes[1:]:
+        total += p
+    return np.divide(total, k, out=np.empty(shape, np.float32))
 
 
 def binarize(pmap, channel: int, threshold: float = 0.3) -> np.ndarray:

@@ -193,3 +193,58 @@ def serpentine(n):
     m[-1, 1::4] = 1
     m[0, 3::4] = 1
     return m
+
+
+FUSION_VIEWS = ("identity", "hflip", "vflip", "rot180")
+
+
+def copy_view(arr, view):
+    """A positional view as a fresh C-order copy."""
+    a = np.asarray(arr)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D mask or (c, h, w) stack, got shape {a.shape}")
+    if view == "identity":
+        return a.copy()
+    if view == "hflip":
+        return a[..., ::-1].copy()
+    if view == "vflip":
+        return a[..., ::-1, :].copy()
+    if view == "rot180":
+        return a[..., ::-1, ::-1].copy()
+    raise ValueError(f"unknown view {view!r}")
+
+
+def copy_tta_average(views):
+    """Copy every view back to the reference frame, cast each to float64,
+    and sum the four as a0 + a1 + a2 + a3."""
+    if set(views) != set(FUSION_VIEWS):
+        raise ValueError(f"expected exactly the views {FUSION_VIEWS}, got {sorted(views)}")
+    aligned = []
+    shape = None
+    for name in FUSION_VIEWS:
+        a = np.asarray(views[name], np.float32)
+        if a.ndim != 3:
+            raise ValueError(f"view {name!r} must be a (c, h, w) stack")
+        if shape is None:
+            shape = a.shape
+        elif a.shape != shape:
+            raise ValueError(f"view {name!r} has shape {a.shape}, expected {shape}")
+        aligned.append(copy_view(a, name).astype(np.float64))
+    total = aligned[0] + aligned[1] + aligned[2] + aligned[3]
+    return (total / 4.0).astype(np.float32)
+
+
+def sorted_ensemble_average(maps):
+    """Stack the maps in float64, sort each pixel's summands and reduce."""
+    arrs = [np.asarray(m, np.float32) for m in maps]
+    if not arrs:
+        raise ValueError("ensemble_average needs at least one map")
+    shape = arrs[0].shape
+    if arrs[0].ndim != 3:
+        raise ValueError(f"expected (c, h, w) stacks, got shape {shape}")
+    for a in arrs[1:]:
+        if a.shape != shape:
+            raise ValueError(f"map shapes differ: {a.shape} vs {shape}")
+    stacked = np.stack(arrs).astype(np.float64)
+    stacked.sort(axis=0)
+    return (np.add.reduce(stacked, axis=0) / len(arrs)).astype(np.float32)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -418,6 +419,16 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
                  id="eval-canvas-too-large"),
     pytest.param("bad.imap", formats.encode_imap(np.diag([0, 0, 2_000_000, 0])), "eval",
                  id="eval-imap-labels-not-dense"),
+    pytest.param("bad.pmap", formats.PMAP_MAGIC + struct.pack("<III", 65535, 65535, 65535), "fuse",
+                 id="pmap-payload-larger-than-file"),
+    pytest.param("bad.imap", formats.IMAP_MAGIC + struct.pack("<III", 65535, 65535, 1), "eval",
+                 id="imap-payload-larger-than-file"),
+    *[pytest.param("bad.pmap", formats.PMAP_MAGIC + struct.pack("<III", 1, 1, 2) + np.array([0.5, value], "<f4").tobytes(),
+                   "fuse", id=f"pmap-payload-{name}")
+      for name, value in [("nan", np.nan), ("infinite", np.inf), ("negative", -0.5)]],
+    *[pytest.param("bad.geojson", b'{"type": "FeatureCollection", "height": %s, "width": 4, "features": []}' % height,
+                   "eval", id=f"eval-canvas-height-{name}")
+      for name, height in [("float", b"4.0"), ("fraction", b"4.5"), ("string", b'"4"')]],
 ])
 def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data, stage):
     bad = tmp_path / name

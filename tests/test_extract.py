@@ -441,6 +441,15 @@ def test_geojson_requires_dimensions():
         extract.polygon_set_from_geojson({"type": "FeatureCollection", "features": []})
 
 
+
+@pytest.mark.parametrize("member,value", [("height", 3.7), ("width", True), ("height", "12"),
+                                          ("width", 4.0), ("height", None), ("width", [4])])
+def test_geojson_canvas_size_must_be_a_json_integer(member, value):
+    doc = json.loads(json.dumps({"type": "FeatureCollection", "height": 4, "width": 4,
+                                 "features": [], member: value}))
+    with pytest.raises(ValueError, match="lacks integer 'height'/'width' members"):
+        extract.polygon_set_from_geojson(doc)
+
 SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [2, 0], [2, 2], [0, 2]]]}
 
 

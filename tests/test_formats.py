@@ -120,3 +120,102 @@ def test_truncated_binary_header_is_value_error(decode, magic):
 def test_pnm_rejects_non_positive_size(size):
     with pytest.raises(ValueError, match="not positive"):
         formats.decode_pgm_raw(b"P5\n" + size + b"\n255\n")
+
+
+BINARY = [pytest.param(formats.read_pmap, formats.decode_pmap, formats.PMAP_MAGIC, "PMAP1", (1, 2, 3), id="pmap"),
+          pytest.param(formats.read_imap, formats.decode_imap, formats.IMAP_MAGIC, "IMAP1", (2, 3, 0), id="imap")]
+
+
+@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
+def test_payload_size_is_checked_against_the_file_before_allocating(tmp_path, read, decode, magic, name, fields):
+    import struct
+    path = tmp_path / "x.bin"
+    for declared in ((65535, 65535, 65535), (2 ** 32 - 1, 2 ** 32 - 1, 1)):
+        data = magic + struct.pack("<III", *declared)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
+            read(path)
+        with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
+            decode(data)
+    count = fields[0] * fields[1] * (fields[2] if name == "PMAP1" else 1)
+    short = magic + struct.pack("<III", *fields) + bytes(4 * count - 1)
+    path.write_bytes(short)
+    with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
+        read(path)
+    with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
+        decode(short)
+
+
+@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
+def test_trailing_bytes_are_ignored(tmp_path, read, decode, magic, name, fields):
+    data = formats.encode_pmap(np.full((2, 3, 4), 0.25, np.float32)) if name == "PMAP1" else \
+        formats.encode_imap(np.arange(12, dtype=np.uint32).reshape(3, 4))
+    expected = decode(data)
+    path = tmp_path / "x.bin"
+    path.write_bytes(data + b"trailing")
+    out = read(path)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes() == data[18:]
+    assert decode(data + b"trailing").tobytes() == data[18:]
+
+
+@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
+def test_binary_header_errors_match_between_file_and_bytes(tmp_path, read, decode, magic, name, fields):
+    path = tmp_path / "x.bin"
+    for data in (b"", magic[:3], b"XXXXX\n" + bytes(12), magic + bytes(5)):
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as from_file:
+            read(path)
+        with pytest.raises(ValueError) as from_bytes:
+            decode(data)
+        assert str(from_file.value) == str(from_bytes.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-38, 1.0000001])
+def test_pmap_non_finite_or_out_of_range_payload_is_rejected(tmp_path, bad):
+    pmap = np.full((2, 2, 3), 0.5, np.float32)
+    pmap[1, 1, 2] = bad
+    with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
+        formats.encode_pmap(pmap)
+    with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
+        formats.write_pmap(tmp_path / "p.pmap", pmap)
+    assert list(tmp_path.iterdir()) == []
+    import struct
+    data = formats.PMAP_MAGIC + struct.pack("<III", *pmap.shape) + pmap.astype("<f4").tobytes()
+    (tmp_path / "p.pmap").write_bytes(data)
+    for load in (lambda: formats.decode_pmap(data), lambda: formats.read_pmap(tmp_path / "p.pmap")):
+        with pytest.raises(ValueError, match=r"^PMAP1 values outside \[0, 1\]$"):
+            load()
+
+
+def test_pmap_accepts_both_zeros_and_the_unit_interval_ends(tmp_path):
+    pmap = np.array([[[0.0, -0.0, 1.0, 2 ** -149]]], np.float32)
+    formats.write_pmap(tmp_path / "p.pmap", pmap)
+    assert formats.read_pmap(tmp_path / "p.pmap").tobytes() == pmap.tobytes()
+
+
+def test_writers_emit_c_order_bytes_for_any_input_layout(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.random((3, 5, 7))
+    big = np.zeros((3, 11, 21))
+    big[:, 1::2, ::3] = values
+    for pmap in (values, np.asfortranarray(values), big[:, 1::2, ::3], values[:, ::-1, ::-1]):
+        expected = np.ascontiguousarray(pmap, np.float32).tobytes()
+        data = formats.encode_pmap(pmap)
+        assert data[18:] == expected
+        formats.write_pmap(tmp_path / "p.pmap", pmap)
+        assert (tmp_path / "p.pmap").read_bytes() == data
+        assert formats.read_pmap(tmp_path / "p.pmap").flags.c_contiguous
+    labels = rng.integers(0, 9, (6, 4)).astype(np.int64)
+    for lab in (labels, np.asfortranarray(labels), labels[::-1, ::2], labels.astype(np.uint8)):
+        data = formats.encode_imap(lab)
+        assert data[18:] == np.ascontiguousarray(lab, np.uint32).tobytes()
+        formats.write_imap(tmp_path / "x.imap", lab)
+        assert (tmp_path / "x.imap").read_bytes() == data
+    mask = (rng.random((4, 6)) < 0.5).astype(np.uint8)
+    for m in (np.asfortranarray(mask), mask[::-1], mask.astype(bool)):
+        formats.write_pgm(tmp_path / "m.pgm", m)
+        assert (tmp_path / "m.pgm").read_bytes() == b"P5\n6 4\n255\n" + (np.ascontiguousarray(m) * 255).astype(np.uint8).tobytes()
+    rgb = rng.integers(0, 256, (4, 6, 3)).astype(np.uint8)
+    formats.write_ppm(tmp_path / "c.ppm", np.asfortranarray(rgb))
+    assert (tmp_path / "c.ppm").read_bytes() == b"P6\n6 4\n255\n" + rgb.tobytes()

@@ -6,6 +6,8 @@ import pytest
 
 from bfx import fusion
 
+from _oracles import copy_tta_average, sorted_ensemble_average
+
 
 def rand_pmap(rng, c=2, h=4, w=4):
     return rng.random((c, h, w)).astype(np.float32)
@@ -151,6 +153,127 @@ def test_ensemble_errors():
     with pytest.raises(ValueError):
         fusion.ensemble_average([np.zeros((1, 2, 2), np.float32),
                                  np.zeros((1, 2, 3), np.float32)])
+
+
+# ---------------------------------------------------------------------------
+# bit-exact agreement with the copy-and-sort oracles
+# ---------------------------------------------------------------------------
+
+# ties, both zeros, subnormals and the float32 neighbours of 0 and 1
+SPECIAL = np.array([0.0, -0.0, 1.0, 1 - 2**-24, 2**-24, 2**-149, 2**-130, 2**-126, 0.5, 0.3],
+                   np.float64)
+LAYOUTS = ("float32", "float64", "fortran", "strided", "reversed")
+
+
+def tricky_values(rng, shape):
+    """float64 values in [0, 1]: half drawn from SPECIAL (many ties), half
+    uniform and mostly not representable in float32."""
+    values = rng.random(shape)
+    pick = rng.random(shape) < 0.5
+    values[pick] = SPECIAL[rng.integers(len(SPECIAL), size=int(pick.sum()))]
+    return values
+
+
+def laid_out(values, layout):
+    """The same pixel values in one memory layout or dtype."""
+    if layout == "float64":
+        return values
+    a = values.astype(np.float32)
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    c, h, w = a.shape
+    if layout == "strided":
+        big = np.zeros((c, 2 * h + 1, 3 * w), np.float32)
+        big[:, 1::2, ::3] = a
+        return big[:, 1::2, ::3]
+    if layout == "reversed":
+        return a[:, ::-1, ::-1].copy()[:, ::-1, ::-1]
+    return a
+
+
+def assert_same_bits(out, expected):
+    assert out.dtype == expected.dtype == np.float32
+    assert out.shape == expected.shape
+    assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("k", range(1, 10))
+def test_ensemble_matches_sorted_oracle_bit_for_bit(k, layout):
+    rng = np.random.default_rng(100 + k)
+    maps = [laid_out(tricky_values(rng, (2, 7, 9)), layout) for _ in range(k)]
+    assert_same_bits(fusion.ensemble_average(maps), sorted_ensemble_average(maps))
+
+
+# Multisets whose float32 mean depends on the summation order. In the first,
+# the two 2**-53 terms survive when summed before 1.0 and round the mean up
+# to 0.25 + 2**-25; added after 1.0 they are absorbed and the mean is a tie
+# that rounds to 0.25. The others need every value in place, not only the
+# largest (a network one round short gets the six-fold one wrong).
+ORDER_SENSITIVE = [[1.0, 2 ** -24, 2 ** -53, 2 ** -53],
+                   [float.fromhex("0x1.adeb24p-1"), 5 * 2 ** -56, float.fromhex("0x1.055dfep-3")],
+                   [1 - 2 ** -24, 1 - 2 ** -24, 2 ** -25, 2 ** -54, 3 * 2 ** -55, 2 ** -24]]
+
+
+@pytest.mark.parametrize("values", ORDER_SENSITIVE, ids=["k4", "k3", "k6"])
+def test_ensemble_sums_in_ascending_order_whatever_the_fold_order(values):
+    perms = sorted(set(itertools.permutations(values)))  # one pixel per fold order
+    maps = [np.array([p[i] for p in perms], np.float32).reshape(1, 1, -1) for i in range(len(values))]
+    out = fusion.ensemble_average(maps)
+    assert (out == out[0, 0, 0]).all()
+    assert_same_bits(out, sorted_ensemble_average(maps))
+    if len(values) == 4:
+        assert out[0, 0, 0] == np.float32(0.25 + 2 ** -25)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tta_matches_copy_oracle_bit_for_bit(layout):
+    rng = np.random.default_rng(200)
+    for _ in range(20):
+        views = {v: laid_out(tricky_values(rng, (2, 5, 6)), layout) for v in fusion.VIEWS}
+        assert_same_bits(fusion.tta_average(views), copy_tta_average(views))
+
+
+def test_tta_all_negative_zero_views_stay_negative_zero():
+    views = {v: np.full((1, 2, 3), -0.0, np.float32) for v in fusion.VIEWS}
+    out = fusion.tta_average(views)
+    assert (out.view(np.uint32) == 0x80000000).all()
+    assert_same_bits(out, copy_tta_average(views))
+
+
+def test_tta_signed_zero_mixtures_match_oracle():
+    zeros = np.array([0.0, -0.0], np.float32)
+    for signs in itertools.product(range(2), repeat=4):
+        views = {v: np.full((1, 1, 1), zeros[s], np.float32) for v, s in zip(fusion.VIEWS, signs)}
+        assert_same_bits(fusion.tta_average(views), copy_tta_average(views))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_ensemble_signed_zeros_match_oracle_and_sum_to_positive_zero(k):
+    zeros = np.array([0.0, -0.0], np.float32)
+    signs = np.array(list(itertools.product(range(2), repeat=k))).T  # one pixel per sign pattern
+    maps = [zeros[row].reshape(1, 1, -1) for row in signs]
+    out = fusion.ensemble_average(maps)
+    assert (out.view(np.uint32) == 0).all()  # +0.0 even when every summand is -0.0
+    assert_same_bits(out, sorted_ensemble_average(maps))
+    with_value = maps + [np.full_like(maps[0], 0.25)]  # zeros of either sign and one 0.25
+    assert_same_bits(fusion.ensemble_average(with_value), sorted_ensemble_average(with_value))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_nan_pixel_gives_nan(k):
+    rng = np.random.default_rng(300 + k)
+    maps = [rng.random((1, 3, 3)).astype(np.float32) for _ in range(k)]
+    maps[k // 2][0, 1, 2] = np.nan
+    out = fusion.ensemble_average(maps)
+    nan = np.isnan(out)
+    assert nan[0, 1, 2] and nan.sum() == 1
+    expected = sorted_ensemble_average(maps)
+    assert np.array_equal(out[~nan].view(np.uint32), expected[~nan].view(np.uint32))
+    views = {v: rng.random((1, 3, 3)).astype(np.float32) for v in fusion.VIEWS}
+    views["vflip"][0, 0, 0] = np.nan
+    out = fusion.tta_average(views)
+    assert np.isnan(out[0, 2, 0]) and np.isnan(out).sum() == 1
 
 
 # ---------------------------------------------------------------------------
