@@ -17,8 +17,7 @@ from .extract import (PolygonInstance, PolygonSet, extract_multi_class,
                       polygon_set_from_geojson, polygon_set_to_geojson,
                       polygonize, watershed_assign)
 from .fusion import apply_view, binarize, ensemble_average, tta_average
-from .raster import (chebyshev_distance, connected_components, dilate, erode,
-                     mask_xor)
+from .raster import connected_components, dilate, erode, mask_xor
 from .targets import (TargetStack, assemble_targets, make_border_mask,
                       make_spacing_mask, rasterize_polygon)
 from .trainmath import (ChannelWeights, LossParams, ScheduleParams, bce_loss,

@@ -116,8 +116,8 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     g = np.asarray(gt)
     if p.shape != g.shape:
         raise ValueError(f"instance map dimensions differ: {p.shape} vs {g.shape}")
-    p = p.astype(np.uint32)
-    g = g.astype(np.uint32)
+    p = p.astype(np.uint32, copy=False)
+    g = g.astype(np.uint32, copy=False)
 
     area_p = _label_areas(p, "prediction")
     area_g = _label_areas(g, "ground-truth")
@@ -170,8 +170,8 @@ def color_map(pred, gt, match: MatchResult) -> np.ndarray:
     Overlaps compose (cyan = green+blue, magenta = red+blue); red+green is
     impossible because prediction instances are disjoint.
     """
-    p = np.asarray(pred).astype(np.uint32)
-    g = np.asarray(gt).astype(np.uint32)
+    p = np.asarray(pred).astype(np.uint32, copy=False)
+    g = np.asarray(gt).astype(np.uint32, copy=False)
     if p.shape != g.shape:
         raise ValueError(f"instance map dimensions differ: {p.shape} vs {g.shape}")
     n_p = _label_areas(p, "prediction").size - 1
@@ -185,16 +185,20 @@ def color_map(pred, gt, match: MatchResult) -> np.ndarray:
         raise ValueError("match result inconsistent with the prediction map")
     if matched_g | set(match.unmatched_gt) != gt_ids or matched_g & set(match.unmatched_gt):
         raise ValueError("match result inconsistent with the ground-truth map")
+    return _color_map(p, g, match)
 
-    tp_lut = np.zeros(n_p + 1, bool)
-    for i in matched_p:
-        tp_lut[i] = True
-    fp_lut = np.zeros(n_p + 1, bool)
-    for i in match.unmatched_pred:
-        fp_lut[i] = True
-    fn_lut = np.zeros(n_g + 1, bool)
-    for i in match.unmatched_gt:
-        fn_lut[i] = True
+
+def _color_map(p: np.ndarray, g: np.ndarray, match: MatchResult) -> np.ndarray:
+    """`color_map` of uint32 instance maps that `match` was computed from.
+
+    `match_instances` has checked both maps' labels dense and accounted for
+    each label exactly once, so the label counts come from the match."""
+    tp_lut = np.zeros(match.counts.tp + match.counts.fp + 1, bool)
+    tp_lut[[pp for pp, _, _ in match.pairs]] = True
+    fp_lut = np.zeros_like(tp_lut)
+    fp_lut[match.unmatched_pred] = True
+    fn_lut = np.zeros(match.counts.tp + match.counts.fn + 1, bool)
+    fn_lut[match.unmatched_gt] = True
 
     rgb = np.zeros(p.shape + (3,), np.uint8)
     rgb[..., 0] = tp_lut[p] * np.uint8(255)

@@ -57,7 +57,10 @@ def _frame(header: bytes, shape, dtype):
     `dtype` as one uint8 buffer; return the buffer and the payload view.
 
     Writers fill the view in place (casting on the way), so an artifact's
-    bytes are built with a single pass over the payload."""
+    bytes are built with a single pass over the payload. An empty array is
+    refused, as every reader refuses a zero dimension."""
+    if 0 in shape:
+        raise ValueError(f"cannot write an array with a zero dimension: {tuple(shape)}")
     n = len(header)
     frame = np.empty(n + math.prod(shape) * np.dtype(dtype).itemsize, np.uint8)
     frame[:n] = np.frombuffer(header, np.uint8)
@@ -189,9 +192,10 @@ def _load_binary(f, size: int, layout: _Layout):
     """Header fields and payload of an open file of `size` bytes, the
     payload read into one preallocated array.
 
-    The payload size the header declares is checked against `size` before
-    anything is allocated, so a forged header cannot ask for more memory
-    than the file holds. Trailing bytes are ignored."""
+    Every dimension must be positive, and the payload size the header
+    declares is checked against `size` before anything is allocated, so a
+    forged header cannot ask for more memory than the file holds. Trailing
+    bytes are ignored."""
     head = f.read(_BINARY_HEADER)
     if not head.startswith(layout.magic):
         raise ValueError(layout.bad_magic)
@@ -199,6 +203,8 @@ def _load_binary(f, size: int, layout: _Layout):
         raise ValueError(f"truncated {layout.name} header")
     fields = _FIELDS.unpack_from(head, len(layout.magic))
     shape = fields[:layout.ndim]
+    if 0 in shape:
+        raise ValueError(f"{layout.name} header declares a zero dimension: {shape}")
     nbytes = math.prod(shape) * np.dtype(layout.dtype).itemsize
     if size - _BINARY_HEADER < nbytes:
         raise ValueError(f"truncated {layout.name} payload")

@@ -1,5 +1,5 @@
-"""Exact raster primitives: square-kernel binary morphology, connected
-components, and the Chebyshev distance transform.
+"""Exact raster primitives: square-kernel binary morphology and connected
+components.
 
 Masks are 2-D uint8 arrays with values in {0, 1}. Instance maps are 2-D
 uint32 arrays whose nonzero labels are dense in 1..N, numbered by the
@@ -163,28 +163,3 @@ def connected_components(mask, connectivity: int = 8) -> np.ndarray:
     dense = np.cumsum(root == np.arange(n))[root]
     labels[m != 0] = np.repeat(dense, ends - starts)
     return labels
-
-
-def chebyshev_distance(mask) -> np.ndarray:
-    """Per-pixel Chebyshev (8-neighbor) distance to the nearest 1-pixel.
-
-    An all-zero mask yields the sentinel height+width+1 everywhere, which is
-    larger than any attainable distance on the canvas.
-    """
-    m = as_mask(mask)
-    h, w = m.shape
-    if not m.any():
-        return np.full((h, w), float(h + w + 1), np.float32)
-    dist = np.zeros((h, w), np.float32)
-    covered = m.copy()
-    d = 0
-    while True:
-        remaining = covered == 0
-        if not remaining.any():
-            break
-        d += 1
-        # one 3x3 dilation grows the covered set by Chebyshev radius 1
-        grown = _window_extreme(_window_extreme(covered, 3, np.maximum, 0), 3, np.maximum, 1)
-        dist[(grown == 1) & remaining] = d
-        covered = grown
-    return dist

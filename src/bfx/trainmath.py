@@ -88,14 +88,23 @@ def dice_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.nd
     gradient is (num - (1+b^2)*g*den) / den^2.
     """
     p, g = _loss_inputs(pred, gt)
+    num, den = _dice_ratio(*_soft_counts(p, g), params)
+    grad = (num - (1.0 + params.beta * params.beta) * g * den) / (den * den)
+    return 1.0 - num / den, grad
+
+
+def _soft_counts(p, g) -> tuple[float, float, float]:
+    """Soft TP, FP and FN of a float64 prediction against a 0/1 target."""
+    return float((p * g).sum()), float((p * (1.0 - g)).sum()), float(((1.0 - p) * g).sum())
+
+
+def _dice_ratio(tp, fp, fn, params: LossParams):
+    """Numerator and denominator of the smoothed F-beta score from soft
+    counts, given as scalars or as arrays."""
     b2 = params.beta * params.beta
-    tp = float((p * g).sum())
-    fp = float((p * (1.0 - g)).sum())
-    fn = float(((1.0 - p) * g).sum())
     num = (1.0 + b2) * tp + params.eps
     den = (1.0 + b2) * tp + b2 * fn + fp + params.eps
-    grad = (num - (1.0 + b2) * g * den) / (den * den)
-    return 1.0 - num / den, grad
+    return num, den
 
 
 def bce_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.ndarray]:
@@ -107,10 +116,15 @@ def bce_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.nda
     p, g = _loss_inputs(pred, gt)
     n = p.size
     pc = np.clip(p, params.clamp, 1.0 - params.clamp)
-    loss = float(np.mean(-(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))))
+    loss = float(np.mean(_bce_terms(pc, g)))
     grad = (-(g / pc) + (1.0 - g) / (1.0 - pc)) / n
     grad[(p < params.clamp) | (p > 1.0 - params.clamp)] = 0.0
     return loss, grad
+
+
+def _bce_terms(pc, g):
+    """Per-pixel cross-entropy of clamped predictions `pc` against `g`."""
+    return -(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))
 
 
 def channel_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.ndarray]:
@@ -176,26 +190,47 @@ def gradient_check(pred, gt, params: LossParams = LossParams(), step: float = 1e
     Pixels within `step` of 0, 1, or a clamp boundary are skipped: the
     perturbed prediction must stay a valid probability and must not straddle
     the clamp kink.
+
+    Moving one pixel moves each loss only through a few sums, so every
+    perturbed loss comes from them in one vectorized pass: the soft Dice
+    counts shifted by +-step*g and +-step*(1-g), and the BCE term sum with
+    the pixel's own term swapped for its perturbed value.
+
+    The reading is limited by the inputs, not by this algorithm. Where the
+    prediction lies a distance d from the wrong end (p = d where g = 1,
+    p = 1 - d where g = 0), the central difference of BCE's log term is off
+    by step^2 / (3 d^2), relative. At step 1e-5 one pixel with d below about
+    6e-4 lifts the result above 1e-4, and uniform random planes of 40x40
+    or more often hold one. On planes inside [0.05, 0.95] rounding alone
+    reads about 1.5e-5 at 1024x1024.
     """
-    p, _ = _loss_inputs(pred, gt)
+    p, g = _loss_inputs(pred, gt)
     low = max(step, params.clamp + step)
     eligible = np.flatnonzero((p > low) & (p < 1.0 - low))
     if eligible.size == 0:
         raise ValueError("no pixels far enough from the clamp boundaries to check")
+    pe = p.ravel()[eligible]
+    ge = g.ravel()[eligible]
+    tp, fp, fn = _soft_counts(p, g)
+    terms = _bce_terms(np.clip(p, params.clamp, 1.0 - params.clamp), g)
+    others = float(terms.sum()) - terms.ravel()[eligible]
+
+    def moved(d):
+        """(dice, bce) with each eligible pixel alone moved by d."""
+        num, den = _dice_ratio(tp + d * ge, fp + d * (1.0 - ge), fn - d * ge, params)
+        pc = np.clip(pe + d, params.clamp, 1.0 - params.clamp)
+        return 1.0 - num / den, (others + _bce_terms(pc, ge)) / p.size
+
+    (dice_hi, bce_hi), (dice_lo, bce_lo) = moved(step), moved(-step)
+    mixed_hi = params.gamma1 * bce_hi + params.gamma2 * dice_hi
+    mixed_lo = params.gamma1 * bce_lo + params.gamma2 * dice_lo
     worst = 0.0
-    flat = p.ravel()
-    for fn in (dice_loss, bce_loss, channel_loss):
-        _, grad = fn(p, gt, params)
-        grad = grad.ravel()
-        for i in eligible:
-            bumped = flat.copy()
-            bumped[i] = flat[i] + step
-            hi = fn(bumped.reshape(p.shape), gt, params)[0]
-            bumped[i] = flat[i] - step
-            lo = fn(bumped.reshape(p.shape), gt, params)[0]
-            fd = (hi - lo) / (2.0 * step)
-            err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-12)
-            worst = max(worst, err)
+    for loss, hi, lo in ((dice_loss, dice_hi, dice_lo), (bce_loss, bce_hi, bce_lo),
+                         (channel_loss, mixed_hi, mixed_lo)):
+        grad = loss(p, gt, params)[1].ravel()[eligible]
+        fd = (hi - lo) / (2.0 * step)
+        err = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-12)
+        worst = max(worst, float(err.max()))
     return worst
 
 

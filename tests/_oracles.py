@@ -248,3 +248,29 @@ def sorted_ensemble_average(maps):
     stacked = np.stack(arrs).astype(np.float64)
     stacked.sort(axis=0)
     return (np.add.reduce(stacked, axis=0) / len(arrs)).astype(np.float32)
+
+
+def brute_gradient_check(losses, pred, gt, params, step=1e-5):
+    """Max relative error between each loss's analytic gradient and central
+    differences that re-evaluate the whole loss twice per eligible pixel
+    (every pixel at least `step` inside (clamp, 1 - clamp) and (0, 1)).
+    `losses` are (pred, gt, params) -> (value, gradient) functions."""
+    p = np.asarray(pred, np.float64)
+    low = max(step, params.clamp + step)
+    eligible = np.flatnonzero((p > low) & (p < 1.0 - low))
+    if eligible.size == 0:
+        raise ValueError("no pixels far enough from the clamp boundaries to check")
+    worst = 0.0
+    flat = p.ravel()
+    for fn in losses:
+        grad = fn(p, gt, params)[1].ravel()
+        for i in eligible:
+            bumped = flat.copy()
+            bumped[i] = flat[i] + step
+            hi = fn(bumped.reshape(p.shape), gt, params)[0]
+            bumped[i] = flat[i] - step
+            lo = fn(bumped.reshape(p.shape), gt, params)[0]
+            fd = (hi - lo) / (2.0 * step)
+            err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-12)
+            worst = max(worst, err)
+    return worst

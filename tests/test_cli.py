@@ -441,3 +441,11 @@ def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data,
             "split": ["--index", str(bad), "--out", out + ".json"],
             "targets": ["--annotations", str(bad), "--out-dir", out]}[stage]
     assert_rejected(capsys, tmp_path, [stage, *argv])
+
+
+def test_pmap_header_with_a_zero_dimension_names_the_format(tmp_path, capsys):
+    # 0 payload bytes, so only the dimension check stands between it and np.empty
+    bad = tmp_path / "bad.pmap"
+    bad.write_bytes(formats.PMAP_MAGIC + struct.pack("<III", 2 ** 32 - 1, 2 ** 32 - 1, 0))
+    err = assert_rejected(capsys, tmp_path, ["fuse", str(bad), "--out", str(tmp_path / "out.pmap")])
+    assert "PMAP1" in err and "zero dimension" in err

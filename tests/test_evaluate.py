@@ -196,6 +196,29 @@ def test_match_and_color_map_reject_sparse_labels(kind, reason):
             evaluate.color_map(pred, gt, match)
 
 
+@pytest.mark.parametrize("kind", ["far", "gap"])
+def test_color_map_checks_density_without_match_instances(kind):
+    # a hand-made match that accounts for every label the sparse map holds
+    sparse = sparse_maps()[kind]
+    labels = [int(v) for v in np.unique(sparse) if v]
+    forged = evaluate.MatchResult([], evaluate.EvalCounts(0, len(labels), 0), labels, [])
+    with pytest.raises(ValueError, match="prediction map labels are not dense"):
+        evaluate.color_map(sparse, np.zeros_like(sparse), forged)
+
+
+def test_color_map_core_colors_each_label_by_its_match():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        pred = raster.connected_components((rng.random((24, 24)) < 0.3).astype(np.uint8), 8)
+        gt = raster.connected_components((rng.random((24, 24)) < 0.3).astype(np.uint8), 8)
+        match = evaluate.match_instances(pred, gt, float(rng.uniform(0.1, 0.6)))
+        want = np.stack([np.isin(pred, [pp for pp, _, _ in match.pairs]),
+                         np.isin(pred, match.unmatched_pred),
+                         np.isin(gt, match.unmatched_gt)], axis=-1).astype(np.uint8) * 255
+        assert np.array_equal(evaluate._color_map(pred, gt, match), want)
+        assert np.array_equal(evaluate.color_map(pred, gt, match), want)
+
+
 def test_match_dimension_mismatch():
     with pytest.raises(ValueError):
         evaluate.match_instances(np.zeros((4, 4), np.uint32), np.zeros((4, 5), np.uint32))

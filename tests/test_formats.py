@@ -147,6 +147,29 @@ def test_payload_size_is_checked_against_the_file_before_allocating(tmp_path, re
 
 
 @pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
+def test_zero_dimensions_are_rejected_before_allocating(tmp_path, read, decode, magic, name, fields):
+    import struct
+    path = tmp_path / "x.bin"
+    huge = 2 ** 32 - 1
+    declared = [(huge, huge, 0), (0, huge, huge), (0, 0, 0)] if name == "PMAP1" else [(huge, 0, 0), (0, huge, 0)]
+    for dims in declared:
+        data = magic + struct.pack("<III", *dims)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{name} header declares a zero dimension"):
+            read(path)
+        with pytest.raises(ValueError, match=f"^{name} header declares a zero dimension"):
+            decode(data)
+
+
+@pytest.mark.parametrize("write,shape", [(formats.write_pmap, (3, 0, 5)), (formats.write_pmap, (0, 4, 4)),
+                                         (formats.write_imap, (0, 4)), (formats.write_ppm, (0, 4, 3))])
+def test_writers_refuse_what_readers_refuse(tmp_path, write, shape):
+    with pytest.raises(ValueError, match="zero dimension"):
+        write(tmp_path / "x.bin", np.zeros(shape, np.float32 if write is formats.write_pmap else np.uint8))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
 def test_trailing_bytes_are_ignored(tmp_path, read, decode, magic, name, fields):
     data = formats.encode_pmap(np.full((2, 3, 4), 0.25, np.float32)) if name == "PMAP1" else \
         formats.encode_imap(np.arange(12, dtype=np.uint32).reshape(3, 4))

@@ -233,37 +233,42 @@ def test_components_rotation_invariant_pixel_sets():
 
 
 # ---------------------------------------------------------------------------
-# chebyshev distance
+# chebyshev distance (the BFS oracle the spacing tests measure with)
 # ---------------------------------------------------------------------------
 
 
 def test_distance_all_set_is_zero():
     m = np.ones((5, 6), np.uint8)
-    assert (raster.chebyshev_distance(m) == 0).all()
+    assert (bfs_chebyshev(m) == 0).all()
 
 
 def test_distance_diagonal_neighbor_is_one():
     m = np.zeros((3, 3), np.uint8)
     m[0, 0] = 1
-    assert raster.chebyshev_distance(m)[1, 1] == 1.0
+    assert bfs_chebyshev(m)[1, 1] == 1.0
 
 
 def test_distance_row_example():
     m = np.zeros((1, 5), np.uint8)
     m[0, 0] = 1
-    assert raster.chebyshev_distance(m).tolist() == [[0, 1, 2, 3, 4]]
+    assert bfs_chebyshev(m).tolist() == [[0, 1, 2, 3, 4]]
 
 
 def test_distance_all_zero_gives_sentinel():
-    out = raster.chebyshev_distance(np.zeros((4, 7), np.uint8))
+    out = bfs_chebyshev(np.zeros((4, 7), np.uint8))
     assert (out > 4 + 7).all()
 
 
 def test_distance_matches_bfs_oracle():
+    # against the definition: the smallest max(|di|, |dj|) to any 1-pixel
     rng = np.random.default_rng(9)
     for _ in range(6):
         m = (rng.random((22, 17)) < 0.1).astype(np.uint8)
-        assert np.array_equal(raster.chebyshev_distance(m), bfs_chebyshev(m))
+        m[0, 0] = 1
+        src = np.argwhere(m)
+        grid = np.indices(m.shape).reshape(2, -1).T
+        direct = np.abs(grid[:, None, :] - src[None, :, :]).max(axis=2).min(axis=1)
+        assert np.array_equal(bfs_chebyshev(m), direct.reshape(m.shape))
 
 
 def test_distance_zero_iff_source_and_neighbors_differ_by_at_most_one():
@@ -271,7 +276,7 @@ def test_distance_zero_iff_source_and_neighbors_differ_by_at_most_one():
     m = (rng.random((20, 20)) < 0.08).astype(np.uint8)
     if not m.any():
         m[3, 3] = 1
-    d = raster.chebyshev_distance(m)
+    d = bfs_chebyshev(m)
     assert np.array_equal(d == 0, m == 1)
     for dr, dc in raster.NEIGHBORS_8:
         shifted = raster.shift(d, dr, dc, np.float32(np.nan))

@@ -279,7 +279,7 @@ def test_assemble_invariants_on_random_scenes():
         assert (stack.border <= stack.building).all()
         assert (stack.spacing & stack.building).sum() == 0
         if stack.spacing.any():
-            d = raster.chebyshev_distance(stack.building)[stack.spacing == 1]
+            d = bfs_chebyshev(stack.building)[stack.spacing == 1]
             assert d.min() >= 1 and d.max() <= 8
 
 

@@ -7,6 +7,8 @@ from bfx import trainmath
 from bfx.targets import TargetStack
 from bfx.trainmath import ChannelWeights, LossParams, ScheduleParams
 
+from _oracles import brute_gradient_check
+
 
 def finite_difference(fn, pred, gt, params, step=1e-5):
     """Central differences of a scalar loss, one pixel at a time."""
@@ -178,6 +180,73 @@ def test_gradient_check_helper_agrees():
     pred = rng.uniform(0.05, 0.95, size=(12, 12))
     gt = (rng.random((12, 12)) < 0.5).astype(np.uint8)
     assert trainmath.gradient_check(pred, gt) <= 1e-4
+
+
+def oracle_check(pred, gt, params, step=1e-5):
+    """The per-pixel brute force over the losses as trainmath binds them now."""
+    losses = (trainmath.dice_loss, trainmath.bce_loss, trainmath.channel_loss)
+    return brute_gradient_check(losses, pred, gt, params, step)
+
+
+def gradcheck_cases():
+    # (seed, side, low, dtype, beta, gamma1, gamma2); a single 40x40 case keeps the oracle cheap
+    cases = [(0, 40, 0.05, np.float32, 1.0, 0.5, 0.5)]
+    rng = np.random.default_rng(30)
+    for k in range(23):
+        side = int(rng.integers(3, 17))
+        low = (0.0, 0.05)[k % 2]
+        dtype = (np.float32, np.float64)[(k // 2) % 2]
+        beta = (0.5, 1.0, 2.0)[k % 3]
+        gammas = [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 1.7), (3.0, 0.25)][k % 5]
+        cases.append((k + 1, side, low, dtype, beta, *gammas))
+    return cases
+
+
+@pytest.mark.parametrize("seed,side,low,dtype,beta,gamma1,gamma2", gradcheck_cases())
+def test_gradient_check_agrees_with_the_brute_force(seed, side, low, dtype, beta, gamma1, gamma2):
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(low, 1.0 - low, (side, side)).astype(dtype)
+    gt = (rng.random((side, side)) < 0.5).astype(np.uint8)
+    params = LossParams(beta=beta, gamma1=gamma1, gamma2=gamma2)
+    fast = trainmath.gradient_check(pred, gt, params)
+    brute = oracle_check(pred, gt, params)
+    assert abs(fast - brute) <= 1e-4 * brute + 1e-7
+
+
+def test_gradient_check_agrees_where_truncation_error_dominates():
+    # one prediction 1e-4 from its wrong end reads about step^2 / (3 * 1e-8)
+    pred = np.full((6, 6), 0.5)
+    pred[2, 3] = 1e-4
+    gt = np.zeros((6, 6), np.uint8)
+    gt[:3] = 1
+    fast = trainmath.gradient_check(pred, gt)
+    assert fast == pytest.approx(1e-10 / 3e-8, rel=1e-2)
+    assert abs(fast - oracle_check(pred, gt, LossParams())) <= 1e-4 * fast
+
+
+@pytest.mark.parametrize("name", ["dice_loss", "bce_loss", "channel_loss"])
+def test_gradient_check_reports_a_scaled_analytic_gradient(monkeypatch, name):
+    rng = np.random.default_rng(31)
+    pred = rng.uniform(0.05, 0.95, (12, 12))
+    gt = (rng.random((12, 12)) < 0.5).astype(np.uint8)
+    exact = getattr(trainmath, name)
+
+    def skewed(p, g, params=LossParams()):
+        value, grad = exact(p, g, params)
+        return value, grad * (1.0 + 1e-3)
+
+    monkeypatch.setattr(trainmath, name, skewed)
+    expected = 1e-3 / (1.0 + 1e-3)  # |g(1+e) - g| / |g(1+e)|
+    assert trainmath.gradient_check(pred, gt) == pytest.approx(expected, rel=1e-3)
+    assert oracle_check(pred, gt, LossParams()) == pytest.approx(expected, rel=1e-3)
+
+
+def test_gradient_check_needs_an_eligible_pixel():
+    pred = np.array([[0.0, 1.0], [5e-6, 1.0 - 5e-6]])
+    gt = np.array([[1, 0], [1, 0]], np.uint8)
+    for check in (trainmath.gradient_check, lambda p, g: oracle_check(p, g, LossParams())):
+        with pytest.raises(ValueError, match="no pixels far enough"):
+            check(pred, gt)
 
 
 # ---------------------------------------------------------------------------
