@@ -1,44 +1,100 @@
-"""Polygon annotation ingestion.
+"""Polygon input: annotation ingestion and the rules every polygon reader shares.
 
-Two input schemas are accepted:
+Two annotation schemas are accepted:
 
 * plain JSON: an object mapping image id to an array of polygons, each an
   object with a "points" field holding [x, y] pairs in pixel coordinates
   (x rightward, y downward, origin at the top-left corner);
 * GeoJSON: a FeatureCollection of Polygon features in pixel coordinates,
-  exterior ring only. A feature may carry an "image_id" property; features
-  without one are grouped under the empty id "".
+  exterior ring only. A feature may carry a string "image_id" property;
+  features without one are grouped under the empty id "".
 
-Rings are returned as (n, 2) float arrays of (x, y) vertices, implicitly
-closed. A closing vertex equal to the first one is dropped on ingest.
+`_ring` and `_polygon_features` are the one ring rule and the one
+FeatureCollection walk behind annotations, `extract.polygon_set_from_geojson`
+and `targets.rasterize_polygon`. A ring's coordinates are JSON numbers (not
+strings or booleans) or a numeric array; a closing vertex equal to the first
+one is dropped, and at least 3 finite vertices must remain. Rings come back
+as (n, 2) float64 arrays of (x, y) vertices, implicitly closed. Annotation
+coordinates must also be non-negative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# bool is an int subclass, so it is excluded separately
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
 
 class AnnotationError(ValueError):
-    """Malformed annotation; the message names the image id and polygon index."""
+    """Malformed polygon input: an annotation document, a prediction GeoJSON
+    or a single ring. The message locates the fault by image id and polygon
+    index, or by feature index."""
 
 
-def make_ring(points, image_id: str = "", index: int = 0) -> np.ndarray:
-    where = f"image {image_id!r} polygon {index}"
+def _is_json_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (no floats, no strings)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ring(points) -> np.ndarray:
+    """Validate one ring into an (n, 2) float64 array (see module doc)."""
     try:
-        pts = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise AnnotationError(f"{where}: points are not numeric pairs") from exc
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise AnnotationError(f"{where}: points must be an array of [x, y] pairs")
+        pts = np.asarray(points)
+    except (TypeError, ValueError):  # ragged nesting
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 2:
+        raise AnnotationError("ring must be an array of [x, y] pairs")
+    if isinstance(points, np.ndarray):
+        numeric = pts.dtype.kind in "iuf"
+    else:  # numpy would read "2" as 2.0 and, next to numbers, True as 1
+        numeric = all(isinstance(v, _NUMBER_TYPES) and not isinstance(v, bool)
+                      for xy in points for v in xy)
+    if not numeric:
+        raise AnnotationError("ring coordinates must be numbers")
+    try:
+        pts = pts.astype(np.float64, copy=False)
+    except OverflowError:  # an integer beyond the float64 range
+        raise AnnotationError("non-finite coordinate") from None
     if len(pts) >= 2 and np.array_equal(pts[0], pts[-1]):
         pts = pts[:-1]
     if len(pts) < 3:
-        raise AnnotationError(f"{where}: ring has fewer than 3 vertices")
+        raise AnnotationError("ring has fewer than 3 vertices")
     if not np.isfinite(pts).all():
-        raise AnnotationError(f"{where}: non-finite coordinate")
-    if pts.min() < 0:
-        raise AnnotationError(f"{where}: negative pixel coordinate")
+        raise AnnotationError("non-finite coordinate")
     return pts
+
+
+def _polygon_features(doc: dict):
+    """Yield (k, properties, exterior ring) for each feature k of a
+    FeatureCollection (see module doc); errors name the feature."""
+    features = doc.get("features")
+    if not isinstance(features, list):
+        raise AnnotationError("FeatureCollection without a 'features' list")
+    for k, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise AnnotationError(f"feature {k}: expected a GeoJSON Feature object")
+        geom = feat.get("geometry")
+        props = {} if feat.get("properties") is None else feat["properties"]
+        if not isinstance(geom, dict) or not isinstance(props, dict):
+            raise AnnotationError(f"feature {k}: 'geometry' and 'properties' must be objects")
+        if geom.get("type") != "Polygon":
+            raise AnnotationError(f"feature {k}: unsupported geometry type {geom.get('type')!r}")
+        coords = geom.get("coordinates")
+        if not coords or not isinstance(coords, list):
+            raise AnnotationError(f"feature {k}: Polygon without a list of coordinates")
+        try:
+            # exterior ring only; interior rings (holes) are out of scope
+            ring = _ring(coords[0])
+        except AnnotationError as exc:
+            raise AnnotationError(f"feature {k}: {exc}") from None
+        yield k, props, ring
+
+
+def _non_negative(ring: np.ndarray, where: str) -> np.ndarray:
+    if ring.min() < 0:
+        raise AnnotationError(f"{where}: negative pixel coordinate")
+    return ring
 
 
 def _ingest_plain(doc: dict) -> dict[str, list[np.ndarray]]:
@@ -48,36 +104,26 @@ def _ingest_plain(doc: dict) -> dict[str, list[np.ndarray]]:
             raise AnnotationError(f"image {image_id!r}: expected a list of polygons")
         rings = []
         for i, poly in enumerate(polys):
+            where = f"image {image_id!r} polygon {i}"
             if not isinstance(poly, dict) or "points" not in poly:
-                raise AnnotationError(f"image {image_id!r} polygon {i}: missing 'points'")
-            rings.append(make_ring(poly["points"], image_id, i))
+                raise AnnotationError(f"{where}: missing 'points'")
+            try:
+                ring = _ring(poly["points"])
+            except AnnotationError as exc:
+                raise AnnotationError(f"{where}: {exc}") from None
+            rings.append(_non_negative(ring, where))
         out[str(image_id)] = rings
     return out
 
 
 def _ingest_geojson(doc: dict) -> dict[str, list[np.ndarray]]:
-    features = doc.get("features")
-    if not isinstance(features, list):
-        raise AnnotationError("FeatureCollection without a 'features' list")
     out: dict[str, list[np.ndarray]] = {}
-    counters: dict[str, int] = {}
-    for k, feat in enumerate(features):
-        if not isinstance(feat, dict):
-            raise AnnotationError(f"feature {k}: expected a GeoJSON Feature object")
-        geom = feat.get("geometry") or {}
-        props = feat.get("properties") or {}
-        if not isinstance(geom, dict) or not isinstance(props, dict):
-            raise AnnotationError(f"feature {k}: 'geometry' and 'properties' must be objects")
-        if geom.get("type") != "Polygon":
-            raise AnnotationError(f"unsupported geometry type {geom.get('type')!r}")
-        coords = geom.get("coordinates")
-        if not coords or not isinstance(coords, list):
-            raise AnnotationError("Polygon feature without coordinates")
-        image_id = str(props.get("image_id", ""))
-        index = counters.get(image_id, 0)
-        counters[image_id] = index + 1
-        # exterior ring only; interior rings (holes) are out of scope
-        out.setdefault(image_id, []).append(make_ring(coords[0], image_id, index))
+    for k, props, ring in _polygon_features(doc):
+        image_id = props.get("image_id", "")
+        if not isinstance(image_id, str):
+            raise AnnotationError(f"feature {k}: 'image_id' must be a string")
+        rings = out.setdefault(image_id, [])
+        rings.append(_non_negative(ring, f"image {image_id!r} polygon {len(rings)}"))
     return out
 
 
@@ -88,4 +134,3 @@ def ingest_annotations(doc) -> dict[str, list[np.ndarray]]:
     if doc.get("type") == "FeatureCollection":
         return _ingest_geojson(doc)
     return _ingest_plain(doc)
-

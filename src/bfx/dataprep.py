@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .annotations import _is_json_int
 from .annotations import ingest_annotations  # noqa: F401  (dataset-prep ingest surface)
 from .targets import rasterize_polygon
 
@@ -40,12 +41,12 @@ class TileRecord:
 
     @classmethod
     def from_json(cls, obj: dict, size: int) -> "TileRecord":
-        try:
-            return cls(int(obj["tile_id"]), int(obj["row"]), int(obj["col"]), size,
-                       bool(obj["blank"]), None if obj.get("fold") is None else int(obj["fold"]))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"tile record {obj!r} is not an object with integer tile_id, "
-                             "row and col and a blank flag") from None
+        if not (isinstance(obj, dict) and all(_is_json_int(obj.get(k)) for k in ("tile_id", "row", "col"))
+                and isinstance(obj.get("blank"), bool)
+                and (obj.get("fold") is None or _is_json_int(obj["fold"]))):
+            raise ValueError(f"tile record {obj!r} is not an object with integer tile_id, row "
+                             "and col, a boolean blank flag and an integer or null fold")
+        return cls(obj["tile_id"], obj["row"], obj["col"], size, obj["blank"], obj.get("fold"))
 
 
 def tile_index(height: int, width: int, tile_size: int = 1024,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fusion, raster
+from . import annotations, fusion, raster
 
 LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
 
@@ -306,45 +306,27 @@ def polygon_set_to_geojson(ps: PolygonSet) -> dict:
 
 
 def polygon_set_from_geojson(doc: dict) -> PolygonSet:
+    """Read back a FeatureCollection as `polygon_set_to_geojson` writes it;
+    features and rings follow the polygon-input rules of `annotations`."""
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
     height, width = doc.get("height"), doc.get("width")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (height, width)):
+    if not (annotations._is_json_int(height) and annotations._is_json_int(width)):
         raise ValueError("FeatureCollection lacks integer 'height'/'width' members")
     if height < 1 or width < 1 or height * width > MAX_GEOJSON_CANVAS_PIXELS:
         raise ValueError(f"FeatureCollection canvas {height}x{width} is outside "
                          f"1..{MAX_GEOJSON_CANVAS_PIXELS} pixels")
-    ps = PolygonSet(str(doc.get("image_id", "")), height, width)
-    features = doc.get("features", [])
-    if not isinstance(features, list):
-        raise ValueError("FeatureCollection 'features' must be a list")
-    for k, feat in enumerate(features):
-        if not isinstance(feat, dict):
-            raise ValueError(f"feature {k}: expected a GeoJSON Feature object")
-        geom = feat.get("geometry") or {}
-        props = feat.get("properties") or {}
-        if not isinstance(geom, dict) or not isinstance(props, dict):
-            raise ValueError(f"feature {k}: 'geometry' and 'properties' must be objects")
-        coords = geom.get("coordinates")
-        if geom.get("type") != "Polygon" or not coords or not isinstance(coords, list):
-            raise ValueError(f"feature {k}: expected a Polygon with coordinates")
-        try:
-            ring = np.asarray(coords[0], np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"feature {k}: malformed ring") from None
-        if ring.ndim != 2 or ring.shape[1] != 2:
-            raise ValueError(f"feature {k}: malformed ring")
-        if not np.isfinite(ring).all():
-            raise ValueError(f"feature {k}: non-finite coordinate")
-        if len(ring) >= 2 and np.array_equal(ring[0], ring[-1]):
-            ring = ring[:-1]
-        if len(ring) < 3:
-            raise ValueError(f"feature {k}: ring has fewer than 3 vertices")
-        try:
-            inst_id, area_px = int(props.get("id", k + 1)), int(props.get("area_px", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"feature {k}: 'id' and 'area_px' must be integers") from None
+    image_id = doc.get("image_id", "")
+    if not isinstance(image_id, str):
+        raise ValueError("FeatureCollection 'image_id' must be a string")
+    ps = PolygonSet(image_id, height, width)
+    for k, props, ring in annotations._polygon_features(doc):
+        inst_id, area_px = props.get("id", k + 1), props.get("area_px", 0)
+        if not (annotations._is_json_int(inst_id) and annotations._is_json_int(area_px)):
+            raise ValueError(f"feature {k}: 'id' and 'area_px' must be integers")
         if not 0 < inst_id < 2 ** 32:
             raise ValueError(f"feature {k}: id {inst_id} is not a positive uint32 label")
+        if area_px < 0:
+            raise ValueError(f"feature {k}: area_px {area_px} is negative")
         ps.instances.append(PolygonInstance(inst_id, ring, area_px))
     return ps

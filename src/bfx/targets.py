@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extract, raster
+from . import annotations, extract, raster
 
 BORDER_EROSION_ITERATIONS = 2
 BORDER_KERNEL_SIDE = 3
@@ -89,15 +89,7 @@ def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     """Scanline even-odd fill of one ring at pixel centers (see module doc)."""
     if height < 1 or width < 1:
         raise ValueError("canvas dimensions must be >= 1")
-    pts = np.asarray(ring, np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("ring must be an (n, 2) array of (x, y) vertices")
-    if len(pts) >= 2 and np.array_equal(pts[0], pts[-1]):
-        pts = pts[:-1]
-    if len(pts) < 3:
-        raise ValueError("ring has fewer than 3 vertices")
-    if not np.isfinite(pts).all():
-        raise ValueError("ring has a non-finite coordinate")
+    pts = annotations._ring(ring)
 
     out = np.zeros((height, width), np.uint8)
     rows, cols = _ring_window(pts, height, width)

@@ -87,7 +87,11 @@ def dice_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.nd
     The denominator's derivative w.r.t. any pixel is exactly 1, so the
     gradient is (num - (1+b^2)*g*den) / den^2.
     """
-    p, g = _loss_inputs(pred, gt)
+    return _dice(*_loss_inputs(pred, gt), params)
+
+
+def _dice(p, g, params: LossParams) -> tuple[float, np.ndarray]:
+    """`dice_loss` of a checked float64 prediction and 0/1 target."""
     num, den = _dice_ratio(*_soft_counts(p, g), params)
     grad = (num - (1.0 + params.beta * params.beta) * g * den) / (den * den)
     return 1.0 - num / den, grad
@@ -113,7 +117,11 @@ def bce_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.nda
     The gradient is (-g/p + (1-g)/(1-p)) / N at unclamped pixels and 0
     where the clamp is active.
     """
-    p, g = _loss_inputs(pred, gt)
+    return _bce(*_loss_inputs(pred, gt), params)
+
+
+def _bce(p, g, params: LossParams) -> tuple[float, np.ndarray]:
+    """`bce_loss` of a checked float64 prediction and 0/1 target."""
     n = p.size
     pc = np.clip(p, params.clamp, 1.0 - params.clamp)
     loss = float(np.mean(_bce_terms(pc, g)))
@@ -129,8 +137,9 @@ def _bce_terms(pc, g):
 
 def channel_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.ndarray]:
     """Per-channel mix gamma1 * BCE + gamma2 * Dice, with its gradient."""
-    bce, bce_grad = bce_loss(pred, gt, params)
-    dice, dice_grad = dice_loss(pred, gt, params)
+    p, g = _loss_inputs(pred, gt)
+    bce, bce_grad = _bce(p, g, params)
+    dice, dice_grad = _dice(p, g, params)
     return (params.gamma1 * bce + params.gamma2 * dice,
             params.gamma1 * bce_grad + params.gamma2 * dice_grad)
 

@@ -33,6 +33,17 @@ def test_unknown_flag_is_usage_error():
     assert cli.main(["extract", "--bogus", "1"]) == 1
 
 
+def test_cli_import_loads_only_the_stdlib_numpy_and_bfx():
+    # site hooks (such as _distutils_hack) load before the import, so only the difference counts
+    code = ("import sys; before = set(sys.modules); import bfx.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "bfx.cli" in loaded and "numpy" in loaded
+    foreign = {m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names) - {"numpy", "bfx"}
+    assert foreign == set()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "bfx.cli"], capture_output=True, text=True)
     assert proc.returncode == 1
@@ -413,7 +424,8 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
     *[pytest.param("bad.geojson", b'{"type": "FeatureCollection", "height": 4, "width": 4, "features": '
                    b'[{"geometry": {"type": "Polygon", "coordinates": [[[0, 0], %s, [2, 2]]]}}]}' % vertex,
                    "eval", id=f"eval-vertex-{name}")
-      for name, vertex in [("infinite", b"[2, Infinity]"), ("overflow", b"[2, 1e400]"), ("nan", b"[NaN, 0]")]],
+      for name, vertex in [("infinite", b"[2, Infinity]"), ("overflow", b"[2, 1e400]"), ("nan", b"[NaN, 0]"),
+                           ("integer-overflow", b"[2, 1%s]" % (b"0" * 400))]],
     pytest.param("bad.geojson",
                  b'{"type": "FeatureCollection", "height": 65536, "width": 65536, "features": []}', "eval",
                  id="eval-canvas-too-large"),
@@ -429,6 +441,14 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
     *[pytest.param("bad.geojson", b'{"type": "FeatureCollection", "height": %s, "width": 4, "features": []}' % height,
                    "eval", id=f"eval-canvas-height-{name}")
       for name, height in [("float", b"4.0"), ("fraction", b"4.5"), ("string", b'"4"')]],
+    pytest.param("bad.json", b'{"img": [{"points": [[0, 0], [4, "0"], [4, 4]]}]}', "targets",
+                 id="annotation-string-coordinate"),
+    pytest.param("bad.geojson", b'{"type": "FeatureCollection", "height": 4, "width": 4, "features": '
+                 b'[{"properties": {"id": 2.5}, "geometry": {"type": "Polygon", "coordinates": '
+                 b'[[[0, 0], [2, 0], [2, 2]]]}}]}', "eval", id="eval-feature-id-float"),
+    # five usable tiles besides the bad one, so reading "false" as true would still split
+    pytest.param("bad.json", json.dumps([{"tile_id": i, "row": 0, "col": i, "blank": "false" if i == 5 else False}
+                                         for i in range(6)]).encode(), "split", id="tile-record-blank-string"),
 ])
 def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data, stage):
     bad = tmp_path / name

@@ -183,6 +183,23 @@ def test_tile_record_from_json_rejects_malformed(obj):
         TileRecord.from_json(obj, size=0)
 
 
+RECORD = {"tile_id": 3, "row": 1, "col": 2, "blank": False, "fold": None}
+
+
+@pytest.mark.parametrize("member,value", [("blank", "false"), ("blank", 0), ("blank", None),
+                                          ("tile_id", "3"), ("tile_id", 3.0), ("row", 1.9),
+                                          ("col", True), ("fold", 1.5), ("fold", "2"), ("fold", False)])
+def test_tile_record_fields_must_be_json_integers_and_a_boolean(member, value):
+    with pytest.raises(ValueError, match="tile record"):
+        TileRecord.from_json(dict(RECORD, **{member: value}), size=0)
+
+
+def test_tile_record_fold_may_be_null_or_absent():
+    assert TileRecord.from_json(RECORD, size=4) == TileRecord(3, 1, 2, 4, False, None)
+    assert TileRecord.from_json({k: v for k, v in RECORD.items() if k != "fold"}, size=4).fold is None
+    assert TileRecord.from_json(dict(RECORD, fold=0, blank=True), size=4) == TileRecord(3, 1, 2, 4, True, 0)
+
+
 # ---------------------------------------------------------------------------
 # ingest_annotations
 # ---------------------------------------------------------------------------
@@ -203,6 +220,14 @@ def test_ingest_rejects_two_point_ring_with_location():
     doc = {"img1": [{"points": [[0, 0], [4, 4]]}]}
     with pytest.raises(AnnotationError, match=r"image 'img1' polygon 0"):
         ingest_annotations(doc)
+
+
+@pytest.mark.parametrize("points", [[[0, 0], [4, "0"], [4, 4]], [[0, 0], [4, 0], [True, 4]],
+                                    [["0", "0"], ["4", "0"], ["4", "4"]], [[0, 0], [4, 0], [4, None]]],
+                         ids=["string", "boolean", "all-strings", "null"])
+def test_ingest_rejects_non_number_coordinates_with_location(points):
+    with pytest.raises(AnnotationError, match=r"^image 'img1' polygon 0: "):
+        ingest_annotations({"img1": [{"points": points}]})
 
 
 def test_ingest_rejects_negative_coordinates():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bfx import extract, raster, targets
+from bfx.annotations import ingest_annotations
 
 from _oracles import disjoint_rectangles, geodesic_watershed, point_fill, serpentine
 
@@ -482,3 +483,75 @@ def test_geojson_canvas_is_bounded(height, width):
         extract.polygon_set_from_geojson(doc)
     largest = dict(doc, height=2 ** 14, width=2 ** 14)
     assert extract.polygon_set_from_geojson(largest).height == 2 ** 14
+
+
+def ring_feature(ring_json: str) -> str:
+    return '{"geometry": {"type": "Polygon", "coordinates": [%s]}}' % ring_json
+
+
+# malformed features as JSON text, so that non-finite and huge number tokens survive
+MALFORMED_FEATURES = {
+    "not-object": "1",
+    "geometry-not-object": '{"geometry": 1}',
+    "geometry-missing": '{"properties": {}}',
+    "properties-not-object": '{"geometry": %s, "properties": [1]}' % json.dumps(SQUARE),
+    "properties-false": '{"geometry": %s, "properties": false}' % json.dumps(SQUARE),
+    "point": '{"geometry": {"type": "Point", "coordinates": [0, 0]}}',
+    "coordinates-missing": '{"geometry": {"type": "Polygon"}}',
+    "coordinates-not-list": '{"geometry": {"type": "Polygon", "coordinates": {"a": 1}}}',
+    "ring-not-pairs": ring_feature("[[0, 0], [2], [2, 2]]"),
+    "two-vertex-ring": ring_feature("[[0, 0], [2, 2], [0, 0]]"),
+    "infinite": ring_feature("[[0, 0], [2, Infinity], [2, 2], [0, 2]]"),
+    "integer-beyond-float64": ring_feature("[[0, 0], [1%s, 0], [2, 2]]" % ("0" * 400)),
+    "string-coordinate": ring_feature('[[0, 0], [2, "0"], [2, 2], [0, 2]]'),
+    "boolean-coordinate": ring_feature("[[0, 0], [2, 0], [true, 2], [0, 2]]"),
+    "null-coordinate": ring_feature("[[0, 0], [2, null], [2, 2], [0, 2]]"),
+}
+
+
+@pytest.mark.parametrize("feature", list(MALFORMED_FEATURES.values()), ids=list(MALFORMED_FEATURES))
+def test_both_geojson_readers_reject_the_same_malformed_feature(feature):
+    doc = json.loads('{"type": "FeatureCollection", "height": 4, "width": 4, "features": [%s]}' % feature)
+    for read in (ingest_annotations, extract.polygon_set_from_geojson):
+        with pytest.raises(ValueError, match="^feature 0: "):
+            read(doc)
+
+
+def test_both_geojson_readers_require_a_features_list():
+    for features in ({}, {"features": None}, {"features": {}}):
+        doc = {"type": "FeatureCollection", "height": 4, "width": 4, **features}
+        for read in (ingest_annotations, extract.polygon_set_from_geojson):
+            with pytest.raises(ValueError, match="'features' list"):
+                read(doc)
+
+
+@pytest.mark.parametrize("props", [{"id": 2.7}, {"id": "7"}, {"id": True}, {"id": 2.0},
+                                   {"area_px": -3}, {"area_px": 1.5}, {"area_px": "4"},
+                                   {"area_px": False}, {"area_px": None}], ids=json.dumps)
+def test_geojson_id_and_area_must_be_json_integers(props):
+    doc = {"type": "FeatureCollection", "height": 4, "width": 4,
+           "features": [{"geometry": SQUARE, "properties": props}]}
+    with pytest.raises(ValueError, match="^feature 0: "):
+        extract.polygon_set_from_geojson(doc)
+
+
+def test_geojson_defaults_and_integer_properties_are_kept():
+    doc = {"type": "FeatureCollection", "height": 4, "width": 4, "image_id": "t",
+           "features": [{"geometry": SQUARE, "properties": {"id": 7, "area_px": 0}},
+                        {"geometry": SQUARE, "properties": None}]}
+    ps = extract.polygon_set_from_geojson(doc)
+    assert ps.image_id == "t"
+    assert [(i.id, i.area_px) for i in ps.instances] == [(7, 0), (2, 0)]
+    del doc["image_id"]
+    assert extract.polygon_set_from_geojson(doc).image_id == ""
+
+
+@pytest.mark.parametrize("image_id", [None, 7, ["a"]])
+def test_geojson_image_ids_must_be_strings(image_id):
+    doc = {"type": "FeatureCollection", "height": 4, "width": 4, "image_id": image_id, "features": []}
+    with pytest.raises(ValueError, match="image_id"):
+        extract.polygon_set_from_geojson(doc)
+    doc = {"type": "FeatureCollection",
+           "features": [{"geometry": SQUARE, "properties": {"image_id": image_id}}]}
+    with pytest.raises(ValueError, match="^feature 0: 'image_id'"):
+        ingest_annotations(doc)

@@ -99,6 +99,25 @@ def test_fill_rejects_non_finite_coordinates(bad):
             targets.rasterize_polygon(np.array([(0, 0), (4, 0), vertex, (0, 4)], float), 6, 6)
 
 
+@pytest.mark.parametrize("ring", [
+    np.array([["0", "0"], ["4", "0"], ["0", "4"]]),
+    np.array([[0, 0], [4, 0], [0, 4]], bool),
+    np.array([[0, 0], [4, 0], [0, 4]], object),
+    [(0, 0), (4, "0"), (0, 4)],
+    [(0, 0), (4, 0), (True, 4)],
+], ids=["string-array", "bool-array", "object-array", "string-in-list", "bool-in-list"])
+def test_fill_rejects_non_number_coordinates(ring):
+    with pytest.raises(ValueError, match="must be numbers"):
+        targets.rasterize_polygon(ring, 6, 6)
+
+
+def test_fill_accepts_integer_arrays_and_lists_of_numpy_scalars():
+    tri = np.array([(0, 0), (4, 0), (0, 4)])
+    want = point_fill(tri.astype(float), 8, 8)
+    for ring in (tri, tri.astype(np.uint16), [tuple(v) for v in tri], [tuple(v) for v in tri.astype(np.float32)]):
+        assert np.array_equal(targets.rasterize_polygon(ring, 8, 8), want)
+
+
 # ---------------------------------------------------------------------------
 # make_border_mask
 # ---------------------------------------------------------------------------
