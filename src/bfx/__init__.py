@@ -6,22 +6,48 @@ test-time views, separates touching buildings with a seeded watershed,
 vectorizes the instances, and scores them object-by-object. The training
 mathematics (losses with analytic gradients, learning-rate schedules,
 rectangle-paste mixing) ships as a standalone, gradient-verified suite.
+
+`import bfx` loads no submodule. `_LAZY` maps each name the package
+exports to the submodule defining it, and the module `__getattr__`
+(PEP 562) imports that submodule on first use, so `bfx.rasterize_polygon`
+is `bfx.targets.rasterize_polygon`. Names are looked up on every access,
+not cached here, so rebinding a submodule's attribute is seen through the
+package too.
 """
 
-from .annotations import AnnotationError, ingest_annotations
-from .evaluate import (EvalCounts, MatchResult, PixelScores, aggregate_global,
-                       color_map, export_per_image_csv, f1_from_counts,
-                       instance_iou, match_instances, pixel_scores)
-from .extract import (PolygonInstance, PolygonSet, extract_multi_class,
-                      extract_single_class, filter_small, make_seeds,
-                      polygon_set_from_geojson, polygon_set_to_geojson,
-                      polygonize, watershed_assign)
-from .fusion import apply_view, binarize, ensemble_average, tta_average
-from .raster import connected_components, dilate, erode, mask_xor
-from .targets import (TargetStack, assemble_targets, make_border_mask,
-                      make_spacing_mask, rasterize_polygon)
-from .trainmath import (ChannelWeights, LossParams, ScheduleParams, bce_loss,
-                        channel_loss, cutmix, dice_loss, gradient_check,
-                        lr_one_cycle, lr_poly, sample_cutmix_box, total_loss)
+from importlib import import_module as _import_module
 
+_SUBMODULES = ("annotations", "cli", "dataprep", "evaluate", "extract", "formats", "fusion",
+               "raster", "targets", "trainmath")
+
+_LAZY = {name: module for module, names in {
+    "annotations": ("AnnotationError", "ingest_annotations"),
+    "evaluate": ("EvalCounts", "MatchResult", "PixelScores", "aggregate_global", "color_map",
+                 "export_per_image_csv", "f1_from_counts", "instance_iou", "match_instances",
+                 "pixel_scores"),
+    "extract": ("PolygonInstance", "PolygonSet", "extract_multi_class", "extract_single_class",
+                "filter_small", "make_seeds", "polygon_set_from_geojson", "polygon_set_to_geojson",
+                "polygonize", "watershed_assign"),
+    "fusion": ("apply_view", "binarize", "ensemble_average", "tta_average"),
+    "raster": ("connected_components", "dilate", "erode", "mask_xor"),
+    "targets": ("TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
+                "rasterize_polygon"),
+    "trainmath": ("ChannelWeights", "LossParams", "ScheduleParams", "bce_loss", "channel_loss",
+                  "cutmix", "dice_loss", "gradient_check", "lr_one_cycle", "lr_poly",
+                  "sample_cutmix_box", "total_loss"),
+}.items() for name in names}
+
+__all__ = sorted(_LAZY)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    if name in _SUBMODULES:  # importing binds it here, so this runs once per submodule
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_SUBMODULES})

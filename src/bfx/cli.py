@@ -22,15 +22,13 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import annotations, dataprep, evaluate, extract, formats, fusion
-from . import targets as targets_mod
-from . import trainmath
-from .targets import CHANNEL_NAMES, TargetStack
+# each stage runner imports the modules it needs, so a call loads only its stage
+from . import formats
+from .formats import CHANNEL_NAMES
 
 VIEW_SUFFIXES = (("identity", "id"), ("hflip", "hf"), ("vflip", "vf"), ("rot180", "r180"))
 
@@ -294,6 +292,8 @@ def _pool_map(fn, items, threads):
     n = threads if threads is not None else (os.cpu_count() or 1)
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as ex:
         return list(ex.map(fn, items))  # order-stable collection
 
@@ -345,6 +345,8 @@ def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], pr
 
 
 def run_targets(cfg: dict):
+    from . import annotations, targets
+
     with open(cfg["annotations"], "r", encoding="utf-8") as f:
         doc = json.load(f)
     per_image = annotations.ingest_annotations(doc)
@@ -356,7 +358,7 @@ def run_targets(cfg: dict):
 
     def work(item):
         image_id, rings = item
-        return image_id, targets_mod.assemble_targets(
+        return image_id, targets.assemble_targets(
             rings, cfg["height"], cfg["width"], cfg["erosion_iterations"])
 
     outputs = []
@@ -374,6 +376,8 @@ def run_targets(cfg: dict):
 
 
 def run_fuse(cfg: dict):
+    from . import fusion
+
     inputs = []
     outputs = []
     if cfg["tta"]:
@@ -406,6 +410,8 @@ def run_fuse(cfg: dict):
 
 
 def run_extract(cfg: dict):
+    from . import extract, fusion
+
     inputs = []
     if cfg["input"] is not None:
         inputs.append(cfg["input"])
@@ -440,6 +446,8 @@ def run_extract(cfg: dict):
 
 
 def _load_instance_map(path: str) -> np.ndarray:
+    from . import evaluate, extract
+
     if path.endswith(".imap"):
         return formats.read_imap(path)
     with open(path, "r", encoding="utf-8") as f:
@@ -479,6 +487,8 @@ def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
 
 
 def run_eval(cfg: dict):
+    from . import evaluate
+
     pairs = _eval_pairs(cfg["pred"], cfg["gt"])
     directory_mode = os.path.isdir(cfg["pred"])
     inputs = [p for _, p, _ in pairs] + [g for _, _, g in pairs]
@@ -525,6 +535,8 @@ def run_eval(cfg: dict):
 
 
 def run_tile(cfg: dict):
+    from . import dataprep
+
     values = formats.read_pgm_raw(cfg["raster"])
     h, w = values.shape
     size = cfg["size"]
@@ -542,6 +554,8 @@ def run_tile(cfg: dict):
 
 
 def run_split(cfg: dict):
+    from . import dataprep
+
     with open(cfg["index"], "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, list):
@@ -554,6 +568,8 @@ def run_split(cfg: dict):
 
 
 def run_lossmath(cfg: dict):
+    from . import trainmath
+
     params = trainmath.LossParams(cfg["beta"], cfg["eps"], cfg["gamma1"], cfg["gamma2"], cfg["clamp"])
     pred = formats.read_pmap(cfg["pred"])
     gts = [formats.read_pgm(p) for p in cfg["gt"]]
@@ -580,6 +596,8 @@ def run_lossmath(cfg: dict):
 
 
 def run_lr(cfg: dict):
+    from . import trainmath
+
     sched = trainmath.ScheduleParams(cfg["total_epochs"], cfg["up_epochs"], cfg["lr_init"],
                                      cfg["lr_max"], cfg["lr_final"], cfg["poly_power"],
                                      cfg["poly_lr0"])
@@ -595,6 +613,9 @@ def run_lr(cfg: dict):
 
 
 def run_cutmix(cfg: dict):
+    from . import trainmath
+    from .targets import TargetStack
+
     image_a = formats.read_pmap(cfg["image_a"])
     masks_a = TargetStack.from_probmap(formats.read_pmap(cfg["masks_a"]))
     image_b = formats.read_pmap(cfg["image_b"])

@@ -146,9 +146,16 @@ def subdivide_tile(image: Optional[np.ndarray], rings, tile_size: int = 1024,
 
 
 def kfold_assign(tiles: list[TileRecord], k: int = 5) -> list[TileRecord]:
-    """Round-robin folds over non-blank tiles sorted by (row, col)."""
+    """Round-robin folds over non-blank tiles sorted by (row, col).
+
+    Folds are keyed by `tile_id`, so a repeated id is an error."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    seen = set()
+    for t in tiles:
+        if t.tile_id in seen:
+            raise ValueError(f"tile_id {t.tile_id} appears more than once in the tile index")
+        seen.add(t.tile_id)
     usable = sorted((t for t in tiles if not t.blank), key=lambda t: (t.row, t.col))
     if len(usable) < k:
         raise ValueError(f"need at least {k} non-blank tiles, have {len(usable)}")

@@ -307,7 +307,9 @@ def polygon_set_to_geojson(ps: PolygonSet) -> dict:
 
 def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     """Read back a FeatureCollection as `polygon_set_to_geojson` writes it;
-    features and rings follow the polygon-input rules of `annotations`."""
+    features and rings follow the polygon-input rules of `annotations`.
+    Each feature's `id` (default: its 1-based position) is its instance
+    label, so ids must be distinct."""
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
     height, width = doc.get("height"), doc.get("width")
@@ -320,6 +322,7 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     if not isinstance(image_id, str):
         raise ValueError("FeatureCollection 'image_id' must be a string")
     ps = PolygonSet(image_id, height, width)
+    first_with_id = {}
     for k, props, ring in annotations._polygon_features(doc):
         inst_id, area_px = props.get("id", k + 1), props.get("area_px", 0)
         if not (annotations._is_json_int(inst_id) and annotations._is_json_int(area_px)):
@@ -328,5 +331,9 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
             raise ValueError(f"feature {k}: id {inst_id} is not a positive uint32 label")
         if area_px < 0:
             raise ValueError(f"feature {k}: area_px {area_px} is negative")
+        if inst_id in first_with_id:
+            raise ValueError(f"feature {k}: id {inst_id} is already the id of feature "
+                             f"{first_with_id[inst_id]}")
+        first_with_id[inst_id] = k
         ps.instances.append(PolygonInstance(inst_id, ring, area_px))
     return ps

@@ -15,7 +15,6 @@ import io
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -24,13 +23,25 @@ from . import raster
 PMAP_MAGIC = b"PMAP1\n"
 IMAP_MAGIC = b"IMAP1\n"
 
+# plane order of a target stack and of a fused PMAP1, and the PGM name stems
+CHANNEL_NAMES = ("building", "border", "spacing")
+
 
 def atomic_write_bytes(path, data) -> None:
     """Write a bytes-like object (bytes, or a C-contiguous array's buffer)
-    to `path` through a temp file renamed over it."""
+    to `path` through a temp file renamed over it.
+
+    The temp file is created with mode 0666 less the process umask, as
+    `open()` would create `path`, so artifacts get the usual permissions."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")
+    while True:
+        tmp = os.path.join(directory, ".tmp." + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

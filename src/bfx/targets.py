@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import annotations, extract, raster
+from .formats import CHANNEL_NAMES  # noqa: F401  (the channel order, defined with the codecs)
 
 BORDER_EROSION_ITERATIONS = 2
 BORDER_KERNEL_SIDE = 3
 SPACING_DILATE_SIDE = 15
 SPACING_MAX_DIST = 8
-
-CHANNEL_NAMES = ("building", "border", "spacing")
 
 
 @dataclass

@@ -44,6 +44,26 @@ def test_cli_import_loads_only_the_stdlib_numpy_and_bfx():
     assert foreign == set()
 
 
+def test_fuse_and_extract_load_only_their_modules(tmp_path):
+    rng = np.random.default_rng(0)
+    formats.write_pmap(tmp_path / "fold.pmap", rng.random((3, 8, 8)).astype(np.float32))
+    calls = {"fuse": [str(tmp_path / "fold.pmap"), "--out", str(tmp_path / "fused.pmap")],
+             "extract": ["--in", str(tmp_path / "fused.pmap"), "--out-geojson", str(tmp_path / "p.geojson"),
+                         "--out-imap", str(tmp_path / "p.imap")]}
+    code = ("import sys; import bfx; bare = sorted(sys.modules); from bfx.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print(' '.join(m for m in bare if m.startswith('bfx.'))); "
+            "print(*sorted(m for m in sys.modules if m.startswith(('bfx', 'concurrent'))))")
+    loaded = {}
+    for stage, argv in calls.items():  # in order: extract reads what fuse wrote
+        proc = subprocess.run([sys.executable, "-c", code, stage, *argv], capture_output=True, text=True,
+                              check=True)
+        bare, after = proc.stdout.split("\n")[:2]
+        assert bare == ""  # `import bfx` alone loads no submodule
+        loaded[stage] = set(after.split())
+    assert loaded["fuse"] == {"bfx", "bfx.cli", "bfx.formats", "bfx.raster", "bfx.fusion"}
+    assert loaded["extract"] - loaded["fuse"] == {"bfx.extract", "bfx.annotations"}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "bfx.cli"], capture_output=True, text=True)
     assert proc.returncode == 1
@@ -449,6 +469,11 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
     # five usable tiles besides the bad one, so reading "false" as true would still split
     pytest.param("bad.json", json.dumps([{"tile_id": i, "row": 0, "col": i, "blank": "false" if i == 5 else False}
                                          for i in range(6)]).encode(), "split", id="tile-record-blank-string"),
+    pytest.param("bad.json", json.dumps([{"tile_id": max(i, 1), "row": 0, "col": i, "blank": False}
+                                         for i in range(6)]).encode(), "split", id="tile-record-repeated-id"),
+    pytest.param("bad.geojson", json.dumps({"type": "FeatureCollection", "height": 4, "width": 4, "features": [
+        {"properties": {"id": 1}, "geometry": {"type": "Polygon", "coordinates": [[[x, 0], [x + 1, 0], [x + 1, 1], [x, 1]]]}}
+        for x in (0, 2)]}).encode(), "eval", id="eval-feature-id-repeated"),
 ])
 def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data, stage):
     bad = tmp_path / name

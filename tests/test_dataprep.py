@@ -161,6 +161,14 @@ def test_kfold_skips_blanks_and_errors_when_too_few():
         kfold_assign(make_tiles(1, 4), 1)
 
 
+def test_kfold_rejects_a_repeated_tile_id():
+    # keyed by tile_id, a repeat would give both records the later one's fold
+    tiles = make_tiles(1, 6)
+    tiles[1].tile_id = 0
+    with pytest.raises(ValueError, match="tile_id 0 "):
+        kfold_assign(tiles, 2)
+
+
 def test_kfold_permutation_invariant():
     tiles = make_tiles(3, 4)
     rng = np.random.default_rng(1)

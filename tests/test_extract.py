@@ -546,6 +546,17 @@ def test_geojson_defaults_and_integer_properties_are_kept():
     assert extract.polygon_set_from_geojson(doc).image_id == ""
 
 
+@pytest.mark.parametrize("ids", [(1, 1), (None, 1)], ids=["explicit", "default"])
+def test_geojson_feature_ids_must_be_distinct(ids):
+    # each id is a label, so a repeat would merge two buildings into one instance
+    far = {"type": "Polygon", "coordinates": [[[5, 5], [7, 5], [7, 7], [5, 7]]]}
+    doc = {"type": "FeatureCollection", "height": 8, "width": 8,
+           "features": [{"geometry": geom, "properties": None if i is None else {"id": i}}
+                        for geom, i in zip((SQUARE, far), ids)]}
+    with pytest.raises(ValueError, match="^feature 1: id 1 .*feature 0"):
+        extract.polygon_set_from_geojson(doc)
+
+
 @pytest.mark.parametrize("image_id", [None, 7, ["a"]])
 def test_geojson_image_ids_must_be_strings(image_id):
     doc = {"type": "FeatureCollection", "height": 4, "width": 4, "image_id": image_id, "features": []}

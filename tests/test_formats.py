@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,16 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert path.read_bytes() == b"second"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "f.bin"]
     assert leftovers == []  # no temp files left behind
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_applies_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        formats.atomic_write_text(tmp_path / "f.txt", "x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == mode
 
 
 @pytest.mark.parametrize("decode,magic", [(formats.decode_pmap, formats.PMAP_MAGIC),
