@@ -189,11 +189,16 @@ def _flag(p: Param) -> str:
     return p.flag or "--" + p.name.replace("_", "-")
 
 
-def build_parser() -> _Parser:
+def build_parser(only: str | None = None) -> _Parser:
+    """The bfx parser: a subparser for every stage, so the stage list, the
+    top-level help and an unknown stage read the same whatever is built,
+    with the arguments of stage `only` alone (default: of every stage)."""
     parser = _Parser(prog="bfx", description="Building-footprint extraction pipeline")
     sub = parser.add_subparsers(dest="stage")
     for stage, (help_text, params) in STAGES.items():
         s = sub.add_parser(stage, help=help_text)
+        if only is not None and stage != only:
+            continue
         s.add_argument("--config", help="JSON config file; flags override its values")
         for p in (THREADS, *params):
             positional = not _flag(p).startswith("-")
@@ -646,7 +651,11 @@ RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option values, so its first non-option
+    # argument is the stage it dispatches to: only that stage needs arguments
+    stage = next((a for a in argv if not a.startswith("-")), None)
+    parser = build_parser(stage)
     try:
         args = parser.parse_args(argv)
         if args.stage is None:

@@ -86,21 +86,6 @@ def instance_iou(a, b) -> float:
     return int(np.count_nonzero(ma & mb)) / union
 
 
-def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
-    """Pixel count of each label 0..N of an instance map whose nonzero
-    labels must be dense in 1..N. N is checked against the pixel count
-    before any table is sized from it."""
-    n = int(labels.max(initial=0))
-    if n > labels.size:
-        raise ValueError(f"{what} map labels are not dense: largest label {n} "
-                         f"exceeds the pixel count {labels.size}")
-    area = np.bincount(labels.ravel(), minlength=n + 1)
-    absent = np.flatnonzero(area[1:] == 0)
-    if absent.size:
-        raise ValueError(f"{what} map labels are not dense in 1..{n}: label {absent[0] + 1} is absent")
-    return area
-
-
 def _overlap_table(pred: np.ndarray, gt: np.ndarray):
     """Sparse intersection counts between nonzero pred and gt labels."""
     both = (pred > 0) & (gt > 0)
@@ -116,11 +101,11 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     g = np.asarray(gt)
     if p.shape != g.shape:
         raise ValueError(f"instance map dimensions differ: {p.shape} vs {g.shape}")
+    # checked before the uint32 cast, which would wrap a negative or huge label
+    area_p = raster._label_areas(p, "prediction")
+    area_g = raster._label_areas(g, "ground-truth")
     p = p.astype(np.uint32, copy=False)
     g = g.astype(np.uint32, copy=False)
-
-    area_p = _label_areas(p, "prediction")
-    area_g = _label_areas(g, "ground-truth")
     pid, gid, inter = _overlap_table(p, g)
 
     candidates = []
@@ -170,12 +155,14 @@ def color_map(pred, gt, match: MatchResult) -> np.ndarray:
     Overlaps compose (cyan = green+blue, magenta = red+blue); red+green is
     impossible because prediction instances are disjoint.
     """
-    p = np.asarray(pred).astype(np.uint32, copy=False)
-    g = np.asarray(gt).astype(np.uint32, copy=False)
+    p = np.asarray(pred)
+    g = np.asarray(gt)
     if p.shape != g.shape:
         raise ValueError(f"instance map dimensions differ: {p.shape} vs {g.shape}")
-    n_p = _label_areas(p, "prediction").size - 1
-    n_g = _label_areas(g, "ground-truth").size - 1
+    n_p = raster._label_areas(p, "prediction").size - 1
+    n_g = raster._label_areas(g, "ground-truth").size - 1
+    p = p.astype(np.uint32, copy=False)
+    g = g.astype(np.uint32, copy=False)
 
     matched_p = {pp for pp, _, _ in match.pairs}
     matched_g = {gg for _, gg, _ in match.pairs}

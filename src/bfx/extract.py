@@ -17,10 +17,25 @@ neighbours, all of which are either in the previous layer or unlabelled.
 Every pixel enters a layer once, so the whole assignment is O(H*W) however
 deep the region is.
 
-Exteriors are traced along pixel edges in corner coordinates. At a pinch
-corner (two pixels of one 8-connected instance touching only diagonally)
-the walk prefers the left turn, keeping the trace on the outer boundary at
-the cost of revisiting that corner once.
+Exteriors follow pixel edges in corner coordinates, all instances in one
+vectorized pass (crack code, Freeman, IRE Trans. EC-10, 1961). Each pixel
+side between two different labels is a directed edge of each nonzero side,
+with its owner on the right; the four side lists come out row-major, so
+the edges' (direction, start vertex) keys are sorted. The successor table
+gives every edge the next one around its owner's label: at the end vertex
+the left turn, else straight on, else the right turn. At a pinch corner
+(two pixels of one instance touching only diagonally) preferring the left
+turn keeps the boundary on the outside, visiting that corner twice. The
+successors split the edges into cycles, one exterior per label and one per
+hole. Each exterior is cut just before its anchor edge, the top side of
+the label's first pixel in row-major order, whose predecessor is always
+that pixel's left side. Pointer-jumping list ranking (Wyllie, 1979) then
+gives each edge its distance to the cut; a round that retires no edge
+ends it, and the edges still on cycles are holes, which are dropped. The
+rank places each edge in its ring, and a vertex is each edge whose
+direction differs from the one before it. Ranking costs O(E log P) for E
+edges and a longest perimeter P, finding successors and anchors by binary
+search over the sorted keys O(E log E), and the rest O(H*W + E).
 """
 
 from __future__ import annotations
@@ -37,11 +52,6 @@ LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
 # rebuilding its instance map allocates that canvas (2**28 uint32 labels are
 # 1 GiB), so a larger declared size is rejected as malformed input.
 MAX_GEOJSON_CANVAS_PIXELS = 2 ** 28
-
-# corner-walk directions: +x, +y, -x, -y (y grows downward)
-_DX = (1, 0, -1, 0)
-_DY = (0, 1, 0, -1)
-
 
 @dataclass
 class PolygonInstance:
@@ -151,7 +161,7 @@ def filter_small(instances, min_area: int = 140) -> np.ndarray:
     lab = np.asarray(instances)
     if lab.ndim != 2 or not np.issubdtype(lab.dtype, np.integer):
         raise ValueError("expected a 2-D integer instance map")
-    n = int(lab.max(initial=0))
+    n = raster._max_label(lab, "instance")
     if n == 0:
         return lab.astype(np.uint32)
     counts = np.bincount(lab.ravel(), minlength=n + 1)
@@ -159,59 +169,18 @@ def filter_small(instances, min_area: int = 140) -> np.ndarray:
     keep[0] = False
     cleared = np.where(keep[lab], lab, 0).astype(np.uint32)
 
-    flat = cleared.ravel()
-    nz = np.flatnonzero(flat)
-    if nz.size == 0:
+    # a label's first pixel in row-major order starts a run of its row, so
+    # ranking the run starts ranks the labels
+    head = cleared != 0
+    head[:, 1:] &= cleared[:, 1:] != cleared[:, :-1]
+    starts = np.flatnonzero(head)
+    if starts.size == 0:
         return cleared
-    survivors, first = np.unique(flat[nz], return_index=True)
-    order = survivors[np.argsort(nz[first], kind="stable")]
+    survivors, first = np.unique(cleared.ravel()[starts], return_index=True)
+    order = survivors[np.argsort(starts[first], kind="stable")]
     remap = np.zeros(n + 1, np.uint32)
     remap[order] = np.arange(1, len(order) + 1, dtype=np.uint32)
     return remap[cleared]
-
-
-def _trace_exterior(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Walk the outer boundary of a pixel set; `rows`/`cols` must be sorted
-    row-major so (rows[0], cols[0]) is the anchor pixel."""
-    r0, c0 = int(rows.min()), int(cols.min())
-    g = np.zeros((int(rows.max()) - r0 + 3, int(cols.max()) - c0 + 3), bool)
-    g[rows - r0 + 1, cols - c0 + 1] = True
-
-    def has_edge(d: int, x: int, y: int) -> bool:
-        if d == 0:
-            return g[y, x] and not g[y - 1, x]
-        if d == 1:
-            return g[y, x - 1] and not g[y, x]
-        if d == 2:
-            return g[y - 1, x - 1] and not g[y, x - 1]
-        return g[y - 1, x] and not g[y - 1, x - 1]
-
-    # start at the anchor's top-left corner heading +x (always a boundary edge)
-    sx = int(cols[0]) - c0 + 1
-    sy = int(rows[0]) - r0 + 1
-    verts = [(sx, sy)]
-    x, y, d = sx + 1, sy, 0
-    limit = 4 * rows.size + 8
-    while (x, y) != (sx, sy):
-        for turn in (-1, 0, 1):  # prefer left, then straight, then right
-            nd = (d + turn) % 4
-            if has_edge(nd, x, y):
-                break
-        else:
-            raise AssertionError("boundary walk left the edge set")
-        if nd != d:
-            verts.append((x, y))
-            d = nd
-        x += _DX[nd]
-        y += _DY[nd]
-        limit -= 1
-        if limit < 0:
-            raise AssertionError("boundary walk failed to close")
-
-    out = np.asarray(verts, np.int64)
-    out[:, 0] += c0 - 1
-    out[:, 1] += r0 - 1
-    return out
 
 
 def polygonize(instances, image_id: str = "") -> PolygonSet:
@@ -220,30 +189,125 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
     Rings use pixel-corner coordinates and positive (counter-clockwise in
     x/y image axes) orientation; interior holes are ignored. area_px is the
     raster support size, so the sum over instances equals the number of
-    labeled pixels.
+    labeled pixels. Labels must be dense in 1..N: a negative label, or one
+    above the pixel count, is rejected before any table is sized from it.
     """
     lab = np.asarray(instances)
     if lab.ndim != 2 or not np.issubdtype(lab.dtype, np.integer):
         raise ValueError("expected a 2-D integer instance map")
     h, w = lab.shape
     result = PolygonSet(image_id, h, w)
-    n = int(lab.max(initial=0))
+    area = raster._label_areas(lab, "instance")
+    n = area.size - 1
     if n == 0:
         return result
 
-    flat = lab.ravel()
-    nz = np.flatnonzero(flat)
-    order = np.argsort(flat[nz], kind="stable")  # stable keeps row-major order per label
-    nz = nz[order]
-    vals = flat[nz]
-    starts = np.searchsorted(vals, np.arange(1, n + 1), side="left")
-    ends = np.searchsorted(vals, np.arange(1, n + 1), side="right")
-    for lbl in range(1, n + 1):
-        idx = nz[starts[lbl - 1]:ends[lbl - 1]]
-        if idx.size == 0:
-            raise ValueError(f"instance labels are not dense: {lbl} unused")
-        ring = _trace_exterior(idx // w, idx % w)
-        result.instances.append(PolygonInstance(lbl, ring, int(idx.size)))
+    # zero-padded copy in the narrowest type that holds every label, so no
+    # flat neighbour offset wraps onto a labelled pixel; directions are +x,
+    # +y, -x, -y (y down) and q[k] is the offset from a vertex's up-left
+    # pixel to its down-right, down-left, up-left and up-right pixel, so that
+    # an edge of direction d from a vertex has pixel q[d] as its owner and
+    # pixel q[d - 1] across
+    s = w + 2
+    q = (s + 1, s, 0, 1)
+    padded = np.zeros((h + 2, s), np.min_scalar_type(n))
+    padded[1:-1, 1:-1] = lab
+    flat = padded.ravel()
+
+    # every crack between differently labelled pixels is an edge of each
+    # nonzero side, named by its owner pixel's flat index; a crack at flat i
+    # lies between pixel i and pixel i + step, the one below (step s) or to
+    # the right (step 1)
+    sides = {}
+    for step in (s, 1):
+        crack = np.flatnonzero(flat[:-step] != flat[step:])
+        before = crack[flat[crack] != 0]
+        crack += step
+        sides[step] = before, crack[flat[crack] != 0]
+        del crack
+    # by direction +x, +y, -x, -y: top, right, bottom and left sides
+    owners = [sides[s][1], sides[1][0], sides[s][0], sides[1][1]]
+    # int32 holds every edge index and rank (ranks stay below 4 E <= 16 H W)
+    itype = np.int32 if 16 * flat.size < 2 ** 31 else np.int64
+    owner = np.concatenate(owners).astype(itype)
+    sizes = [o.size for o in owners]
+    bounds = np.cumsum(sizes)
+    del sides, owners
+    label = flat[owner]
+
+    # key d*nv + y*(w+1) + x of each edge's start vertex (x, y); each side
+    # list is row-major, so the keys come out sorted
+    nv = (h + 1) * (w + 1)
+    keys = np.empty(owner.size, np.int64)
+    for d, (lo, hi) in enumerate(zip(bounds - sizes, bounds)):
+        base = owner[lo:hi] - q[d]
+        keys[lo:hi] = base - base // s
+        keys[lo:hi] += d * nv
+
+    # successor: at the end vertex take the left turn, else straight on,
+    # else the right turn, as the walk around the outer boundary does; with
+    # the owner on the right, the left turn needs the pixel ahead-left to be
+    # the same label and straight on the pixel ahead
+    nxt = np.empty(owner.size + 1, itype)
+    end = owner.size
+    nxt[end] = end
+    for d, (lo, hi) in enumerate(zip(bounds - sizes, bounds)):
+        own, lbl = owner[lo:hi], label[lo:hi]
+        base = own - q[(d + 1) % 4]
+        turn = np.where(flat[base + q[(d + 3) % 4]] == lbl, (d + 3) % 4,
+                        np.where(flat[base + q[d]] == lbl, d, (d + 1) % 4))
+        nxt[lo:hi] = np.searchsorted(keys, turn * nv + (base - base // s))
+
+    # cut each exterior cycle before its anchor, the top side of the label's
+    # first pixel in row-major order; the edge into the anchor is always the
+    # anchor pixel's left side, which starts at its bottom-left corner
+    _, first = np.unique(label[:sizes[0]], return_index=True)
+    anchor = first.astype(itype)
+    corner = owner[anchor].astype(np.int64) - q[3]
+    nxt[np.searchsorted(keys, 3 * nv + corner - corner // s)] = end
+    del first, corner
+
+    # Wyllie list ranking: rank becomes the edge count to the list end; a
+    # round that retires no edge leaves only hole cycles, which are dropped
+    rank = np.ones(owner.size + 1, itype)
+    rank[end] = 0
+    spare = np.empty_like(nxt)
+    retired = -1
+    while True:
+        rank += np.take(rank, nxt, out=spare)
+        nxt, spare = np.take(nxt, nxt, out=spare), nxt
+        count = int(np.count_nonzero(nxt == end))
+        if count == retired:
+            break
+        retired = count
+    del spare
+
+    # place each exterior edge in its ring: anchors have the largest rank
+    # (the ring length), so ring order is descending rank within each label
+    length = rank[anchor]
+    start = np.cumsum(length) - length
+    edges = np.flatnonzero(nxt[:end] == end).astype(itype)
+    del nxt, owner
+    slot = label[edges].astype(np.intp) - 1
+    order = np.empty(edges.size, itype)
+    order[start[slot] + length[slot] - rank[edges]] = edges
+    del edges, slot, rank
+
+    # a vertex starts each edge whose direction differs from the edge before;
+    # a ring's first edge (+x) follows the previous ring's closing left side
+    # (-y), so ring starts need no special case
+    direction = np.searchsorted(bounds, order, side="right")
+    bends = np.empty(order.size, bool)
+    bends[0] = True
+    np.not_equal(direction[1:], direction[:-1], out=bends[1:])
+    corners = order[bends]
+    vertex = keys[corners] % nv
+    ring = np.empty((corners.size, 2), np.int64)
+    ring[:, 0] = vertex % (w + 1)
+    ring[:, 1] = vertex // (w + 1)
+    ends = np.cumsum(np.bincount(label[corners], minlength=n + 1)).tolist()
+    result.instances = [PolygonInstance(k, ring[ends[k - 1]:ends[k]], a)
+                        for k, a in enumerate(area.tolist()) if k]
     return result
 
 
@@ -289,7 +353,9 @@ def polygon_set_to_geojson(ps: PolygonSet) -> dict:
     along as top-level members so instance maps can be rebuilt."""
     features = []
     for inst in ps.instances:
-        ring = [[int(x), int(y)] for x, y in inst.exterior]
+        # truncates a float ring (as read back from GeoJSON) toward zero, and
+        # does not copy the int64 rings that polygonize makes
+        ring = np.asarray(inst.exterior).astype(np.int64, copy=False).tolist()
         ring.append(ring[0])
         features.append({
             "type": "Feature",

@@ -28,6 +28,33 @@ def as_mask(a) -> np.ndarray:
     return (arr != 0).astype(np.uint8)
 
 
+def _max_label(labels: np.ndarray, what: str) -> int:
+    """Largest label of an instance map, whose labels must not be negative."""
+    if labels.dtype.kind not in "ub" and labels.size:
+        low = int(labels.min())
+        if low < 0:
+            raise ValueError(f"{what} map holds a negative label {low}")
+    return int(labels.max(initial=0))
+
+
+def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
+    """Pixel count of each label 0..N of an instance map whose nonzero
+    labels must be dense in 1..N. Negative labels are rejected and N is
+    checked against the pixel count before any table is sized from it."""
+    n = _max_label(labels, what)
+    if n > labels.size:
+        raise ValueError(f"{what} map labels are not dense: largest label {n} "
+                         f"exceeds the pixel count {labels.size}")
+    flat = labels.ravel()
+    if not np.can_cast(flat.dtype, np.intp):  # uint64: every label is now <= the size
+        flat = flat.astype(np.intp)
+    area = np.bincount(flat, minlength=n + 1)
+    absent = np.flatnonzero(area[1:] == 0)
+    if absent.size:
+        raise ValueError(f"{what} map labels are not dense in 1..{n}: label {absent[0] + 1} is absent")
+    return area
+
+
 def shift(arr: np.ndarray, dr: int, dc: int, fill) -> np.ndarray:
     """Translate a 2-D array by (dr, dc), filling vacated cells with `fill`."""
     out = np.full(arr.shape, fill, arr.dtype)

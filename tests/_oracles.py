@@ -274,3 +274,91 @@ def brute_gradient_check(losses, pred, gt, params, step=1e-5):
             err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-12)
             worst = max(worst, err)
     return worst
+
+
+def filter_small_by_unique(instances, min_area):
+    """`extract.filter_small` as first written: survivors ranked by a unique
+    over every nonzero pixel."""
+    lab = np.asarray(instances)
+    n = int(lab.max(initial=0))
+    if n == 0:
+        return lab.astype(np.uint32)
+    counts = np.bincount(lab.ravel(), minlength=n + 1)
+    keep = counts >= min_area
+    keep[0] = False
+    cleared = np.where(keep[lab], lab, 0).astype(np.uint32)
+    flat = cleared.ravel()
+    nz = np.flatnonzero(flat)
+    if nz.size == 0:
+        return cleared
+    survivors, first = np.unique(flat[nz], return_index=True)
+    order = survivors[np.argsort(nz[first], kind="stable")]
+    remap = np.zeros(n + 1, np.uint32)
+    remap[order] = np.arange(1, len(order) + 1, dtype=np.uint32)
+    return remap[cleared]
+
+
+# corner-walk directions: +x, +y, -x, -y (y grows downward)
+_WALK_DX = (1, 0, -1, 0)
+_WALK_DY = (0, 1, 0, -1)
+
+
+def trace_exterior(rows, cols):
+    """Walk the outer boundary of a pixel set one pixel edge per step, in
+    corner coordinates, preferring left turns so that a diagonal pinch is
+    passed on the outside; `rows`/`cols` must be sorted row-major so
+    (rows[0], cols[0]) is the anchor pixel."""
+    r0, c0 = int(rows.min()), int(cols.min())
+    g = np.zeros((int(rows.max()) - r0 + 3, int(cols.max()) - c0 + 3), bool)
+    g[rows - r0 + 1, cols - c0 + 1] = True
+
+    def has_edge(d, x, y):
+        if d == 0:
+            return g[y, x] and not g[y - 1, x]
+        if d == 1:
+            return g[y, x - 1] and not g[y, x]
+        if d == 2:
+            return g[y - 1, x - 1] and not g[y, x - 1]
+        return g[y - 1, x] and not g[y - 1, x - 1]
+
+    # start at the anchor's top-left corner heading +x (always a boundary edge)
+    sx = int(cols[0]) - c0 + 1
+    sy = int(rows[0]) - r0 + 1
+    verts = [(sx, sy)]
+    x, y, d = sx + 1, sy, 0
+    limit = 4 * rows.size + 8
+    while (x, y) != (sx, sy):
+        for turn in (-1, 0, 1):  # prefer left, then straight, then right
+            nd = (d + turn) % 4
+            if has_edge(nd, x, y):
+                break
+        else:
+            raise AssertionError("boundary walk left the edge set")
+        if nd != d:
+            verts.append((x, y))
+            d = nd
+        x += _WALK_DX[nd]
+        y += _WALK_DY[nd]
+        limit -= 1
+        if limit < 0:
+            raise AssertionError("boundary walk failed to close")
+
+    out = np.asarray(verts, np.int64)
+    out[:, 0] += c0 - 1
+    out[:, 1] += r0 - 1
+    return out
+
+
+def walk_polygonize(instances):
+    """Exterior ring of each label 1..N of a dense instance map by
+    `trace_exterior`: a list of (id, ring, area_px)."""
+    lab = np.asarray(instances)
+    w = lab.shape[1]
+    n = int(lab.max(initial=0))
+    flat = lab.ravel()
+    out = []
+    for lbl in range(1, n + 1):
+        idx = np.flatnonzero(flat == lbl)
+        assert idx.size, f"label {lbl} unused"
+        out.append((lbl, trace_exterior(idx // w, idx % w), int(idx.size)))
+    return out

@@ -33,6 +33,39 @@ def test_unknown_flag_is_usage_error():
     assert cli.main(["extract", "--bogus", "1"]) == 1
 
 
+def run_main(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], [], ["bogus"], ["bogus", "--help"], ["-", "extract"],
+    ["--", "extract", "--help"], *([stage, "--help"] for stage in cli.STAGES),
+    ["extract", "--bogus", "1"], ["fuse"], ["lr", "--schedule", "cosine"],
+    ["tile", "--size", "x"]], ids=lambda argv: " ".join(argv) or "no-args")
+def test_stage_parser_reads_like_the_full_parser(argv, capsys, monkeypatch):
+    built = []
+    staged = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or staged(only))
+    got = run_main(argv, capsys)
+    stage = next((a for a in argv if not a.startswith("-")), None)
+    assert built == [stage]
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: staged())
+    assert got == run_main(argv, capsys)
+    assert got[1] or got[2]
+
+
+def test_stage_parser_has_only_its_stage_arguments():
+    parser = cli.build_parser("lr")
+    assert parser.parse_args(["lr", "--schedule", "poly", "--out", "x"]).schedule == "poly"
+    with pytest.raises(cli.ValidationError, match="unrecognized arguments: --out x"):
+        parser.parse_args(["fuse", "--out", "x"])
+
+
 def test_cli_import_loads_only_the_stdlib_numpy_and_bfx():
     # site hooks (such as _distutils_hack) load before the import, so only the difference counts
     code = ("import sys; before = set(sys.modules); import bfx.cli; "

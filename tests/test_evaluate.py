@@ -196,6 +196,21 @@ def test_match_and_color_map_reject_sparse_labels(kind, reason):
             evaluate.color_map(pred, gt, match)
 
 
+@pytest.mark.parametrize("bad,reason", [
+    (np.array([[1, 0], [0, -2]], np.int64), "holds a negative label -2"),
+    # would wrap to label 1 in the uint32 cast
+    (np.array([[0, 0], [0, 2 ** 32 + 1]], np.int64),
+     "labels are not dense: largest label 4294967297 exceeds the pixel count 4")])
+def test_match_and_color_map_check_labels_before_the_uint32_cast(bad, reason):
+    dense = np.array([[0, 0], [0, 1]], np.uint32)
+    match = evaluate.match_instances(dense, dense)
+    for pred, gt, what in [(bad, dense, "prediction"), (dense, bad, "ground-truth")]:
+        with pytest.raises(ValueError, match=f"{what} map {reason}"):
+            evaluate.match_instances(pred, gt)
+        with pytest.raises(ValueError, match=f"{what} map {reason}"):
+            evaluate.color_map(pred, gt, match)
+
+
 @pytest.mark.parametrize("kind", ["far", "gap"])
 def test_color_map_checks_density_without_match_instances(kind):
     # a hand-made match that accounts for every label the sparse map holds

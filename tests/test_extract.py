@@ -6,7 +6,8 @@ import pytest
 from bfx import extract, raster, targets
 from bfx.annotations import ingest_annotations
 
-from _oracles import disjoint_rectangles, geodesic_watershed, point_fill, serpentine
+from _oracles import (disjoint_rectangles, filter_small_by_unique, geodesic_watershed, point_fill,
+                      serpentine, walk_polygonize)
 
 
 def rect_ring(x0, y0, x1, y1):
@@ -233,6 +234,40 @@ def test_filter_small_relabels_densely_by_anchor():
     assert out.max() == 2
 
 
+def random_label_maps(seed, count, max_side=13):
+    """Dense instance maps: 8- and 4-connected components of random masks,
+    and multi-label noise (holes, pinches and labels nested in holes)."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        h, w = (int(v) for v in rng.integers(1, max_side + 1, 2))
+        if t % 3 < 2:
+            mask = rng.random((h, w)) < rng.random()
+            yield raster.connected_components(mask, 8 if t % 3 == 0 else 4)
+        else:
+            raw = rng.integers(0, int(rng.integers(2, 7)), (h, w))
+            used = np.unique(raw[raw > 0])
+            dense = np.zeros(raw.max() + 1, np.uint32)
+            dense[used] = np.arange(1, used.size + 1)
+            yield dense[raw]
+
+
+def test_filter_small_matches_unique_over_every_pixel():
+    rng = np.random.default_rng(33)
+    for lab in random_label_maps(31, 300):
+        lab = lab * np.uint32(rng.integers(1, 4))  # sparse labels too
+        min_area = int(rng.integers(0, 6))
+        got = extract.filter_small(lab, min_area)
+        want = filter_small_by_unique(lab, min_area)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_filter_small_rejects_negative_labels(dtype):
+    lab = np.array([[1, 0], [0, -2]], dtype)
+    with pytest.raises(ValueError, match="instance map holds a negative label -2"):
+        extract.filter_small(lab, 1)
+
+
 # ---------------------------------------------------------------------------
 # polygonize
 # ---------------------------------------------------------------------------
@@ -335,6 +370,93 @@ def test_polygonize_area_conservation_and_exterior_refills():
         for inst in ps.instances:
             support = (lab == inst.id)
             assert np.array_equal(refill(inst, 24, 24), fill_holes(support))
+
+
+def assert_matches_walk(lab):
+    ps = extract.polygonize(lab, "img")
+    want = walk_polygonize(lab)
+    assert (ps.image_id, ps.height, ps.width) == ("img",) + lab.shape
+    assert [i.id for i in ps.instances] == [i for i, _, _ in want]
+    for inst, (_, ring, area) in zip(ps.instances, want):
+        assert inst.exterior.dtype == np.int64 and inst.exterior.shape == ring.shape
+        assert inst.exterior.tobytes() == ring.tobytes()
+        assert inst.area_px == area and type(inst.area_px) is int
+    return ps
+
+
+def test_polygonize_matches_the_boundary_walk_on_random_maps():
+    for lab in random_label_maps(32, 600):
+        assert_matches_walk(lab)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+def test_polygonize_thin_maps(shape):
+    assert_matches_walk(np.ones(shape, np.uint32))
+    assert_matches_walk(np.arange(1, shape[0] * shape[1] + 1, dtype=np.uint32).reshape(shape))
+    striped = np.zeros(shape, np.uint32)
+    striped.ravel()[::2] = np.arange(1, striped.ravel()[::2].size + 1)
+    assert_matches_walk(striped)
+
+
+def test_polygonize_instances_touching_every_canvas_side():
+    lab = np.zeros((6, 7), np.uint32)
+    lab[0, :] = 1
+    lab[:, 0] = 1
+    lab[-1, 2:] = 2
+    lab[1:5, -1] = 3
+    lab[2:4, 2:4] = 4
+    ps = assert_matches_walk(lab)
+    assert ps.instances[0].exterior.tolist() == [[0, 0], [7, 0], [7, 1], [1, 1], [1, 6], [0, 6]]
+    full = assert_matches_walk(np.ones((3, 4), np.uint32))
+    assert full.instances[0].exterior.tolist() == [[0, 0], [4, 0], [4, 3], [0, 3]]
+
+
+def test_polygonize_instance_inside_another_hole():
+    lab = np.zeros((7, 7), np.uint32)
+    lab[0:7, 0:7] = 1
+    lab[1:6, 1:6] = 0
+    lab[2:5, 2:5] = 2
+    lab[3, 3] = 3  # and one inside that one, filling its hole
+    ps = assert_matches_walk(lab)
+    assert [i.exterior.tolist() for i in ps.instances] == [
+        [[0, 0], [7, 0], [7, 7], [0, 7]], [[2, 2], [5, 2], [5, 5], [2, 5]],
+        [[3, 3], [4, 3], [4, 4], [3, 4]]]
+
+
+def test_polygonize_diagonal_pinches():
+    chain = np.eye(5, dtype=np.uint32)  # four pinch corners in one instance
+    ps = assert_matches_walk(chain)
+    assert len(ps.instances[0].exterior) == 4 * 5
+    ring = np.zeros((4, 4), np.uint32)  # a diamond of pinches around a hole
+    ring[0, 1] = ring[1, 0] = ring[1, 2] = ring[2, 1] = 1
+    ring[3, 3] = 2
+    ring[2, 2] = 3  # another label pinched against instance 1 and 2
+    assert_matches_walk(ring)
+    anti = np.fliplr(np.eye(4, dtype=np.uint32)) + np.eye(4, dtype=np.uint32)
+    anti[anti > 1] = 1
+    assert_matches_walk(anti)
+
+
+def test_polygonize_dtypes_and_layouts():
+    lab = raster.connected_components(np.random.default_rng(36).random((11, 13)) < 0.5, 8)
+    want = extract.polygon_set_to_geojson(extract.polygonize(lab))
+    wide = np.zeros((22, 39), np.int64)
+    wide[::2, ::3] = lab
+    flipped = np.ascontiguousarray(lab[::-1, ::-1])
+    variants = [lab.astype(np.uint8), lab.astype(np.int64), lab.astype(np.uint32),
+                lab.astype(np.uint64), np.asfortranarray(lab), wide[::2, ::3], flipped[::-1, ::-1]]
+    for v in variants:
+        assert extract.polygon_set_to_geojson(extract.polygonize(v)) == want
+
+
+@pytest.mark.parametrize("lab,reason", [
+    (np.array([[1, 0], [0, -2]], np.int64), "instance map holds a negative label -2"),
+    (np.array([[0, 0], [0, 5]], np.uint32),
+     "instance map labels are not dense: largest label 5 exceeds the pixel count 4"),
+    (np.array([[1, 0], [0, 3]], np.int16), r"not dense in 1\.\.3: label 2 is absent")])
+def test_polygonize_rejects_negative_and_sparse_labels(lab, reason):
+    with pytest.raises(ValueError, match=reason):
+        extract.polygonize(lab)
 
 
 # ---------------------------------------------------------------------------
