@@ -17,8 +17,8 @@ package too.
 
 from importlib import import_module as _import_module
 
-_SUBMODULES = ("annotations", "cli", "dataprep", "evaluate", "extract", "formats", "fusion",
-               "raster", "targets", "trainmath")
+_SUBMODULES = ("annotations", "cli", "dataprep", "evaluate", "extract", "fileio", "formats",
+               "fusion", "raster", "schedules", "targets", "tiling", "trainmath")
 
 _LAZY = {name: module for module, names in {
     "annotations": ("AnnotationError", "ingest_annotations"),
@@ -30,11 +30,11 @@ _LAZY = {name: module for module, names in {
                 "polygonize", "watershed_assign"),
     "fusion": ("apply_view", "binarize", "ensemble_average", "tta_average"),
     "raster": ("connected_components", "dilate", "erode", "mask_xor"),
+    "schedules": ("ScheduleParams", "lr_one_cycle", "lr_poly"),
     "targets": ("TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
                 "rasterize_polygon"),
-    "trainmath": ("ChannelWeights", "LossParams", "ScheduleParams", "bce_loss", "channel_loss",
-                  "cutmix", "dice_loss", "gradient_check", "lr_one_cycle", "lr_poly",
-                  "sample_cutmix_box", "total_loss"),
+    "trainmath": ("ChannelWeights", "LossParams", "bce_loss", "channel_loss", "cutmix", "dice_loss",
+                  "gradient_check", "sample_cutmix_box", "total_loss"),
 }.items() for name in names}
 
 __all__ = sorted(_LAZY)

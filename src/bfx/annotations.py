@@ -32,11 +32,6 @@ class AnnotationError(ValueError):
     index, or by feature index."""
 
 
-def _is_json_int(value) -> bool:
-    """A JSON integer: an int that is not a bool (no floats, no strings)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _ring(points) -> np.ndarray:
     """Validate one ring into an (n, 2) float64 array (see module doc)."""
     try:

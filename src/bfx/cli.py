@@ -24,11 +24,10 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-# each stage runner imports the modules it needs, so a call loads only its stage
-from . import formats
-from .formats import CHANNEL_NAMES
+# Each stage runner imports the modules it needs, so a call loads only its
+# stage. numpy is one of them: parsing, configs, sidecars and the stages
+# without arrays (`split`, `lr`) run on the stdlib alone.
+from . import fileio
 
 VIEW_SUFFIXES = (("identity", "id"), ("hflip", "hf"), ("vflip", "vf"), ("rot180", "r180"))
 
@@ -307,10 +306,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _channel_name(i: int) -> str:
-    return CHANNEL_NAMES[i] if i < len(CHANNEL_NAMES) else f"ch{i}"
-
-
 def _safe_image_id(image_id: str) -> str:
     if not image_id or any(sep in image_id for sep in ("/", "\\")) or image_id.startswith("."):
         raise ValidationError(f"image id {image_id!r} is not usable as a file stem")
@@ -337,9 +332,9 @@ def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], pr
 
     config_path = primary + ".config.json"
     manifest_path = primary + ".manifest.json"
-    formats.atomic_write_text(config_path, _canonical_json(
+    fileio.atomic_write_text(config_path, _canonical_json(
         {"stage": stage, "config": echo, "config_hash": config_hash}))
-    formats.atomic_write_text(manifest_path, _canonical_json(
+    fileio.atomic_write_text(manifest_path, _canonical_json(
         {"stage": stage, "inputs": [rel(p) for p in inputs],
          "outputs": [rel(p) for p in outputs], "config_hash": config_hash}))
 
@@ -350,7 +345,7 @@ def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], pr
 
 
 def run_targets(cfg: dict):
-    from . import annotations, targets
+    from . import annotations, formats, targets
 
     with open(cfg["annotations"], "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -373,7 +368,7 @@ def run_targets(cfg: dict):
             formats.write_pmap(path, stack.to_probmap())
             outputs.append(path)
         else:
-            for name, mask in zip(CHANNEL_NAMES, (stack.building, stack.border, stack.spacing)):
+            for name, mask in zip(formats.CHANNEL_NAMES, (stack.building, stack.border, stack.spacing)):
                 path = os.path.join(out_dir, f"{image_id}.{name}.pgm")
                 formats.write_pgm(path, mask)
                 outputs.append(path)
@@ -381,7 +376,7 @@ def run_targets(cfg: dict):
 
 
 def run_fuse(cfg: dict):
-    from . import fusion
+    from . import formats, fusion
 
     inputs = []
     outputs = []
@@ -407,15 +402,19 @@ def run_fuse(cfg: dict):
     formats.write_pmap(cfg["out"], fused)
     outputs.append(cfg["out"])
     stem = os.path.splitext(cfg["out"])[0]
+    names = formats.CHANNEL_NAMES
     for i in range(fused.shape[0]):
-        path = f"{stem}.{_channel_name(i)}.pgm"
+        name = names[i] if i < len(names) else f"ch{i}"
+        path = f"{stem}.{name}.pgm"
         formats.write_pgm(path, fusion.binarize(fused, i, cfg["threshold"]))
         outputs.append(path)
     return inputs, outputs, stem
 
 
 def run_extract(cfg: dict):
-    from . import extract, fusion
+    import numpy as np
+
+    from . import extract, formats, fusion
 
     inputs = []
     if cfg["input"] is not None:
@@ -444,14 +443,14 @@ def run_extract(cfg: dict):
             stack, cfg["threshold"], cfg["min_area"], use_spacing=not cfg["no_spacing"])
     ps = extract.polygonize(labels, image_id)
 
-    formats.atomic_write_text(cfg["out_geojson"], _canonical_json(extract.polygon_set_to_geojson(ps)))
+    fileio.atomic_write_text(cfg["out_geojson"], _canonical_json(extract.polygon_set_to_geojson(ps)))
     formats.write_imap(cfg["out_imap"], labels)
     outputs = [cfg["out_geojson"], cfg["out_imap"]]
     return inputs, outputs, os.path.splitext(cfg["out_geojson"])[0]
 
 
-def _load_instance_map(path: str) -> np.ndarray:
-    from . import evaluate, extract
+def _load_instance_map(path: str):
+    from . import evaluate, extract, formats
 
     if path.endswith(".imap"):
         return formats.read_imap(path)
@@ -492,7 +491,7 @@ def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
 
 
 def run_eval(cfg: dict):
-    from . import evaluate
+    from . import evaluate, formats
 
     pairs = _eval_pairs(cfg["pred"], cfg["gt"])
     directory_mode = os.path.isdir(cfg["pred"])
@@ -522,7 +521,7 @@ def run_eval(cfg: dict):
             formats.write_ppm(cfg["colormap"], results[0][2])
             outputs.append(cfg["colormap"])
     if cfg["csv"]:
-        formats.atomic_write_text(cfg["csv"], evaluate.export_per_image_csv(rows))
+        fileio.atomic_write_text(cfg["csv"], evaluate.export_per_image_csv(rows))
         outputs.append(cfg["csv"])
     if cfg["report"]:
         total, f1 = evaluate.aggregate_global([c for _, c in rows])
@@ -531,7 +530,7 @@ def run_eval(cfg: dict):
             "global": {"tp": total.tp, "fp": total.fp, "fn": total.fn},
             "f1_percent": f1,
         }
-        formats.atomic_write_text(cfg["report"], _canonical_json(report))
+        fileio.atomic_write_text(cfg["report"], _canonical_json(report))
         outputs.append(cfg["report"])
 
     primary = cfg["report"] or cfg["csv"] or cfg["colormap"]
@@ -540,13 +539,13 @@ def run_eval(cfg: dict):
 
 
 def run_tile(cfg: dict):
-    from . import dataprep
+    from . import formats, tiling
 
     values = formats.read_pgm_raw(cfg["raster"])
     h, w = values.shape
     size = cfg["size"]
     nodata = cfg["nodata"]
-    records = dataprep.tile_index(h, w, size)
+    records = tiling.tile_index(h, w, size)
 
     def probe(rec):
         r0, c0 = rec.origin
@@ -554,26 +553,26 @@ def run_tile(cfg: dict):
 
     for rec, blank in zip(records, _pool_map(probe, records, cfg["threads"])):
         rec.blank = blank
-    formats.atomic_write_text(cfg["index"], _canonical_json([r.to_json() for r in records]))
+    fileio.atomic_write_text(cfg["index"], _canonical_json([r.to_json() for r in records]))
     return [cfg["raster"]], [cfg["index"]], os.path.splitext(cfg["index"])[0]
 
 
 def run_split(cfg: dict):
-    from . import dataprep
+    from . import tiling
 
     with open(cfg["index"], "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, list):
         raise ValidationError("tile index must be a JSON array of records")
-    records = [dataprep.TileRecord.from_json(obj, size=0) for obj in doc]
-    assigned = dataprep.kfold_assign(records, cfg["k"])
+    records = [tiling.TileRecord.from_json(obj, size=0) for obj in doc]
+    assigned = tiling.kfold_assign(records, cfg["k"])
     out = cfg["out"] or cfg["index"]
-    formats.atomic_write_text(out, _canonical_json([r.to_json() for r in assigned]))
+    fileio.atomic_write_text(out, _canonical_json([r.to_json() for r in assigned]))
     return [cfg["index"]], [out], os.path.splitext(out)[0]
 
 
 def run_lossmath(cfg: dict):
-    from . import trainmath
+    from . import formats, trainmath
 
     params = trainmath.LossParams(cfg["beta"], cfg["eps"], cfg["gamma1"], cfg["gamma2"], cfg["clamp"])
     pred = formats.read_pmap(cfg["pred"])
@@ -584,7 +583,7 @@ def run_lossmath(cfg: dict):
                  f"lossmath total: {pred.shape[0]} channels but {len(gts)} --gt masks")
         _require(pred.shape[0] == 3, "lossmath total: expected a 3-channel stack")
         weights = trainmath.ChannelWeights(cfg["w_building"], cfg["w_border"], cfg["w_spacing"])
-        losses = [trainmath.channel_loss(pred[i], gts[i], params)[0] for i in range(3)]
+        losses = [trainmath.loss_value("channel", pred[i], gts[i], params) for i in range(3)]
         value = trainmath.total_loss(losses, weights)
     else:
         _require(cfg["channel"] < pred.shape[0],
@@ -593,32 +592,33 @@ def run_lossmath(cfg: dict):
         if op == "gradcheck":
             value = trainmath.gradient_check(plane, gts[0], params, cfg["step"])
         else:
-            fn = {"dice": trainmath.dice_loss, "bce": trainmath.bce_loss,
-                  "channel": trainmath.channel_loss}[op]
-            value = fn(plane, gts[0], params)[0]
+            value = trainmath.loss_value(op, plane, gts[0], params)
     print(f"{value:.9g}")
     return [cfg["pred"], *cfg["gt"]], [], None
 
 
 def run_lr(cfg: dict):
-    from . import trainmath
+    from . import schedules
 
-    sched = trainmath.ScheduleParams(cfg["total_epochs"], cfg["up_epochs"], cfg["lr_init"],
+    sched = schedules.ScheduleParams(cfg["total_epochs"], cfg["up_epochs"], cfg["lr_init"],
                                      cfg["lr_max"], cfg["lr_final"], cfg["poly_power"],
                                      cfg["poly_lr0"])
-    lines = ["epoch,lr"]
-    for epoch in range(cfg["total_epochs"] + 1):
-        if cfg["schedule"] == "poly":
-            lr = trainmath.lr_poly(epoch, sched, recursive=cfg["poly_recursive"])
-        else:
-            lr = trainmath.lr_one_cycle(epoch, sched)
-        lines.append(f"{epoch},{lr!r}")
-    formats.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
+    epochs = range(cfg["total_epochs"] + 1)
+    if cfg["schedule"] == "onecycle":
+        lrs = [schedules.lr_one_cycle(epoch, sched) for epoch in epochs]
+    elif cfg["poly_recursive"]:  # one running product, not one product per epoch
+        lrs = schedules.lr_poly_recurrence(cfg["total_epochs"], sched)
+    else:
+        lrs = [schedules.lr_poly(epoch, sched) for epoch in epochs]
+    lines = ["epoch,lr", *(f"{epoch},{lr!r}" for epoch, lr in zip(epochs, lrs))]
+    fileio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
     return [], [cfg["out"]], os.path.splitext(cfg["out"])[0]
 
 
 def run_cutmix(cfg: dict):
-    from . import trainmath
+    import numpy as np
+
+    from . import formats, trainmath
     from .targets import TargetStack
 
     image_a = formats.read_pmap(cfg["image_a"])

@@ -1,69 +1,22 @@
-"""Source-raster tiling, tile subdivision with annotation remapping, and
-row-balanced k-fold assignment.
+"""Tile subdivision with annotation remapping, plus the tile grid and
+row-balanced k-fold assignment of `bfx.tiling`, re-exported here.
 
-Tiles form a non-overlapping grid; partial tiles at the right/bottom edge
-are dropped so every training chip has the same size. Blankness is decided
-by a caller-supplied probe (all pixels equal to the declared nodata value
-in the CLI). Folds go round-robin over the non-blank tiles sorted by grid
-row then column, so fold sizes differ by at most one and the assignment
-depends only on grid coordinates, never on input order.
+A 1024 tile splits into four 512 quadrant crops; each polygon is clipped
+to the crop window and dropped when the clipped fragment covers no pixel.
+The grid, the tile records and the folds live in `bfx.tiling`, which
+needs no numpy, so `split` and `tile` do not load this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .annotations import _is_json_int
 from .annotations import ingest_annotations  # noqa: F401  (dataset-prep ingest surface)
 from .targets import rasterize_polygon
-
-
-@dataclass
-class TileRecord:
-    tile_id: int
-    row: int
-    col: int
-    size: int
-    blank: bool = False
-    fold: Optional[int] = None
-
-    @property
-    def origin(self) -> tuple[int, int]:
-        """Pixel offset (row, col) of the tile in the source raster."""
-        return (self.row * self.size, self.col * self.size)
-
-    def to_json(self) -> dict:
-        return {"tile_id": self.tile_id, "row": self.row, "col": self.col,
-                "blank": self.blank, "fold": self.fold}
-
-    @classmethod
-    def from_json(cls, obj: dict, size: int) -> "TileRecord":
-        if not (isinstance(obj, dict) and all(_is_json_int(obj.get(k)) for k in ("tile_id", "row", "col"))
-                and isinstance(obj.get("blank"), bool)
-                and (obj.get("fold") is None or _is_json_int(obj["fold"]))):
-            raise ValueError(f"tile record {obj!r} is not an object with integer tile_id, row "
-                             "and col, a boolean blank flag and an integer or null fold")
-        return cls(obj["tile_id"], obj["row"], obj["col"], size, obj["blank"], obj.get("fold"))
-
-
-def tile_index(height: int, width: int, tile_size: int = 1024,
-               probe: Callable[[TileRecord], bool] | None = None) -> list[TileRecord]:
-    """Grid the source extent into tiles; tile_id is the row-major grid index."""
-    if tile_size < 1:
-        raise ValueError("tile_size must be >= 1")
-    rows = height // tile_size
-    cols = width // tile_size
-    records = []
-    for r in range(rows):
-        for c in range(cols):
-            rec = TileRecord(r * cols + c, r, c, tile_size)
-            if probe is not None:
-                rec.blank = bool(probe(rec))
-            records.append(rec)
-    return records
+from .tiling import TileRecord, kfold_assign, tile_index  # noqa: F401  (the tiling surface)
 
 
 def _clip_ring(pts: np.ndarray, xlo: float, xhi: float, ylo: float, yhi: float) -> np.ndarray:
@@ -143,22 +96,3 @@ def subdivide_tile(image: Optional[np.ndarray], rings, tile_size: int = 1024,
             sub = None if img is None else img[..., r0:r0 + crop_size, c0:c0 + crop_size].copy()
             crops.append(TileCrop((r0, c0), sub, kept))
     return crops
-
-
-def kfold_assign(tiles: list[TileRecord], k: int = 5) -> list[TileRecord]:
-    """Round-robin folds over non-blank tiles sorted by (row, col).
-
-    Folds are keyed by `tile_id`, so a repeated id is an error."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    seen = set()
-    for t in tiles:
-        if t.tile_id in seen:
-            raise ValueError(f"tile_id {t.tile_id} appears more than once in the tile index")
-        seen.add(t.tile_id)
-    usable = sorted((t for t in tiles if not t.blank), key=lambda t: (t.row, t.col))
-    if len(usable) < k:
-        raise ValueError(f"need at least {k} non-blank tiles, have {len(usable)}")
-    fold_of = {t.tile_id: i % k for i, t in enumerate(usable)}
-    return [TileRecord(t.tile_id, t.row, t.col, t.size, t.blank,
-                       fold_of.get(t.tile_id)) for t in tiles]

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import annotations, fusion, raster
+from .fileio import _is_json_int
 
 LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
 
@@ -379,7 +380,7 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
     height, width = doc.get("height"), doc.get("width")
-    if not (annotations._is_json_int(height) and annotations._is_json_int(width)):
+    if not (_is_json_int(height) and _is_json_int(width)):
         raise ValueError("FeatureCollection lacks integer 'height'/'width' members")
     if height < 1 or width < 1 or height * width > MAX_GEOJSON_CANVAS_PIXELS:
         raise ValueError(f"FeatureCollection canvas {height}x{width} is outside "
@@ -391,7 +392,7 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     first_with_id = {}
     for k, props, ring in annotations._polygon_features(doc):
         inst_id, area_px = props.get("id", k + 1), props.get("area_px", 0)
-        if not (annotations._is_json_int(inst_id) and annotations._is_json_int(area_px)):
+        if not (_is_json_int(inst_id) and _is_json_int(area_px)):
             raise ValueError(f"feature {k}: 'id' and 'area_px' must be integers")
         if not 0 < inst_id < 2 ** 32:
             raise ValueError(f"feature {k}: id {inst_id} is not a positive uint32 label")

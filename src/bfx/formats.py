@@ -5,8 +5,8 @@ PGM "P5" stores binary masks (0 <-> 0, 1 <-> 255; values above 127 load as
 maps, and PPM "P6" stores the evaluation color maps. All multi-byte fields
 are little-endian; payloads are channel-major then row-major.
 
-Every writer is atomic (temp file + rename within the target directory),
-so interrupted runs never leave partial artifacts behind.
+Every writer is atomic (temp file + rename within the target directory,
+`bfx.fileio`), so interrupted runs never leave partial artifacts behind.
 """
 
 from __future__ import annotations
@@ -19,43 +19,13 @@ import struct
 import numpy as np
 
 from . import raster
+from .fileio import atomic_write_bytes, atomic_write_text  # noqa: F401  (the writers' surface)
 
 PMAP_MAGIC = b"PMAP1\n"
 IMAP_MAGIC = b"IMAP1\n"
 
 # plane order of a target stack and of a fused PMAP1, and the PGM name stems
 CHANNEL_NAMES = ("building", "border", "spacing")
-
-
-def atomic_write_bytes(path, data) -> None:
-    """Write a bytes-like object (bytes, or a C-contiguous array's buffer)
-    to `path` through a temp file renamed over it.
-
-    The temp file is created with mode 0666 less the process umask, as
-    `open()` would create `path`, so artifacts get the usual permissions."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(directory, ".tmp." + os.urandom(8).hex())
-        try:
-            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-            break
-        except FileExistsError:
-            continue
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

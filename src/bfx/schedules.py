@@ -1,0 +1,77 @@
+"""Learning-rate schedules: polynomial decay and the one-cycle cosine ramp;
+nothing here may import numpy.
+
+`bfx lr` dumps a whole schedule from here without loading numpy. The
+literal polynomial recurrence is one running product (`lr_poly_recurrence`),
+so a table of E epochs costs O(E), and `lr_poly(recursive=True)` is its
+last term.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class ScheduleParams:
+    total_epochs: int = 100
+    up_epochs: int = 40
+    lr_init: float = 0.0001 / 20
+    lr_max: float = 0.0001
+    lr_final: float = (0.0001 / 20) / 1000
+    poly_power: float = 0.9
+    poly_lr0: float = 0.001
+
+    def __post_init__(self):
+        if not 0 < self.up_epochs < self.total_epochs:
+            raise ValueError("need 0 < up_epochs < total_epochs")
+        if not self.lr_final < self.lr_init < self.lr_max:
+            raise ValueError("need lr_final < lr_init < lr_max")
+
+
+def _check_epoch(epoch, params: ScheduleParams) -> None:
+    if not 0 <= epoch <= params.total_epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {params.total_epochs}]")
+
+
+def lr_poly_recurrence(last_epoch, params: ScheduleParams = ScheduleParams()) -> list[float]:
+    """Learning rates of epochs 0..last_epoch under the literal recurrence
+    lr_t = lr_{t-1} * (1 - t/total)^power, lr_0 = poly_lr0, as one running
+    product."""
+    _check_epoch(last_epoch, params)
+    lr = params.poly_lr0
+    out = [lr]
+    for t in range(1, int(last_epoch) + 1):
+        lr *= (1.0 - t / params.total_epochs) ** params.poly_power
+        out.append(lr)
+    return out
+
+
+def lr_poly(epoch, params: ScheduleParams = ScheduleParams(), recursive: bool = False) -> float:
+    """Polynomial decay from poly_lr0 to 0 over total_epochs.
+
+    The closed form lr0 * (1 - epoch/total)^power is the default; the
+    literal recurrence lr_{t} = lr_{t-1} * (1 - t/total)^power is kept
+    behind `recursive` for comparison (it decays far faster).
+    """
+    _check_epoch(epoch, params)
+    if recursive:
+        return lr_poly_recurrence(epoch, params)[-1]
+    return params.poly_lr0 * (1.0 - epoch / params.total_epochs) ** params.poly_power
+
+
+def lr_one_cycle(epoch, params: ScheduleParams = ScheduleParams()) -> float:
+    """Single cosine ramp lr_init -> lr_max over up_epochs, then a cosine
+    decay lr_max -> lr_final over the remaining epochs.
+
+    Both phases are convex combinations in the cosine weight, so the
+    endpoints and the junction at up_epochs are exact.
+    """
+    _check_epoch(epoch, params)
+    if epoch <= params.up_epochs:
+        w = (1.0 - math.cos(math.pi * epoch / params.up_epochs)) / 2.0
+        return params.lr_init * (1.0 - w) + params.lr_max * w
+    down = params.total_epochs - params.up_epochs
+    w = (1.0 + math.cos(math.pi * (epoch - params.up_epochs) / down)) / 2.0
+    return params.lr_final * (1.0 - w) + params.lr_max * w

@@ -1,5 +1,6 @@
-"""Training-side numerics: losses with analytic gradients, learning-rate
-schedules, and rectangle-paste sample mixing.
+"""Training-side numerics: losses with analytic gradients, the loss values
+alone, and rectangle-paste sample mixing. The learning-rate schedules live
+in `bfx.schedules`, which needs no numpy, and are re-exported here.
 
 Losses take a float prediction raster in [0, 1] and a binary target of the
 same shape, and return both the scalar and the per-pixel derivative with
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import raster
+from .schedules import ScheduleParams, lr_one_cycle, lr_poly  # noqa: F401  (the schedule surface)
 from .targets import TargetStack
 
 
@@ -52,23 +54,6 @@ class ChannelWeights:
         return (self.building, self.border, self.spacing)
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
-    total_epochs: int = 100
-    up_epochs: int = 40
-    lr_init: float = 0.0001 / 20
-    lr_max: float = 0.0001
-    lr_final: float = (0.0001 / 20) / 1000
-    poly_power: float = 0.9
-    poly_lr0: float = 0.001
-
-    def __post_init__(self):
-        if not 0 < self.up_epochs < self.total_epochs:
-            raise ValueError("need 0 < up_epochs < total_epochs")
-        if not self.lr_final < self.lr_init < self.lr_max:
-            raise ValueError("need lr_final < lr_init < lr_max")
-
-
 def _loss_inputs(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, np.float64)
     g = raster.as_mask(gt).astype(np.float64)
@@ -90,11 +75,14 @@ def dice_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.nd
     return _dice(*_loss_inputs(pred, gt), params)
 
 
-def _dice(p, g, params: LossParams) -> tuple[float, np.ndarray]:
-    """`dice_loss` of a checked float64 prediction and 0/1 target."""
+def _dice(p, g, params: LossParams, with_grad: bool = True) -> tuple[float, np.ndarray | None]:
+    """`dice_loss` of a checked float64 prediction and 0/1 target; the
+    gradient is None unless `with_grad`."""
     num, den = _dice_ratio(*_soft_counts(p, g), params)
-    grad = (num - (1.0 + params.beta * params.beta) * g * den) / (den * den)
-    return 1.0 - num / den, grad
+    loss = 1.0 - num / den
+    if not with_grad:
+        return loss, None
+    return loss, (num - (1.0 + params.beta * params.beta) * g * den) / (den * den)
 
 
 def _soft_counts(p, g) -> tuple[float, float, float]:
@@ -120,11 +108,14 @@ def bce_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.nda
     return _bce(*_loss_inputs(pred, gt), params)
 
 
-def _bce(p, g, params: LossParams) -> tuple[float, np.ndarray]:
-    """`bce_loss` of a checked float64 prediction and 0/1 target."""
+def _bce(p, g, params: LossParams, with_grad: bool = True) -> tuple[float, np.ndarray | None]:
+    """`bce_loss` of a checked float64 prediction and 0/1 target; the
+    gradient is None unless `with_grad`."""
     n = p.size
     pc = np.clip(p, params.clamp, 1.0 - params.clamp)
     loss = float(np.mean(_bce_terms(pc, g)))
+    if not with_grad:
+        return loss, None
     grad = (-(g / pc) + (1.0 - g) / (1.0 - pc)) / n
     grad[(p < params.clamp) | (p > 1.0 - params.clamp)] = 0.0
     return loss, grad
@@ -137,11 +128,29 @@ def _bce_terms(pc, g):
 
 def channel_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.ndarray]:
     """Per-channel mix gamma1 * BCE + gamma2 * Dice, with its gradient."""
-    p, g = _loss_inputs(pred, gt)
-    bce, bce_grad = _bce(p, g, params)
-    dice, dice_grad = _dice(p, g, params)
-    return (params.gamma1 * bce + params.gamma2 * dice,
-            params.gamma1 * bce_grad + params.gamma2 * dice_grad)
+    return _channel(*_loss_inputs(pred, gt), params)
+
+
+def _channel(p, g, params: LossParams, with_grad: bool = True) -> tuple[float, np.ndarray | None]:
+    """`channel_loss` of a checked float64 prediction and 0/1 target; the
+    gradient is None unless `with_grad`."""
+    bce, bce_grad = _bce(p, g, params, with_grad)
+    dice, dice_grad = _dice(p, g, params, with_grad)
+    grad = params.gamma1 * bce_grad + params.gamma2 * dice_grad if with_grad else None
+    return params.gamma1 * bce + params.gamma2 * dice, grad
+
+
+_LOSS_CORES = {"dice": _dice, "bce": _bce, "channel": _channel}
+
+
+def loss_value(kind: str, pred, gt, params: LossParams = LossParams()) -> float:
+    """The value of `dice_loss`, `bce_loss` or `channel_loss` (`kind`),
+    bit-identical to the first element of its result, without building the
+    per-pixel gradient: the value comes from the same soft counts and BCE
+    terms, and the gradient's passes over the plane are skipped."""
+    if kind not in _LOSS_CORES:
+        raise ValueError(f"unknown loss {kind!r}; expected one of {', '.join(_LOSS_CORES)}")
+    return _LOSS_CORES[kind](*_loss_inputs(pred, gt), params, with_grad=False)[0]
 
 
 def total_loss(losses, weights) -> float:
@@ -156,40 +165,6 @@ def total_loss(losses, weights) -> float:
     if total_w <= 0:
         raise ValueError("channel weights sum to zero")
     return sum(w * x for w, x in zip(weights, losses)) / total_w
-
-
-def lr_poly(epoch, params: ScheduleParams = ScheduleParams(), recursive: bool = False) -> float:
-    """Polynomial decay from poly_lr0 to 0 over total_epochs.
-
-    The closed form lr0 * (1 - epoch/total)^power is the default; the
-    literal recurrence lr_{t} = lr_{t-1} * (1 - t/total)^power is kept
-    behind `recursive` for comparison (it decays far faster).
-    """
-    if not 0 <= epoch <= params.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {params.total_epochs}]")
-    if recursive:
-        lr = params.poly_lr0
-        for t in range(1, int(epoch) + 1):
-            lr *= (1.0 - t / params.total_epochs) ** params.poly_power
-        return lr
-    return params.poly_lr0 * (1.0 - epoch / params.total_epochs) ** params.poly_power
-
-
-def lr_one_cycle(epoch, params: ScheduleParams = ScheduleParams()) -> float:
-    """Single cosine ramp lr_init -> lr_max over up_epochs, then a cosine
-    decay lr_max -> lr_final over the remaining epochs.
-
-    Both phases are convex combinations in the cosine weight, so the
-    endpoints and the junction at up_epochs are exact.
-    """
-    if not 0 <= epoch <= params.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {params.total_epochs}]")
-    if epoch <= params.up_epochs:
-        w = (1.0 - math.cos(math.pi * epoch / params.up_epochs)) / 2.0
-        return params.lr_init * (1.0 - w) + params.lr_max * w
-    down = params.total_epochs - params.up_epochs
-    w = (1.0 + math.cos(math.pi * (epoch - params.up_epochs) / down)) / 2.0
-    return params.lr_final * (1.0 - w) + params.lr_max * w
 
 
 def gradient_check(pred, gt, params: LossParams = LossParams(), step: float = 1e-5) -> float:

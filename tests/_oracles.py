@@ -276,6 +276,16 @@ def brute_gradient_check(losses, pred, gt, params, step=1e-5):
     return worst
 
 
+def poly_recurrence_per_epoch(epoch, params):
+    """`lr_poly(epoch, params, recursive=True)` as first written: the whole
+    product lr0 * prod_{t=1..epoch} (1 - t/total)^power redone for each
+    epoch, in the same multiplication order."""
+    lr = params.poly_lr0
+    for t in range(1, epoch + 1):
+        lr *= (1.0 - t / params.total_epochs) ** params.poly_power
+    return lr
+
+
 def filter_small_by_unique(instances, min_area):
     """`extract.filter_small` as first written: survivors ranked by a unique
     over every nonzero pixel."""

@@ -66,15 +66,47 @@ def test_stage_parser_has_only_its_stage_arguments():
         parser.parse_args(["fuse", "--out", "x"])
 
 
-def test_cli_import_loads_only_the_stdlib_numpy_and_bfx():
+def test_cli_import_loads_no_numpy():
     # site hooks (such as _distutils_hack) load before the import, so only the difference counts
     code = ("import sys; before = set(sys.modules); import bfx.cli; "
             "print(*sorted(set(sys.modules) - before))")
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True).stdout.split()
-    assert "bfx.cli" in loaded and "numpy" in loaded
-    foreign = {m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names) - {"numpy", "bfx"}
+    assert "bfx.cli" in loaded and "numpy" not in loaded
+    foreign = {m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names) - {"bfx"}
     assert foreign == set()
+
+
+def test_stdlib_only_modules_load_no_numpy():
+    code = ("import sys; import bfx.fileio, bfx.schedules, bfx.tiling; "
+            "print(*sorted(m for m in sys.modules if m.startswith('bfx')), 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["bfx", "bfx.fileio", "bfx.schedules", "bfx.tiling", "False"]
+
+
+NUMPY_FREE_CALLS = {
+    "split": (["split", "--index", "{d}/tiles.json", "--k", "2", "--out", "{d}/folds.json"], 0),
+    "lr-poly": (["lr", "--schedule", "poly", "--poly-recursive", "--out", "{d}/poly.csv"], 0),
+    "lr-onecycle": (["lr", "--schedule", "onecycle", "--out", "{d}/onecycle.csv"], 0),
+    "help": (["--help"], 0),
+    "lr-help": (["lr", "--help"], 0),
+    "usage-error": (["lr", "--schedule", "cosine", "--out", "{d}/x.csv"], 1),
+    "io-error": (["split", "--index", "{d}/missing.json"], 2),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_CALLS)
+def test_stages_without_arrays_load_no_numpy(name, tmp_path):
+    tiles = [{"tile_id": i, "row": i // 3, "col": i % 3, "blank": False, "fold": None} for i in range(6)]
+    (tmp_path / "tiles.json").write_text(json.dumps(tiles))
+    argv, expected = NUMPY_FREE_CALLS[name]
+    code = ("import sys\nfrom bfx.cli import main\n"
+            "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as exc:\n    rc = exc.code\n"
+            "print('rc', rc, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *(a.format(d=tmp_path) for a in argv)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == f"rc {expected} False"
 
 
 def test_fuse_and_extract_load_only_their_modules(tmp_path):
@@ -93,7 +125,7 @@ def test_fuse_and_extract_load_only_their_modules(tmp_path):
         bare, after = proc.stdout.split("\n")[:2]
         assert bare == ""  # `import bfx` alone loads no submodule
         loaded[stage] = set(after.split())
-    assert loaded["fuse"] == {"bfx", "bfx.cli", "bfx.formats", "bfx.raster", "bfx.fusion"}
+    assert loaded["fuse"] == {"bfx", "bfx.cli", "bfx.fileio", "bfx.formats", "bfx.raster", "bfx.fusion"}
     assert loaded["extract"] - loaded["fuse"] == {"bfx.extract", "bfx.annotations"}
 
 
@@ -361,6 +393,48 @@ def test_lossmath_total_and_gradcheck(tmp_path, capsys):
     assert cli.main(["lossmath", "gradcheck", "--pred", str(tmp_path / "p.pmap"),
                      "--gt", gt_paths[0]]) == 0
     assert float(capsys.readouterr().out) <= 1e-4
+
+
+def test_lossmath_prints_the_value_of_the_gradient_bearing_losses(tmp_path, capsys):
+    from bfx import trainmath
+
+    rng = np.random.default_rng(5)
+    pred = rng.random((3, 33, 40)).astype(np.float32)
+    pred[:, :3] = 0.0  # clamped rows
+    pred[:, -3:] = 1.0
+    formats.write_pmap(tmp_path / "p.pmap", pred)
+    gts = [(rng.random((33, 40)) < 0.4).astype(np.uint8) for _ in range(3)]
+    gt_paths = []
+    for i, gt in enumerate(gts):
+        gt_paths.append(str(tmp_path / f"g{i}.pgm"))
+        formats.write_pgm(gt_paths[-1], gt)
+    flags = ["--beta", "0.7", "--eps", "0.01", "--clamp", "0.001", "--gamma1", "0.2"]
+    params = trainmath.LossParams(0.7, 0.01, 0.2, 0.5, 0.001)
+    losses = [trainmath.channel_loss(pred[i], gts[i], params)[0] for i in range(3)]
+    expected = trainmath.total_loss(losses, trainmath.ChannelWeights(1.0, 3.0, 2.0))
+    assert cli.main(["lossmath", "total", "--pred", str(tmp_path / "p.pmap"), "--gt", *gt_paths,
+                     "--w-border", "3", *flags]) == 0
+    assert capsys.readouterr().out == f"{expected:.9g}\n"
+    for op, fn in (("dice", trainmath.dice_loss), ("bce", trainmath.bce_loss),
+                   ("channel", trainmath.channel_loss)):
+        assert cli.main(["lossmath", op, "--pred", str(tmp_path / "p.pmap"), "--gt", gt_paths[2],
+                         "--channel", "2", *flags]) == 0
+        assert capsys.readouterr().out == f"{fn(pred[2], gts[2], params)[0]:.9g}\n"
+
+
+def test_lr_poly_recursive_table_of_100k_epochs(tmp_path):
+    from bfx.schedules import ScheduleParams
+
+    from _oracles import poly_recurrence_per_epoch
+
+    out = tmp_path / "lr.csv"
+    assert cli.main(["lr", "--schedule", "poly", "--poly-recursive", "--total-epochs", "100000",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 100002 and lines[-1] == "100000,0.0"
+    params = ScheduleParams(total_epochs=100000)
+    for epoch in (0, 1, 2, 999, 5000):
+        assert lines[epoch + 1] == f"{epoch},{poly_recurrence_per_epoch(epoch, params)!r}"
 
 
 def test_lr_stage_csv(tmp_path):

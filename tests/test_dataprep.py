@@ -286,3 +286,10 @@ def test_ingest_geojson_rejects_non_list_coordinates():
 
 def test_dataprep_reexports_ingest():
     assert dataprep.ingest_annotations is ingest_annotations
+
+
+def test_dataprep_reexports_the_tiling_module():
+    from bfx import tiling
+
+    for name in ("TileRecord", "tile_index", "kfold_assign"):
+        assert getattr(dataprep, name) is getattr(tiling, name)

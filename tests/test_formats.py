@@ -111,6 +111,13 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert leftovers == []  # no temp files left behind
 
 
+def test_atomic_writers_are_the_fileio_ones():
+    from bfx import fileio
+
+    assert formats.atomic_write_bytes is fileio.atomic_write_bytes
+    assert formats.atomic_write_text is fileio.atomic_write_text
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_atomic_write_applies_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bfx import trainmath
+from bfx import schedules, trainmath
 from bfx.targets import TargetStack
 from bfx.trainmath import ChannelWeights, LossParams, ScheduleParams
 
-from _oracles import brute_gradient_check
+from _oracles import brute_gradient_check, poly_recurrence_per_epoch
 
 
 def finite_difference(fn, pred, gt, params, step=1e-5):
@@ -129,6 +129,36 @@ def test_channel_degenerate_mix_is_bce():
     gt = (rng.random((6, 6)) < 0.5).astype(np.uint8)
     params = LossParams(gamma1=1.0, gamma2=0.0)
     assert trainmath.channel_loss(pred, gt, params)[0] == trainmath.bce_loss(pred, gt, params)[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("beta, eps, clamp, gamma1, gamma2", [
+    (1.0, 1e-4, 1e-7, 0.5, 0.5), (0.5, 1e-2, 1e-3, 1.0, 0.0), (2.0, 1e-6, 0.2, 0.3, 1.7),
+    (0.0, 1.0, 0.49, 0.0, 1.0)])
+def test_loss_value_is_the_losses_first_element_bit_for_bit(dtype, beta, eps, clamp, gamma1, gamma2):
+    rng = np.random.default_rng(11)
+    params = LossParams(beta, eps, gamma1, gamma2, clamp)
+    for side in (1, 7, 64, 257):
+        pred = rng.random((side, side)).astype(dtype)
+        pred[rng.random(pred.shape) < 0.1] = 0.0  # clamped pixels at both ends
+        pred[rng.random(pred.shape) < 0.1] = 1.0
+        pred[rng.random(pred.shape) < 0.05] = clamp / 2
+        gt = (rng.random((side, side)) < 0.5).astype(np.uint8)
+        for kind, fn in (("dice", trainmath.dice_loss), ("bce", trainmath.bce_loss),
+                         ("channel", trainmath.channel_loss)):
+            value = trainmath.loss_value(kind, pred, gt, params)
+            assert type(value) is float
+            assert value.hex() == fn(pred, gt, params)[0].hex(), (kind, side)
+
+
+def test_loss_value_checks_like_the_losses():
+    gt = np.ones((4, 4), np.uint8)
+    with pytest.raises(ValueError, match="unknown loss 'focal'"):
+        trainmath.loss_value("focal", np.full((4, 4), 0.5), gt)
+    with pytest.raises(ValueError, match="lie in"):
+        trainmath.loss_value("dice", np.full((4, 4), 1.5), gt)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        trainmath.loss_value("channel", np.full((4, 5), 0.5), gt)
 
 
 def test_total_equal_losses_any_weights():
@@ -267,6 +297,25 @@ def test_poly_recursive_variant_decays_faster():
     assert trainmath.lr_poly(0, recursive=True) == 0.001
     assert recursive < closed
     assert trainmath.lr_poly(100, recursive=True) == 0.0
+
+
+@pytest.mark.parametrize("total, power", [(2, 0.9), (100, 0.9), (37, 1.7), (250, 0.35)])
+def test_poly_recurrence_is_the_per_epoch_product_bit_for_bit(total, power):
+    params = ScheduleParams(total_epochs=total, up_epochs=1, poly_power=power, poly_lr0=0.003)
+    table = schedules.lr_poly_recurrence(total, params)
+    assert len(table) == total + 1
+    for epoch in range(total + 1):
+        expected = poly_recurrence_per_epoch(epoch, params).hex()
+        assert table[epoch].hex() == expected
+        assert trainmath.lr_poly(epoch, params, recursive=True).hex() == expected
+    assert schedules.lr_poly_recurrence(total // 2, params) == table[:total // 2 + 1]
+    with pytest.raises(ValueError, match="outside"):
+        schedules.lr_poly_recurrence(total + 1, params)
+
+
+def test_schedules_are_reexported_from_trainmath():
+    for name in ("ScheduleParams", "lr_poly", "lr_one_cycle"):
+        assert getattr(trainmath, name) is getattr(schedules, name)
 
 
 def test_one_cycle_endpoints_exact():
