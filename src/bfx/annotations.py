@@ -51,7 +51,7 @@ def _ring(points) -> np.ndarray:
         pts = pts.astype(np.float64, copy=False)
     except OverflowError:  # an integer beyond the float64 range
         raise AnnotationError("non-finite coordinate") from None
-    if len(pts) >= 2 and np.array_equal(pts[0], pts[-1]):
+    if len(pts) >= 2 and pts[0].tolist() == pts[-1].tolist():
         pts = pts[:-1]
     if len(pts) < 3:
         raise AnnotationError("ring has fewer than 3 vertices")

@@ -292,14 +292,47 @@ def _validate(stage: str, cfg: dict) -> None:
 
 
 def _pool_map(fn, items, threads):
+    """[fn(x) for x in items] on up to `threads` worker threads (default:
+    one per CPU). Results keep the input order. Workers claim items in
+    order and stop claiming after a failure, and once all have finished the
+    first error in input order is raised, so what fails does not depend on
+    the pool width."""
     items = list(items)
     n = threads if threads is not None else (os.cpu_count() or 1)
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))  # order-stable collection
+    results = [None] * len(items)
+    errors = [None] * len(items)
+    lock = threading.Lock()
+    claimed = 0
+    failed = False
+
+    def work():
+        nonlocal claimed, failed
+        while True:
+            with lock:
+                i = claimed
+                if i == len(items) or failed:
+                    return
+                claimed += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised in the calling thread
+                errors[i] = exc
+                with lock:
+                    failed = True
+
+    workers = [threading.Thread(target=work) for _ in range(min(n, len(items)))]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _canonical_json(obj) -> str:
@@ -378,27 +411,29 @@ def run_targets(cfg: dict):
 def run_fuse(cfg: dict):
     from . import formats, fusion
 
-    inputs = []
-    outputs = []
     if cfg["tta"]:
-        per_fold = []
+        folds = []
         for prefix in cfg["inputs"]:
             stem, ext = os.path.splitext(prefix)
-            views = {}
-            for view, suffix in VIEW_SUFFIXES:
-                path = f"{stem}.{suffix}{ext}"
-                views[view] = formats.read_pmap(path)
-                inputs.append(path)
-            folded = fusion.tta_average(views)
-            tta_path = f"{stem}.tta{ext}"
-            formats.write_pmap(tta_path, folded)  # per-fold intermediate
-            outputs.append(tta_path)
-            per_fold.append(folded)
-        fused = fusion.ensemble_average(per_fold)
+            folds.append({view: f"{stem}.{suffix}{ext}" for view, suffix in VIEW_SUFFIXES})
+
+        def fold(paths):  # one reused buffer per fold (see fusion.tta_average_stream)
+            return fusion.tta_average_stream(lambda view, buf: formats.read_pmap(paths[view], out=buf))
+
+        per_fold = _pool_map(fold, folds, cfg["threads"])
+        inputs = [path for paths in folds for path in paths.values()]
     else:
         inputs = list(cfg["inputs"])
-        fused = fusion.ensemble_average([formats.read_pmap(p) for p in inputs])
+        per_fold = [formats.read_pmap(p) for p in inputs]
+    fused = fusion.ensemble_average(per_fold)
 
+    # nothing is written until every input has been read and fused
+    outputs = []
+    if cfg["tta"]:
+        for prefix, folded in zip(cfg["inputs"], per_fold):
+            stem, ext = os.path.splitext(prefix)
+            formats.write_pmap(f"{stem}.tta{ext}", folded)  # per-fold intermediate
+            outputs.append(f"{stem}.tta{ext}")
     formats.write_pmap(cfg["out"], fused)
     outputs.append(cfg["out"])
     stem = os.path.splitext(cfg["out"])[0]

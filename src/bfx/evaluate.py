@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import raster, targets
+from . import annotations, raster, targets
 from .extract import PolygonSet
 
 
@@ -217,19 +217,34 @@ def rasterize_polygon_set(ps: PolygonSet) -> np.ndarray:
 
     Instances are rasterized in ascending id order (later ids overwrite on
     overlap, which cannot happen for sets produced by the extractor) and
-    relabeled densely preserving that order. The canvas holds each id's
-    rank among the distinct ids, so the relabel table has one entry per
+    relabeled densely preserving that order. All rings' spans are built at
+    once (`targets._spans`) and painted in one pass, where each pixel keeps
+    the largest rank among the distinct ids covering it, so the work is
+    O(edges + crossings + covered pixels) plus one pass over the canvas,
+    however many rings there are. The relabel table has one entry per
     distinct id however large the ids are.
     """
+    if ps.height < 1 or ps.width < 1:
+        raise ValueError("canvas dimensions must be >= 1")
     ids = np.array([inst.id for inst in ps.instances], np.int64)
     distinct, rank = np.unique(ids, return_inverse=True)
-    labels = np.zeros((ps.height, ps.width), np.uint32)
     order = np.argsort(ids, kind="stable")
-    rings = [ps.instances[k].exterior for k in order]
-    for j, win, filled in targets._ring_fills(rings, ps.height, ps.width):
-        labels[win][filled == 1] = rank[order[j]] + 1
+    rings = []
+    for j, k in enumerate(order):
+        try:
+            rings.append(annotations._ring(ps.instances[k].exterior))
+        except ValueError as exc:
+            raise ValueError(f"polygon {j}: {exc}") from exc
+    ring, start, length = targets._spans(rings, ps.height, ps.width)
+    labels = np.zeros((ps.height, ps.width), np.uint32)
+    flat = labels.ravel()
+    pixels = targets._span_pixels(start, length)
+    value = (rank[order] + 1).astype(np.uint32)
+    np.maximum.at(flat, pixels, value[ring].repeat(length))
     used = np.zeros(distinct.size + 1, bool)
-    used[labels] = True
+    used[flat[pixels]] = True  # every labeled pixel is a span pixel
+    if used[1:].all():  # every id kept a pixel: the ranks are already dense
+        return labels
     used[0] = False
     remap = np.zeros(distinct.size + 1, np.uint32)
     remap[used] = np.arange(1, np.count_nonzero(used) + 1, dtype=np.uint32)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 
 
-def atomic_write_bytes(path, data) -> None:
-    """Write a bytes-like object (bytes, or a C-contiguous array's buffer)
-    to `path` through a temp file renamed over it.
+def atomic_write_bytes(path, *parts) -> None:
+    """Write bytes-like objects (bytes, or C-contiguous arrays, whose
+    buffers are written as they are) one after another to `path` through
+    a temp file renamed over it.
 
     The temp file is created with mode 0666 less the process umask, as
     `open()` would create `path`, so artifacts get the usual permissions."""
@@ -28,7 +29,8 @@ def atomic_write_bytes(path, data) -> None:
             continue
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:

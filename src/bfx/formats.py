@@ -7,6 +7,10 @@ are little-endian; payloads are channel-major then row-major.
 
 Every writer is atomic (temp file + rename within the target directory,
 `bfx.fileio`), so interrupted runs never leave partial artifacts behind.
+A writer hands the header and the payload array over as two buffers, and
+the payload is copied only when its dtype or memory order differ from the
+file's. Every reader parses the header, then reads the payload into one
+preallocated array (`read_pmap` optionally into the caller's).
 """
 
 from __future__ import annotations
@@ -33,31 +37,25 @@ CHANNEL_NAMES = ("building", "border", "spacing")
 # ---------------------------------------------------------------------------
 
 
-def _frame(header: bytes, shape, dtype):
-    """Allocate `header` and an unfilled C-order payload of `shape` and
-    `dtype` as one uint8 buffer; return the buffer and the payload view.
-
-    Writers fill the view in place (casting on the way), so an artifact's
-    bytes are built with a single pass over the payload. An empty array is
-    refused, as every reader refuses a zero dimension."""
-    if 0 in shape:
-        raise ValueError(f"cannot write an array with a zero dimension: {tuple(shape)}")
-    n = len(header)
-    frame = np.empty(n + math.prod(shape) * np.dtype(dtype).itemsize, np.uint8)
-    frame[:n] = np.frombuffer(header, np.uint8)
-    return frame, frame[n:].view(dtype).reshape(shape)
+def _parts(header: bytes, arr: np.ndarray, dtype):
+    """`header` and `arr` as a C-order payload of `dtype`, the two buffers
+    an artifact is written from; `arr` is copied only when its dtype or
+    layout differ. An empty array is refused, as every reader refuses a
+    zero dimension."""
+    if 0 in arr.shape:
+        raise ValueError(f"cannot write an array with a zero dimension: {tuple(arr.shape)}")
+    return header, np.ascontiguousarray(arr, dtype)
 
 
-def _pgm_frame(mask) -> np.ndarray:
+def _pgm_parts(mask):
     m = raster.as_mask(mask)
     h, w = m.shape
-    frame, payload = _frame(b"P5\n%d %d\n255\n" % (w, h), (h, w), np.uint8)
-    np.multiply(m, np.uint8(255), out=payload)
-    return frame
+    return b"P5\n%d %d\n255\n" % (w, h), np.multiply(m, np.uint8(255), order="C")
 
 
 def encode_pgm(mask) -> bytes:
-    return _pgm_frame(mask).tobytes()
+    header, payload = _pgm_parts(mask)
+    return header + payload.tobytes()
 
 
 def _read_pnm_header(data: bytes, magic: bytes):
@@ -87,14 +85,51 @@ def _read_pnm_header(data: bytes, magic: bytes):
     return fields[0], fields[1], fields[2], pos + 1
 
 
-def decode_pgm_raw(data: bytes) -> np.ndarray:
-    """Decode a P5 file to its raw 8-bit grayscale values."""
-    w, h, maxval, off = _read_pnm_header(data, b"P5")
+_PNM_PREFIX = 4096  # bytes read for a PNM header at first
+
+
+def _pnm_header(f, magic: bytes):
+    """`_read_pnm_header` of an open file, parsed from a prefix of it that
+    doubles until the header ends inside it or it is the whole file, so the
+    outcome is that of parsing the whole file."""
+    n = _PNM_PREFIX
+    while True:
+        f.seek(0)
+        head = f.read(n)
+        if len(head) < n:  # the whole file
+            return _read_pnm_header(head, magic)
+        try:
+            fields = _read_pnm_header(head, magic)
+        except ValueError:  # perhaps only cut short by the prefix
+            fields = None
+        if fields is not None and fields[3] <= n:  # the separator byte lies inside the prefix
+            return fields
+        n *= 2
+
+
+def _pnm_payload(f, size: int, offset: int, shape: tuple, name: str) -> np.ndarray:
+    """The uint8 payload of `shape` at `offset` of an open file of `size`
+    bytes, read into one preallocated array; trailing bytes are ignored."""
+    nbytes = math.prod(shape)
+    if size - offset < nbytes:
+        raise ValueError(f"truncated {name} payload")
+    arr = np.empty(shape, np.uint8)
+    f.seek(offset)
+    if f.readinto(arr) != nbytes:  # the file shrank after its size was taken
+        raise ValueError(f"truncated {name} payload")
+    return arr
+
+
+def _load_pgm_raw(f, size: int) -> np.ndarray:
+    w, h, maxval, off = _pnm_header(f, b"P5")
     if not 0 < maxval < 256:
         raise ValueError(f"unsupported PGM maxval {maxval}")
-    if len(data) - off < h * w:
-        raise ValueError("truncated PGM payload")
-    return np.frombuffer(data[off:off + h * w], np.uint8).reshape(h, w).copy()
+    return _pnm_payload(f, size, off, (h, w), "PGM")
+
+
+def decode_pgm_raw(data: bytes) -> np.ndarray:
+    """Decode a P5 file to its raw 8-bit grayscale values."""
+    return _load_pgm_raw(io.BytesIO(data), len(data))
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
@@ -103,46 +138,42 @@ def decode_pgm(data: bytes) -> np.ndarray:
 
 
 def write_pgm(path, mask) -> None:
-    atomic_write_bytes(path, _pgm_frame(mask))
+    atomic_write_bytes(path, *_pgm_parts(mask))
 
 
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        return decode_pgm(f.read())
+        return (_load_pgm_raw(f, os.fstat(f.fileno()).st_size) > 127).astype(np.uint8)
 
 
 def read_pgm_raw(path) -> np.ndarray:
     with open(path, "rb") as f:
-        return decode_pgm_raw(f.read())
+        return _load_pgm_raw(f, os.fstat(f.fileno()).st_size)
 
 
-def _ppm_frame(rgb) -> np.ndarray:
+def _ppm_parts(rgb):
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
         raise ValueError("PPM payload must be an (h, w, 3) uint8 array")
     h, w, _ = arr.shape
-    frame, payload = _frame(b"P6\n%d %d\n255\n" % (w, h), arr.shape, np.uint8)
-    payload[...] = arr
-    return frame
+    return _parts(b"P6\n%d %d\n255\n" % (w, h), arr, np.uint8)
 
 
 def encode_ppm(rgb) -> bytes:
-    return _ppm_frame(rgb).tobytes()
+    header, payload = _ppm_parts(rgb)
+    return header + payload.tobytes()
 
 
 def write_ppm(path, rgb) -> None:
-    atomic_write_bytes(path, _ppm_frame(rgb))
+    atomic_write_bytes(path, *_ppm_parts(rgb))
 
 
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        data = f.read()
-    w, h, maxval, off = _read_pnm_header(data, b"P6")
-    if maxval != 255:
-        raise ValueError(f"unsupported PPM maxval {maxval}")
-    if len(data) - off < h * w * 3:
-        raise ValueError("truncated PPM payload")
-    return np.frombuffer(data[off:off + h * w * 3], np.uint8).reshape(h, w, 3).copy()
+        w, h, maxval, off = _pnm_header(f, b"P6")
+        if maxval != 255:
+            raise ValueError(f"unsupported PPM maxval {maxval}")
+        return _pnm_payload(f, os.fstat(f.fileno()).st_size, off, (h, w, 3), "PPM")
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +200,10 @@ _PMAP = _Layout(PMAP_MAGIC, "not a PMAP1 file", 3, "<f4")
 _IMAP = _Layout(IMAP_MAGIC, "not an IMAP1 file", 2, "<u4")
 
 
-def _load_binary(f, size: int, layout: _Layout):
+def _load_binary(f, size: int, layout: _Layout, out=None):
     """Header fields and payload of an open file of `size` bytes, the
-    payload read into one preallocated array.
+    payload read into one preallocated array: `out` when given, which must
+    be a C-order array of the layout's dtype and of the declared shape.
 
     Every dimension must be positive, and the payload size the header
     declares is checked against `size` before anything is allocated, so a
@@ -189,15 +221,22 @@ def _load_binary(f, size: int, layout: _Layout):
     nbytes = math.prod(shape) * np.dtype(layout.dtype).itemsize
     if size - _BINARY_HEADER < nbytes:
         raise ValueError(f"truncated {layout.name} payload")
-    arr = np.empty(shape, layout.dtype)
+    if out is None:
+        arr = np.empty(shape, layout.dtype)
+    elif out.shape != shape:
+        raise ValueError(f"{layout.name} payload has shape {shape}, expected {out.shape}")
+    elif out.dtype != np.dtype(layout.dtype) or not out.flags.c_contiguous:
+        raise ValueError(f"{layout.name} payloads are read into C-order {layout.dtype} arrays")
+    else:
+        arr = out
     if f.readinto(arr) != nbytes:  # the file shrank after its size was taken
         raise ValueError(f"truncated {layout.name} payload")
     return fields, arr
 
 
-def _read_binary(path, layout: _Layout):
+def _read_binary(path, layout: _Layout, out=None):
     with open(path, "rb") as f:
-        return _load_binary(f, os.fstat(f.fileno()).st_size, layout)
+        return _load_binary(f, os.fstat(f.fileno()).st_size, layout, out)
 
 
 def _decode_binary(data: bytes, layout: _Layout):
@@ -214,15 +253,13 @@ def _in_unit_interval(arr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pmap_frame(pmap) -> np.ndarray:
+def _pmap_parts(pmap):
     arr = np.asarray(pmap, dtype=np.float32)
     if arr.ndim != 3:
         raise ValueError(f"probability map must be (channels, h, w), got shape {arr.shape}")
     if not _in_unit_interval(arr):
         raise ValueError("probability values must lie in [0, 1]")
-    frame, payload = _frame(PMAP_MAGIC + _FIELDS.pack(*arr.shape), arr.shape, _PMAP.dtype)
-    payload[...] = arr
-    return frame
+    return _parts(PMAP_MAGIC + _FIELDS.pack(*arr.shape), arr, _PMAP.dtype)
 
 
 def _checked_pmap(arr: np.ndarray) -> np.ndarray:
@@ -232,7 +269,8 @@ def _checked_pmap(arr: np.ndarray) -> np.ndarray:
 
 
 def encode_pmap(pmap) -> bytes:
-    return _pmap_frame(pmap).tobytes()
+    header, payload = _pmap_parts(pmap)
+    return header + payload.tobytes()
 
 
 def decode_pmap(data: bytes) -> np.ndarray:
@@ -240,11 +278,13 @@ def decode_pmap(data: bytes) -> np.ndarray:
 
 
 def write_pmap(path, pmap) -> None:
-    atomic_write_bytes(path, _pmap_frame(pmap))
+    atomic_write_bytes(path, *_pmap_parts(pmap))
 
 
-def read_pmap(path) -> np.ndarray:
-    return _checked_pmap(_read_binary(path, _PMAP)[1])
+def read_pmap(path, out=None) -> np.ndarray:
+    """Read a PMAP1 stack, into `out` when given: a C-order float32 array
+    of the stack's shape, which is returned filled (else a new array)."""
+    return _checked_pmap(_read_binary(path, _PMAP, out)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +292,7 @@ def read_pmap(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _imap_frame(labels) -> np.ndarray:
+def _imap_parts(labels):
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ValueError(f"instance map must be 2-D, got shape {arr.shape}")
@@ -260,9 +300,7 @@ def _imap_frame(labels) -> np.ndarray:
         raise ValueError("instance labels must be non-negative integers")
     arr = arr.astype(np.uint32, copy=False)
     max_label = int(arr.max(initial=0))
-    frame, payload = _frame(IMAP_MAGIC + _FIELDS.pack(*arr.shape, max_label), arr.shape, _IMAP.dtype)
-    payload[...] = arr
-    return frame
+    return _parts(IMAP_MAGIC + _FIELDS.pack(*arr.shape, max_label), arr, _IMAP.dtype)
 
 
 def _checked_imap(fields, arr: np.ndarray) -> np.ndarray:
@@ -272,7 +310,8 @@ def _checked_imap(fields, arr: np.ndarray) -> np.ndarray:
 
 
 def encode_imap(labels) -> bytes:
-    return _imap_frame(labels).tobytes()
+    header, payload = _imap_parts(labels)
+    return header + payload.tobytes()
 
 
 def decode_imap(data: bytes) -> np.ndarray:
@@ -280,7 +319,7 @@ def decode_imap(data: bytes) -> np.ndarray:
 
 
 def write_imap(path, labels) -> None:
-    atomic_write_bytes(path, _imap_frame(labels))
+    atomic_write_bytes(path, *_imap_parts(labels))
 
 
 def read_imap(path) -> np.ndarray:

@@ -8,7 +8,9 @@ round to float32 once; the ensemble additionally sorts the per-pixel
 summands (a compare-exchange network over whole planes) so the result is
 independent of the order the maps arrive in. Both work plane by plane:
 views are added into the accumulator through strided indexing, and folds
-are compared and summed without stacking them.
+are compared and summed without stacking them. `tta_average_stream` adds
+the views as they are read, so a fold holds one view and the float64 sum,
+not four views.
 """
 
 from __future__ import annotations
@@ -40,30 +42,59 @@ def apply_view(arr, view: str) -> np.ndarray:
     return a[_VIEW_INDEX[view]].copy()
 
 
+def _tta_total(read):
+    """float64 sum ((a0 + a1) + a2) + a3 of the four views `read(name,
+    buffer)` returns, called once per name in VIEWS order, each aligned
+    back to the reference frame through strided indexing (no copy).
+
+    `buffer` is None for the first view, then the array returned for the
+    previous one, which has been added by then. The sum starts as
+    a0.astype(float64), not from zeros, so a pixel that is -0.0 in every
+    view stays -0.0. Returns the sum and the last view's array."""
+    shape = None
+    total = buf = None
+    for name in VIEWS:
+        buf = read(name, buf)
+        if buf.ndim != 3:
+            raise ValueError(f"view {name!r} must be a (c, h, w) stack")
+        if shape is None:
+            shape = buf.shape
+            total = buf.astype(np.float64)  # the identity view needs no alignment
+            continue
+        if buf.shape != shape:
+            raise ValueError(f"view {name!r} has shape {buf.shape}, expected {shape}")
+        total += buf[_VIEW_INDEX[name]]
+    return total, buf
+
+
 def tta_average(views: Mapping[str, np.ndarray]) -> np.ndarray:
     """Align four tagged views back to the reference frame and average them.
 
     `views` must hold exactly the keys in VIEWS. The result does not depend
-    on mapping order: each view's strided alignment (no copy) is added into
-    one float64 accumulator in the canonical VIEWS order, as
-    ((a0 + a1) + a2) + a3, then divided by 4 and rounded to float32 once.
-    The accumulator starts as a0 + a1, not from zeros, so a pixel that is
-    -0.0 in every view stays -0.0.
+    on mapping order: the views are added into one float64 accumulator in
+    the canonical VIEWS order, as ((a0 + a1) + a2) + a3, then divided by 4
+    and rounded to float32 once; a pixel that is -0.0 in every view stays
+    -0.0. `tta_average_stream` is the same sum over views read one at a
+    time.
     """
     if set(views) != set(VIEWS):
         raise ValueError(f"expected exactly the views {VIEWS}, got {sorted(views)}")
-    aligned = []
-    for name in VIEWS:
-        a = np.asarray(views[name], np.float32)
-        if a.ndim != 3:
-            raise ValueError(f"view {name!r} must be a (c, h, w) stack")
-        if aligned and a.shape != aligned[0].shape:
-            raise ValueError(f"view {name!r} has shape {a.shape}, expected {aligned[0].shape}")
-        aligned.append(a[_VIEW_INDEX[name]])
-    total = np.add(aligned[0], aligned[1], dtype=np.float64)
-    total += aligned[2]
-    total += aligned[3]
+    total, _ = _tta_total(lambda name, _: np.asarray(views[name], np.float32))
     return np.divide(total, 4.0, out=np.empty(total.shape, np.float32))
+
+
+def tta_average_stream(read) -> np.ndarray:
+    """`tta_average` of the views `read(name, buffer)` returns, holding one
+    view at a time.
+
+    `read` is called once per name in VIEWS order and returns that view as
+    a float32 (c, h, w) stack. `buffer` is None for the first call and then
+    the array the previous call returned, whose values have been added to
+    the sum, so `read` may fill it in place. The average is written into
+    the last returned array, which is returned.
+    """
+    total, buf = _tta_total(read)
+    return np.divide(total, 4.0, out=buf)
 
 
 def ensemble_average(maps: Sequence[np.ndarray]) -> np.ndarray:

@@ -55,20 +55,6 @@ def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
     return area
 
 
-def shift(arr: np.ndarray, dr: int, dc: int, fill) -> np.ndarray:
-    """Translate a 2-D array by (dr, dc), filling vacated cells with `fill`."""
-    out = np.full(arr.shape, fill, arr.dtype)
-    h, w = arr.shape
-    if abs(dr) >= h or abs(dc) >= w:
-        return out
-    src_r = slice(max(0, -dr), h - max(0, dr))
-    dst_r = slice(max(0, dr), h - max(0, -dr))
-    src_c = slice(max(0, -dc), w - max(0, dc))
-    dst_c = slice(max(0, dc), w - max(0, -dc))
-    out[dst_r, dst_c] = arr[src_r, src_c]
-    return out
-
-
 def check_kernel_side(side: int) -> int:
     side = int(side)
     if side < 1 or side % 2 == 0:

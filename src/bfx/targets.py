@@ -13,15 +13,19 @@ strictly left of the center along the scanline. Horizontal edges never
 cross, so a center on a horizontal edge is covered exactly when the
 interior continues below it.
 
-The fill is one crossing list over the ring's window, the canvas rows and
-columns outside which the fill is 0: sorted searches over the row centers
-give each edge its scanlines, every (edge, row) pair gives one crossing,
-a sorted search over the column centers gives the first pixel each
-crossing flips, and a running XOR along each row gives the parity. Its
-cost is O(edges + crossings + window), not O(canvas). Borders are eroded
-and painted inside that window too, which is exact because erosion counts
-pixels outside the canvas as 0, the same value the fill has outside the
-window.
+The fill is built as pixel spans (`_spans`), for one ring or a whole set
+of rings at once: sorted searches over the canvas's row centers give each
+edge its scanlines, every (edge, row) pair gives one crossing, a sorted
+search over the column centers gives the first pixel each crossing flips,
+and one sort by (ring, row, column) pairs consecutive crossings into
+half-open spans [on, off), which is the even-odd parity. Its cost is
+O(edges + crossings + covered pixels), not O(canvas), so
+`evaluate.rasterize_polygon_set` paints every instance of an image in one
+pass. `rasterize_polygon` is the one-ring case; the ground-truth channels
+call it once per ring and erode and paint each border inside the ring's
+window (`_ring_window`), the canvas rows and columns outside which its
+fill is 0. That is exact because erosion counts pixels outside the canvas
+as 0, the same value the fill has outside the window.
 """
 
 from __future__ import annotations
@@ -84,34 +88,62 @@ def _ring_window(pts: np.ndarray, height: int, width: int) -> tuple[slice, slice
             slice(_clamp(math.floor(xmin - pad), width), _clamp(math.ceil(xmax + pad), width)))
 
 
+def _spans(rings, height: int, width: int):
+    """Pixel spans of the even-odd fill of each ring (see module doc).
+
+    `rings` are (n, 2) float64 arrays as `annotations._ring` returns them.
+    Returns (ring index, flat index of the first pixel, pixel count) of
+    every non-empty span of the height x width canvas, ordered by ring,
+    then row, then column. Array methods stand in for the equivalent numpy
+    functions, whose dispatch costs more than the work on one small ring."""
+    sizes = np.array([len(r) for r in rings], np.intp)
+    pts = np.concatenate(rings) if rings else np.zeros((0, 2))
+    ends = np.add.accumulate(sizes)
+    following = np.arange(1, len(pts) + 1)
+    following[ends - 1] = ends - sizes  # each ring closes on its first vertex
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = x1[following], y1[following]
+    dx, dy = x2 - x1, y2 - y1
+    # each edge crosses the scanlines with ymin <= yc < ymax (half-open, so
+    # a shared vertex counts once); horizontal edges cross none
+    yc = np.arange(0.5, height)
+    first = yc.searchsorted(np.minimum(y1, y2), side="left")
+    count = yc.searchsorted(np.maximum(y1, y2), side="left") - first
+    edge = np.arange(len(pts)).repeat(count)
+    row = np.arange(edge.size) - (np.add.accumulate(count) - count - first).repeat(count)
+    t = (yc[row] - y1[edge]) / dy[edge]
+    x = x1[edge] + t * dx[edge]
+
+    # a crossing flips every pixel whose center lies strictly right of it;
+    # column `width` flips none. One sorted key orders the crossings by
+    # ring, row and column (it stays below 2**63: the canvas and the rings
+    # would not fit in memory first).
+    stride = width + 1
+    ring_rows = (np.arange(sizes.size) * height).repeat(sizes)
+    key = (ring_rows[edge] + row) * stride + np.arange(0.5, width).searchsorted(x, side="right")
+    key.sort()
+    # a closed ring crosses every scanline an even number of times, so the
+    # sorted crossings pair up within each (ring, row) into [on, off) spans
+    on = key[0::2]
+    length = key[1::2] - on
+    keep = length > 0
+    ring, within = np.divmod(on[keep], height * stride)  # within = row * stride + column
+    return ring, within - within // stride, length[keep]
+
+
+def _span_pixels(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Flat indices of every pixel of the spans, span by span."""
+    ends = np.add.accumulate(length)
+    return np.arange(ends[-1] if ends.size else 0) + (start - ends + length).repeat(length)
+
+
 def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     """Scanline even-odd fill of one ring at pixel centers (see module doc)."""
     if height < 1 or width < 1:
         raise ValueError("canvas dimensions must be >= 1")
-    pts = annotations._ring(ring)
-
+    _, start, length = _spans([annotations._ring(ring)], height, width)
     out = np.zeros((height, width), np.uint8)
-    rows, cols = _ring_window(pts, height, width)
-    n_rows, n_cols = rows.stop - rows.start, cols.stop - cols.start
-    closed = np.concatenate([pts, pts[:1]])
-    x1, y1 = closed[:-1, 0], closed[:-1, 1]
-    x2, y2 = closed[1:, 0], closed[1:, 1]
-    # each edge crosses the scanlines with ymin <= yc < ymax (half-open, so
-    # a shared vertex counts once); horizontal edges cross none
-    yc = np.arange(rows.start, rows.stop) + 0.5
-    first = np.searchsorted(yc, np.minimum(y1, y2), side="left")
-    count = np.searchsorted(yc, np.maximum(y1, y2), side="left") - first
-    edge = np.repeat(np.arange(len(pts)), count)
-    row = np.arange(edge.size) - np.repeat(np.cumsum(count) - count - first, count)
-    t = (yc[row] - y1[edge]) / (y2[edge] - y1[edge])
-    x = x1[edge] + t * (x2[edge] - x1[edge])
-
-    # a crossing flips every pixel whose center lies strictly right of it;
-    # index n_cols means it flips none inside the window
-    flip = np.searchsorted(np.arange(cols.start, cols.stop) + 0.5, x, side="right")
-    flips = np.zeros((n_rows, n_cols + 1), np.uint8)
-    np.bitwise_xor.at(flips, (row, flip), 1)
-    out[rows, cols] = np.bitwise_xor.accumulate(flips[:, :n_cols], axis=1)
+    out.ravel()[_span_pixels(start, length)] = 1  # one ring's spans are disjoint
     return out
 
 
@@ -140,6 +172,24 @@ def make_border_mask(rings, height: int, width: int,
     return border
 
 
+def _label_boundary(labels: np.ndarray) -> np.ndarray:
+    """Labeled pixels with a differently labeled (nonzero) 8-neighbour.
+
+    The relation is symmetric, so each of the four forward offsets compares
+    its pixel pairs once and marks both ends; pixels outside the canvas
+    have no label."""
+    boundary = np.zeros(labels.shape, bool)
+    h, w = labels.shape
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        here = (slice(0, h - dr), slice(max(0, -dc), w - max(0, dc)))
+        there = (slice(dr, h), slice(max(0, dc), w - max(0, -dc)))
+        a, b = labels[here], labels[there]
+        differ = (a != b) & (a > 0) & (b > 0)
+        boundary[here] |= differ
+        boundary[there] |= differ
+    return boundary
+
+
 def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
                       max_dist: int = SPACING_MAX_DIST) -> np.ndarray:
     """Separation lines between buildings at most 2*max_dist pixels apart.
@@ -159,12 +209,8 @@ def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
     grown = raster.dilate(b, dilate_side, 1)
     basins = extract.watershed_assign(seeds, grown)
 
-    boundary = np.zeros(b.shape, bool)
-    for dr, dc in raster.NEIGHBORS_8:
-        nbr = raster.shift(basins, dr, dc, np.uint32(0))
-        boundary |= (basins > 0) & (nbr > 0) & (nbr != basins)
     carved = grown.copy()
-    carved[boundary] = 0
+    carved[_label_boundary(basins)] = 0
     lines = raster.mask_xor(grown, carved)
 
     near = raster.dilate(b, 2 * max_dist + 1) == 1

@@ -5,6 +5,7 @@ deque-based BFS, per-point crossing counts) and deliberately shares no code
 with the package.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -160,6 +161,72 @@ def point_fill(ring, height, width):
                     crossings += 1
             out[i, j] = crossings & 1
     return out
+
+
+def xor_fill(ring, height, width):
+    """Scanline even-odd fill of one ring by a running XOR of flips.
+
+    Every (edge, row) crossing flips the pixels whose centers lie strictly
+    right of it, within the ring's window: the rows whose centers the ring
+    spans and its x extent padded by one pixel and 4 ulps."""
+    pts = np.asarray(ring, np.float64)
+    if len(pts) >= 2 and np.array_equal(pts[0], pts[-1]):
+        pts = pts[:-1]
+    out = np.zeros((height, width), np.uint8)
+    xmin, ymin = pts.min(axis=0).tolist()
+    xmax, ymax = pts.max(axis=0).tolist()
+    pad = 1 + 4 * math.ulp(max(-xmin, xmax))
+    r0, r1 = (min(max(v, 0), height) for v in (math.floor(ymin), math.ceil(ymax)))
+    c0, c1 = (min(max(v, 0), width) for v in (math.floor(xmin - pad), math.ceil(xmax + pad)))
+    closed = np.concatenate([pts, pts[:1]])
+    x1, y1 = closed[:-1, 0], closed[:-1, 1]
+    x2, y2 = closed[1:, 0], closed[1:, 1]
+    yc = np.arange(r0, r1) + 0.5
+    first = np.searchsorted(yc, np.minimum(y1, y2), side="left")
+    count = np.searchsorted(yc, np.maximum(y1, y2), side="left") - first
+    edge = np.repeat(np.arange(len(pts)), count)
+    row = np.arange(edge.size) - np.repeat(np.cumsum(count) - count - first, count)
+    t = (yc[row] - y1[edge]) / (y2[edge] - y1[edge])
+    x = x1[edge] + t * (x2[edge] - x1[edge])
+    flip = np.searchsorted(np.arange(c0, c1) + 0.5, x, side="right")
+    flips = np.zeros((r1 - r0, c1 - c0 + 1), np.uint8)
+    np.bitwise_xor.at(flips, (row, flip), 1)
+    out[r0:r1, c0:c1] = np.bitwise_xor.accumulate(flips[:, :c1 - c0], axis=1)
+    return out
+
+
+def paint_polygon_set(ps):
+    """Instance map of a polygon set, one full-canvas fill per ring: rings
+    are painted in ascending id order, later ids overwriting, and the ids
+    that kept a pixel are relabeled 1..K in that order."""
+    rank = {i: r for r, i in enumerate(sorted({inst.id for inst in ps.instances}), start=1)}
+    painted = np.zeros((ps.height, ps.width), np.int64)
+    for inst in sorted(ps.instances, key=lambda inst: inst.id):
+        painted[xor_fill(inst.exterior, ps.height, ps.width) == 1] = rank[inst.id]
+    present = np.unique(painted[painted > 0])
+    return (np.searchsorted(present, painted) + (painted > 0)).astype(np.uint32)
+
+
+def shift(arr, dr, dc, fill):
+    """Translate a 2-D array by (dr, dc), filling vacated cells with `fill`."""
+    out = np.full(arr.shape, fill, arr.dtype)
+    h, w = arr.shape
+    if abs(dr) >= h or abs(dc) >= w:
+        return out
+    out[max(0, dr):h - max(0, -dr), max(0, dc):w - max(0, -dc)] = \
+        arr[max(0, -dr):h - max(0, dr), max(0, -dc):w - max(0, dc)]
+    return out
+
+
+def shift_boundary(labels):
+    """Labeled pixels with a differently labeled nonzero 8-neighbour, by
+    comparing the map with each of its eight shifts (0 fills the edges)."""
+    lab = np.asarray(labels)
+    boundary = np.zeros(lab.shape, bool)
+    for dr, dc in OFFSETS_8:
+        nbr = shift(lab, dr, dc, 0)
+        boundary |= (lab > 0) & (nbr > 0) & (nbr != lab)
+    return boundary
 
 
 def disjoint_rectangles(rng, height, width, count, min_side=4, max_side=12, gap=2):

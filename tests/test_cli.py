@@ -319,6 +319,81 @@ def test_fuse_tta_views(tmp_path):
     assert (tmp_path / "fused.building.pgm").exists()
 
 
+def write_tta_folds(tmp_path, folds, shape=(2, 8, 8)):
+    """The four view files of each fold; returns the fold prefixes."""
+    rng = np.random.default_rng(4)
+    for k in range(folds):
+        base = rng.random(shape).astype(np.float32)
+        for view, suffix in cli.VIEW_SUFFIXES:
+            formats.write_pmap(tmp_path / f"fold{k}.{suffix}.pmap", fusion.apply_view(base, view))
+    return [str(tmp_path / f"fold{k}.pmap") for k in range(folds)]
+
+
+def test_fuse_tta_equals_the_library_sums_at_any_thread_count(tmp_path):
+    prefixes = write_tta_folds(tmp_path, 3)
+    folds = [fusion.tta_average({view: formats.read_pmap(tmp_path / f"fold{k}.{suffix}.pmap")
+                                 for view, suffix in cli.VIEW_SUFFIXES}) for k in range(3)]
+    want = formats.encode_pmap(fusion.ensemble_average(folds))
+    for threads in ("1", "2", "3"):
+        assert cli.main(["fuse", "--tta", *prefixes, "--out", str(tmp_path / f"t{threads}.pmap"),
+                         "--threads", threads]) == 0
+        assert (tmp_path / f"t{threads}.pmap").read_bytes() == want
+        for k in range(3):
+            assert (tmp_path / f"fold{k}.tta.pmap").read_bytes() == formats.encode_pmap(folds[k])
+        inputs = read_json(tmp_path / f"t{threads}.manifest.json")["inputs"]
+        assert inputs == [f"fold{k}.{suffix}.pmap" for k in range(3) for _, suffix in cli.VIEW_SUFFIXES]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fault", ["missing-view", "wrong-shape"])
+def test_failed_fuse_tta_leaves_no_artifacts(tmp_path, capsys, threads, fault):
+    prefixes = write_tta_folds(tmp_path, 3)
+    if fault == "missing-view":
+        (tmp_path / "fold1.r180.pmap").unlink()
+        code, prefix = 2, "bfx: i/o error:"
+    else:
+        formats.write_pmap(tmp_path / "fold2.hf.pmap", np.zeros((2, 8, 9), np.float32))
+        code, prefix = 1, "bfx: error:"
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["fuse", "--tta", *prefixes, "--out", str(tmp_path / "fused.pmap"), "--threads", threads]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(prefix)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2, 5])
+def test_pool_map_keeps_input_order_and_raises_the_first_error_in_it(threads):
+    import time
+
+    assert cli._pool_map(lambda x: x * x, range(23), threads) == [x * x for x in range(23)]
+    done = []
+
+    def fn(x):
+        if x == 3:
+            time.sleep(0.05)  # item 7 fails first in time on a pool
+        if x in (3, 7):
+            raise ValueError(f"item {x}")
+        done.append(x)
+        return x
+
+    with pytest.raises(ValueError, match="^item 3$"):
+        cli._pool_map(fn, range(12), threads)
+    assert {0, 1, 2} <= set(done)  # every item before the first error ran
+
+
+def test_pooled_stages_load_no_executor_or_logging(tmp_path):
+    prefixes = write_tta_folds(tmp_path, 2)
+    formats.write_pgm(tmp_path / "r.pgm", np.eye(8, dtype=np.uint8))
+    code = ("import sys; from bfx.cli import main; assert main(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")
+    for argv in (["fuse", "--tta", *prefixes, "--out", str(tmp_path / "f.pmap")],
+                 ["tile", "--raster", str(tmp_path / "r.pgm"), "--size", "4", "--index", str(tmp_path / "i.json")]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--threads", "2"],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+
 def test_extract_single_mode_from_pgm(tmp_path):
     mask = np.zeros((40, 60), np.uint8)
     mask[5:25, 5:25] = 1

@@ -6,7 +6,7 @@ import pytest
 from bfx import evaluate, extract, raster
 from bfx.evaluate import EvalCounts
 
-from _oracles import point_fill
+from _oracles import paint_polygon_set, point_fill
 
 
 def inst_map(h, w, boxes):
@@ -404,3 +404,75 @@ def test_rasterize_polygon_set_clipped_rings_match_point_oracle():
     want = np.searchsorted(present, painted).astype(np.uint32) + (painted > 0)
     assert present.tolist() == [2, 3, 4, 5, 9]
     assert np.array_equal(evaluate.rasterize_polygon_set(ps), want)
+
+
+def random_ring(rng, h, w):
+    """A ring of one of five kinds: a random (often self-intersecting)
+    polygon, a rectangle on half-integer coordinates, a ring wholly off the
+    canvas, a thin diagonal sliver, or one with a vertex far off the canvas."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return rng.uniform(-0.3, 1.3, size=(int(rng.integers(3, 9)), 2)) * (w, h)
+    if kind == 1:
+        x0, x1 = np.sort(rng.integers(-2, w + 3, 2)) + 0.5
+        y0, y1 = np.sort(rng.integers(-2, h + 3, 2)) + 0.5
+        return np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    if kind == 2:
+        dx, dy = rng.choice([-1, 1], 2) * (w + 5, h + 5)
+        return rng.uniform(0, 4, size=(4, 2)) + (dx, dy)
+    if kind == 3:
+        x0 = rng.uniform(-1, w + 1)
+        return np.array([(x0, -1.0), (x0 + 0.7, -1.0), (w - x0 + 0.7, h + 1.0), (w - x0, h + 1.0)])
+    far = rng.uniform(0, 1, size=(3, 2)) * (w, h)
+    far[0, int(rng.integers(2))] = rng.choice([-1e17, 1e17])
+    return far
+
+
+def test_rasterize_polygon_set_matches_per_ring_oracle_on_random_sets():
+    rng = np.random.default_rng(12)
+    pool = [1, 2, 3, 5, 8, 2 ** 32 - 1, 2 ** 40, 2 ** 63 - 1]
+    for _ in range(300):
+        h, w = (int(v) for v in rng.integers(1, 25, 2))
+        n = int(rng.integers(0, 9))
+        ids = rng.choice(pool, n).tolist()  # duplicates and huge ids included
+        ps = extract.PolygonSet("r", h, w, [extract.PolygonInstance(int(i), random_ring(rng, h, w), 0)
+                                            for i in ids])
+        out = evaluate.rasterize_polygon_set(ps)
+        assert out.dtype == np.uint32
+        assert np.array_equal(out, paint_polygon_set(ps))
+
+
+def test_rasterize_polygon_set_overlaps_keep_the_larger_id():
+    square = np.array([(0, 0), (6, 0), (6, 6), (0, 6)], float)
+    inner = np.array([(2, 2), (4, 2), (4, 4), (2, 4)], float)
+    # a smaller id inside a larger one is painted over and relabeled away
+    for ids, inner_label in (((9, 4), 1), ((4, 9), 2)):
+        ps = extract.PolygonSet("o", 6, 6, [extract.PolygonInstance(ids[0], square, 0),
+                                            extract.PolygonInstance(ids[1], inner, 0)])
+        out = evaluate.rasterize_polygon_set(ps)
+        assert out[3, 3] == inner_label and out[0, 0] == 1 and out.max() == inner_label
+        assert np.array_equal(out, paint_polygon_set(ps))
+
+
+def test_rasterize_polygon_set_thin_slivers_match_per_ring_oracle():
+    rng = np.random.default_rng(5)
+    instances = []
+    for k in range(200):
+        x0 = rng.uniform(0, 1024)
+        ring = np.array([(x0, 0.0), (x0 + 1.3, 0.0), (1024 - x0 + 1.3, 1024.0), (1024 - x0, 1024.0)])
+        instances.append(extract.PolygonInstance(k + 1, ring, 0))
+    ps = extract.PolygonSet("slivers", 1024, 1024, instances)
+    assert np.array_equal(evaluate.rasterize_polygon_set(ps), paint_polygon_set(ps))
+
+
+def test_rasterize_polygon_set_names_the_bad_ring_in_id_order():
+    good = np.array([(0, 0), (2, 0), (2, 2)], float)
+    bad = np.array([(0, 0), (2, 2)], float)
+    ps = extract.PolygonSet("b", 4, 4, [extract.PolygonInstance(5, bad, 0), extract.PolygonInstance(2, good, 0)])
+    with pytest.raises(ValueError, match="^polygon 1: ring has fewer than 3 vertices$"):
+        evaluate.rasterize_polygon_set(ps)
+
+
+def test_rasterize_polygon_set_empty_set_is_background():
+    out = evaluate.rasterize_polygon_set(extract.PolygonSet("e", 3, 5, []))
+    assert out.dtype == np.uint32 and out.shape == (3, 5) and not out.any()

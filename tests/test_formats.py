@@ -262,3 +262,95 @@ def test_writers_emit_c_order_bytes_for_any_input_layout(tmp_path):
     rgb = rng.integers(0, 256, (4, 6, 3)).astype(np.uint8)
     formats.write_ppm(tmp_path / "c.ppm", np.asfortranarray(rgb))
     assert (tmp_path / "c.ppm").read_bytes() == b"P6\n6 4\n255\n" + rgb.tobytes()
+
+
+def test_read_pmap_into_a_buffer(tmp_path):
+    rng = np.random.default_rng(3)
+    pmap = rng.random((2, 3, 4)).astype(np.float32)
+    formats.write_pmap(tmp_path / "p.pmap", pmap)
+    buf = np.full((2, 3, 4), 0.5, np.float32)
+    assert formats.read_pmap(tmp_path / "p.pmap", out=buf) is buf
+    assert buf.tobytes() == pmap.tobytes()
+    for bad, message in [(np.zeros((2, 4, 3), np.float32), r"^PMAP1 payload has shape \(2, 3, 4\), expected"),
+                         (np.zeros((2, 3, 4)), "C-order <f4"),
+                         (np.zeros((2, 3, 8), np.float32)[..., ::2], "C-order <f4"),
+                         (np.zeros((4, 3, 2), np.float32).T, "C-order <f4")]:
+        before = bad.copy()
+        with pytest.raises(ValueError, match=message):
+            formats.read_pmap(tmp_path / "p.pmap", out=bad)
+        assert np.array_equal(bad, before)
+
+
+def test_writers_pass_ready_payloads_through_without_a_copy():
+    pmap = np.full((1, 2, 3), 0.5, np.float32)
+    labels = np.arange(6, dtype=np.uint32).reshape(2, 3)
+    rgb = np.zeros((2, 3, 3), np.uint8)
+    for parts, arr in ((formats._pmap_parts(pmap), pmap), (formats._imap_parts(labels), labels),
+                       (formats._ppm_parts(rgb), rgb)):
+        assert parts[1] is arr
+    assert not np.shares_memory(formats._pmap_parts(np.asfortranarray(pmap))[1], pmap)
+
+
+def pgm_file(tmp_path, data):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(data)
+    return path
+
+
+def test_pgm_truncated_payload_is_rejected_from_file_and_bytes(tmp_path):
+    header = b"P5\n4 3\n255\n"
+    for cut in (0, 1, 11):
+        data = header + bytes(range(cut))
+        for load in (lambda: formats.read_pgm_raw(pgm_file(tmp_path, data)), lambda: formats.decode_pgm_raw(data),
+                     lambda: formats.read_pgm(pgm_file(tmp_path, data))):
+            with pytest.raises(ValueError, match="^truncated PGM payload$"):
+                load()
+    full = header + bytes(range(12)) + b"trailing"
+    assert formats.read_pgm_raw(pgm_file(tmp_path, full)).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+
+
+def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
+    """`head`, filler, then `tail` starting one byte before the end of the
+    first 4096-byte prefix a PNM reader parses."""
+    return head + filler * (4095 - len(head)) + tail
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n# " + b"c" * 5000 + b"\n2 1\n255\n",  # a comment longer than the first prefix read
+    straddle(b"P5", b"12 1\n255\n"),  # the width straddles the prefix boundary
+    straddle(b"P5\n2 1", b"255\n", b"\n"),  # so does the maxval
+    b"P5\n2 1" + b"\n" * 4086 + b"255\n",  # the separator byte is the prefix's last
+    straddle(b"P5", b"-5 1\n255\n"),  # an invalid size whose prefix is a bad token
+    b"P5\n2 1\n255",  # no separator at all
+    b"P5\n2 1\n25",
+    b"P5\n2 1\n300\n",
+    b"P5\n2 x\n255\n",
+    b"P6\n2 1\n255\n",
+    b"P5\n2 -1\n255\n",
+    b"P5\n# open comment " + b"x" * 9000,
+])
+def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
+    for data in (header, header + bytes(range(12)), header + bytes(5000)):
+        try:
+            want = formats.decode_pgm_raw(data)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                formats.read_pgm_raw(pgm_file(tmp_path, data))
+            assert str(got.value) == str(exc)
+        else:
+            assert formats.read_pgm_raw(pgm_file(tmp_path, data)).tobytes() == want.tobytes()
+
+
+def test_ppm_round_trip_and_truncation(tmp_path):
+    rgb = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+    formats.write_ppm(tmp_path / "c.ppm", rgb)
+    data = (tmp_path / "c.ppm").read_bytes()
+    assert data == formats.encode_ppm(rgb)
+    (tmp_path / "c.ppm").write_bytes(data + b"x")
+    assert np.array_equal(formats.read_ppm(tmp_path / "c.ppm"), rgb)
+    (tmp_path / "c.ppm").write_bytes(data[:-1])
+    with pytest.raises(ValueError, match="^truncated PPM payload$"):
+        formats.read_ppm(tmp_path / "c.ppm")
+    (tmp_path / "c.ppm").write_bytes(data.replace(b"255", b"254", 1))
+    with pytest.raises(ValueError, match="^unsupported PPM maxval 254$"):
+        formats.read_ppm(tmp_path / "c.ppm")

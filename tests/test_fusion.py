@@ -234,6 +234,52 @@ def test_tta_matches_copy_oracle_bit_for_bit(layout):
         assert_same_bits(fusion.tta_average(views), copy_tta_average(views))
 
 
+def streamed(views, calls):
+    """`tta_average_stream` over `views`, each copied into the buffer it is
+    handed, as `fuse --tta` reads files; `calls` records (name, buffer)."""
+    def read(name, buf):
+        calls.append((name, buf))
+        a = np.asarray(views[name], np.float32)
+        if buf is None or buf.shape != a.shape:
+            return a.copy()
+        buf[...] = a
+        return buf
+    return fusion.tta_average_stream(read)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tta_stream_reuses_one_buffer_and_matches_copy_oracle(layout):
+    rng = np.random.default_rng(201)
+    for _ in range(20):
+        views = {v: laid_out(tricky_values(rng, (2, 5, 6)), layout) for v in fusion.VIEWS}
+        calls = []
+        out = streamed(views, calls)
+        assert [name for name, _ in calls] == list(fusion.VIEWS)
+        assert calls[0][1] is None and all(buf is calls[1][1] for _, buf in calls[1:])
+        assert out is calls[1][1] and out.dtype == np.float32
+        assert_same_bits(out, copy_tta_average(views))
+        assert_same_bits(out, fusion.tta_average(views))
+
+
+def test_tta_stream_signed_zeros_match_oracle():
+    zeros = np.array([0.0, -0.0], np.float32)
+    for signs in itertools.product(range(2), repeat=4):
+        views = {v: np.full((1, 1, 2), zeros[s], np.float32) for v, s in zip(fusion.VIEWS, signs)}
+        assert_same_bits(streamed(views, []), copy_tta_average(views))
+
+
+def test_tta_stream_rejects_bad_views():
+    good = np.zeros((1, 3, 3), np.float32)
+    for name in fusion.VIEWS[1:]:
+        views = {v: good for v in fusion.VIEWS}
+        views[name] = np.zeros((1, 3, 4), np.float32)
+        with pytest.raises(ValueError, match=f"view '{name}' has shape"):
+            streamed(views, [])
+        views[name] = np.zeros((3, 3), np.float32)
+        with pytest.raises(ValueError, match=f"view '{name}' must be a"):
+            streamed(views, [])
+
+
 def test_tta_all_negative_zero_views_stay_negative_zero():
     views = {v: np.full((1, 2, 3), -0.0, np.float32) for v in fusion.VIEWS}
     out = fusion.tta_average(views)

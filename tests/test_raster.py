@@ -3,7 +3,7 @@ import pytest
 
 from bfx import raster
 
-from _oracles import bfs_chebyshev, flood_components, serpentine, window_dilate, window_erode
+from _oracles import bfs_chebyshev, flood_components, serpentine, shift, window_dilate, window_erode
 
 
 def block(h, w, r0, c0, r1, c1):
@@ -279,7 +279,7 @@ def test_distance_zero_iff_source_and_neighbors_differ_by_at_most_one():
     d = bfs_chebyshev(m)
     assert np.array_equal(d == 0, m == 1)
     for dr, dc in raster.NEIGHBORS_8:
-        shifted = raster.shift(d, dr, dc, np.float32(np.nan))
+        shifted = shift(d, dr, dc, np.float32(np.nan))
         ok = ~np.isnan(shifted)
         assert (np.abs(d[ok] - shifted[ok]) <= 1).all()
 

@@ -3,8 +3,8 @@ import pytest
 
 from bfx import raster, targets
 
-from _oracles import (bfs_chebyshev, disjoint_rectangles, flood_components,
-                      geodesic_watershed, point_fill, window_dilate, window_erode)
+from _oracles import (bfs_chebyshev, disjoint_rectangles, flood_components, geodesic_watershed,
+                      point_fill, shift_boundary, window_dilate, window_erode, xor_fill)
 
 
 def rect_ring(x0, y0, x1, y1):
@@ -90,6 +90,18 @@ def test_fill_tie_and_self_intersecting_rings_match_point_oracle(ring):
     for height, width in [(6, 6), (4, 9), (9, 3), (7, 40)]:
         assert np.array_equal(targets.rasterize_polygon(np.array(ring), height, width),
                               point_fill(ring, height, width))
+
+
+def test_fill_matches_xor_oracle_on_wide_random_rings():
+    rng = np.random.default_rng(41)
+    for height, width in [(64, 96), (96, 64), (1, 300), (300, 1)]:
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            ring = rng.uniform(-0.5, 1.5, size=(n, 2)) * (width, height)
+            if rng.random() < 0.3:
+                ring[0, int(rng.integers(2))] = rng.choice([-1e17, 1e17])
+            assert np.array_equal(targets.rasterize_polygon(ring, height, width),
+                                  xor_fill(ring, height, width))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -250,6 +262,15 @@ def test_spacing_matches_procedure_oracle_on_random_scenes():
         for r0, c0, r1, c1 in boxes:
             b[r0:r1, c0:c1] = 1
         assert np.array_equal(targets.make_spacing_mask(b), spacing_oracle(b))
+
+
+def test_label_boundary_matches_eight_shift_oracle():
+    rng = np.random.default_rng(17)
+    for shape in [(1, 1), (1, 9), (9, 1), (2, 2), (13, 17), (40, 33)]:
+        for density in (0.2, 0.6, 1.0):
+            labels = rng.integers(1, 5, shape).astype(np.uint32)
+            labels[rng.random(shape) > density] = 0  # background next to labels
+            assert np.array_equal(targets._label_boundary(labels), shift_boundary(labels))
 
 
 @pytest.mark.parametrize("max_dist", [0, 1, 3, 40])
