@@ -471,8 +471,3 @@ def test_rasterize_polygon_set_names_the_bad_ring_in_id_order():
     ps = extract.PolygonSet("b", 4, 4, [extract.PolygonInstance(5, bad, 0), extract.PolygonInstance(2, good, 0)])
     with pytest.raises(ValueError, match="^polygon 1: ring has fewer than 3 vertices$"):
         evaluate.rasterize_polygon_set(ps)
-
-
-def test_rasterize_polygon_set_empty_set_is_background():
-    out = evaluate.rasterize_polygon_set(extract.PolygonSet("e", 3, 5, []))
-    assert out.dtype == np.uint32 and out.shape == (3, 5) and not out.any()
