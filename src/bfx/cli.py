@@ -428,14 +428,8 @@ def run_fuse(cfg: dict):
     fused = fusion.ensemble_average(per_fold)
 
     # nothing is written until every input has been read and fused
-    outputs = []
-    if cfg["tta"]:
-        for prefix, folded in zip(cfg["inputs"], per_fold):
-            stem, ext = os.path.splitext(prefix)
-            formats.write_pmap(f"{stem}.tta{ext}", folded)  # per-fold intermediate
-            outputs.append(f"{stem}.tta{ext}")
     formats.write_pmap(cfg["out"], fused)
-    outputs.append(cfg["out"])
+    outputs = [cfg["out"]]
     stem = os.path.splitext(cfg["out"])[0]
     names = formats.CHANNEL_NAMES
     for i in range(fused.shape[0]):
@@ -580,14 +574,12 @@ def run_tile(cfg: dict):
     h, w = values.shape
     size = cfg["size"]
     nodata = cfg["nodata"]
-    records = tiling.tile_index(h, w, size)
 
     def probe(rec):
         r0, c0 = rec.origin
-        return bool((values[r0:r0 + size, c0:c0 + size] == nodata).all())
+        return (values[r0:r0 + size, c0:c0 + size] == nodata).all()
 
-    for rec, blank in zip(records, _pool_map(probe, records, cfg["threads"])):
-        rec.blank = blank
+    records = tiling.tile_index(h, w, size, probe)
     fileio.atomic_write_text(cfg["index"], _canonical_json([r.to_json() for r in records]))
     return [cfg["raster"]], [cfg["index"]], os.path.splitext(cfg["index"])[0]
 

@@ -3,7 +3,7 @@ nothing here may import numpy.
 
 `bfx lr` dumps a whole schedule from here without loading numpy. The
 literal polynomial recurrence is one running product (`lr_poly_recurrence`),
-so a table of E epochs costs O(E), and `lr_poly(recursive=True)` is its
+so a table of E epochs costs O(E); the value at one epoch is the table's
 last term.
 """
 
@@ -48,16 +48,12 @@ def lr_poly_recurrence(last_epoch, params: ScheduleParams = ScheduleParams()) ->
     return out
 
 
-def lr_poly(epoch, params: ScheduleParams = ScheduleParams(), recursive: bool = False) -> float:
-    """Polynomial decay from poly_lr0 to 0 over total_epochs.
-
-    The closed form lr0 * (1 - epoch/total)^power is the default; the
-    literal recurrence lr_{t} = lr_{t-1} * (1 - t/total)^power is kept
-    behind `recursive` for comparison (it decays far faster).
+def lr_poly(epoch, params: ScheduleParams = ScheduleParams()) -> float:
+    """Polynomial decay from poly_lr0 to 0 over total_epochs, in the closed
+    form lr0 * (1 - epoch/total)^power. The literal recurrence
+    (`lr_poly_recurrence`) decays far faster.
     """
     _check_epoch(epoch, params)
-    if recursive:
-        return lr_poly_recurrence(epoch, params)[-1]
     return params.poly_lr0 * (1.0 - epoch / params.total_epochs) ** params.poly_power
 
 

@@ -147,29 +147,31 @@ def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     return out
 
 
-def _ring_fills(rings, height: int, width: int):
-    """Yield (index, window, fill cropped to the window) for every ring whose
-    window is not empty, calling `rasterize_polygon` once per ring."""
+def _fill_and_border(rings, height: int, width: int, erosion_iterations: int,
+                     kernel_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """(union of the ring fills, union of their borders), where a ring's
+    border is its fill XOR its erosion, computed inside the ring's window.
+    `rasterize_polygon` is called once per ring."""
+    building = np.zeros((height, width), np.uint8)
+    border = np.zeros((height, width), np.uint8)
     for i, ring in enumerate(rings):
         try:
             filled = rasterize_polygon(ring, height, width)
         except ValueError as exc:
             raise ValueError(f"polygon {i}: {exc}") from exc
         win = _ring_window(np.asarray(ring, np.float64), height, width)
-        crop = filled[win]
-        if crop.size:
-            yield i, win, crop
+        filled = filled[win]
+        if filled.size:
+            building[win] |= filled
+            border[win] |= raster.mask_xor(filled, raster.erode(filled, kernel_side, erosion_iterations))
+    return building, border
 
 
 def make_border_mask(rings, height: int, width: int,
                      erosion_iterations: int = BORDER_EROSION_ITERATIONS,
                      kernel_side: int = BORDER_KERNEL_SIDE) -> np.ndarray:
     """Union of per-polygon borders: fill, erode, XOR, independently per ring."""
-    border = np.zeros((height, width), np.uint8)
-    for _, win, filled in _ring_fills(rings, height, width):
-        eroded = raster.erode(filled, kernel_side, erosion_iterations)
-        border[win] |= raster.mask_xor(filled, eroded)
-    return border
+    return _fill_and_border(rings, height, width, erosion_iterations, kernel_side)[1]
 
 
 def _label_boundary(labels: np.ndarray) -> np.ndarray:
@@ -195,9 +197,9 @@ def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
     """Separation lines between buildings at most 2*max_dist pixels apart.
 
     Steps: dilate the building mask; run the watershed over the dilated
-    region seeded by the original building components; drop every dilated
-    pixel 8-adjacent to a differently-labeled pixel; XOR against the
-    dilation to keep exactly those separation-line pixels; finally cut to
+    region seeded by the original building components; the basins cover
+    the dilation exactly, so the separation lines are the basin pixels
+    8-adjacent to a differently-labeled pixel; finally cut to
     Chebyshev distance <= max_dist from a building and exclude the
     buildings themselves. The chessboard ball of radius max_dist is a
     square, so the cut is a dilation by a (2*max_dist + 1) square.
@@ -207,14 +209,9 @@ def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
     if int(seeds.max(initial=0)) < 2:
         return np.zeros_like(b)  # no inter-label boundary can exist
     grown = raster.dilate(b, dilate_side, 1)
-    basins = extract.watershed_assign(seeds, grown)
-
-    carved = grown.copy()
-    carved[_label_boundary(basins)] = 0
-    lines = raster.mask_xor(grown, carved)
-
+    lines = _label_boundary(extract.watershed_assign(seeds, grown))
     near = raster.dilate(b, 2 * max_dist + 1) == 1
-    return ((lines == 1) & near & (b == 0)).astype(np.uint8)
+    return (lines & near & (b == 0)).astype(np.uint8)
 
 
 def assemble_targets(rings, height: int, width: int,
@@ -225,10 +222,5 @@ def assemble_targets(rings, height: int, width: int,
     included, so that seeds = building - border stays well defined
     downstream. Overlapping polygons union in both channels.
     """
-    building = np.zeros((height, width), np.uint8)
-    border = np.zeros((height, width), np.uint8)
-    for _, win, filled in _ring_fills(rings, height, width):
-        building[win] |= filled
-        eroded = raster.erode(filled, BORDER_KERNEL_SIDE, erosion_iterations)
-        border[win] |= raster.mask_xor(filled, eroded)
+    building, border = _fill_and_border(rings, height, width, erosion_iterations, BORDER_KERNEL_SIDE)
     return TargetStack(building, border, make_spacing_mask(building))

@@ -344,7 +344,7 @@ def brute_gradient_check(losses, pred, gt, params, step=1e-5):
 
 
 def poly_recurrence_per_epoch(epoch, params):
-    """`lr_poly(epoch, params, recursive=True)` as first written: the whole
+    """The literal poly recurrence's value at `epoch` as first written: the whole
     product lr0 * prod_{t=1..epoch} (1 - t/total)^power redone for each
     epoch, in the same multiplication order."""
     lr = params.poly_lr0

@@ -273,7 +273,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         for base, _, files in os.walk(run_dir):
             for name in files:
                 full = os.path.join(base, name)
-                tree[os.path.relpath(full, run_dir)] = open(full, "rb").read()
+                with open(full, "rb") as f:
+                    tree[os.path.relpath(full, run_dir)] = f.read()
         runs.append(tree)
 
     assert sorted(runs[0]) == sorted(runs[1])

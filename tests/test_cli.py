@@ -315,7 +315,6 @@ def test_fuse_tta_views(tmp_path):
                      "--out", str(tmp_path / "fused.pmap")]) == 0
     fused = formats.read_pmap(tmp_path / "fused.pmap")
     assert np.allclose(fused, base, atol=1e-6)
-    assert (tmp_path / "fold0.tta.pmap").exists()  # per-fold intermediate
     assert (tmp_path / "fused.building.pgm").exists()
 
 
@@ -338,10 +337,24 @@ def test_fuse_tta_equals_the_library_sums_at_any_thread_count(tmp_path):
         assert cli.main(["fuse", "--tta", *prefixes, "--out", str(tmp_path / f"t{threads}.pmap"),
                          "--threads", threads]) == 0
         assert (tmp_path / f"t{threads}.pmap").read_bytes() == want
-        for k in range(3):
-            assert (tmp_path / f"fold{k}.tta.pmap").read_bytes() == formats.encode_pmap(folds[k])
         inputs = read_json(tmp_path / f"t{threads}.manifest.json")["inputs"]
         assert inputs == [f"fold{k}.{suffix}.pmap" for k in range(3) for _, suffix in cli.VIEW_SUFFIXES]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fuse_tta_writes_only_its_declared_outputs(tmp_path, threads):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    prefixes = write_tta_folds(inputs, 3)
+    before = sorted(inputs.iterdir())
+    assert cli.main(["fuse", "--tta", *prefixes, "--out", str(out / "fused.pmap"),
+                     "--threads", threads]) == 0
+    assert sorted(inputs.iterdir()) == before
+    declared = read_json(out / "fused.manifest.json")["outputs"]
+    assert declared == ["fused.pmap", "fused.building.pgm", "fused.border.pgm"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        declared + ["fused.config.json", "fused.manifest.json"])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -293,10 +293,10 @@ def test_poly_schedule_values():
 
 def test_poly_recursive_variant_decays_faster():
     closed = trainmath.lr_poly(10)
-    recursive = trainmath.lr_poly(10, recursive=True)
-    assert trainmath.lr_poly(0, recursive=True) == 0.001
+    recursive = schedules.lr_poly_recurrence(10)[-1]
+    assert schedules.lr_poly_recurrence(0)[-1] == 0.001
     assert recursive < closed
-    assert trainmath.lr_poly(100, recursive=True) == 0.0
+    assert schedules.lr_poly_recurrence(100)[-1] == 0.0
 
 
 @pytest.mark.parametrize("total, power", [(2, 0.9), (100, 0.9), (37, 1.7), (250, 0.35)])
@@ -307,7 +307,7 @@ def test_poly_recurrence_is_the_per_epoch_product_bit_for_bit(total, power):
     for epoch in range(total + 1):
         expected = poly_recurrence_per_epoch(epoch, params).hex()
         assert table[epoch].hex() == expected
-        assert trainmath.lr_poly(epoch, params, recursive=True).hex() == expected
+        assert schedules.lr_poly_recurrence(epoch, params)[-1].hex() == expected
     assert schedules.lr_poly_recurrence(total // 2, params) == table[:total // 2 + 1]
     with pytest.raises(ValueError, match="outside"):
         schedules.lr_poly_recurrence(total + 1, params)
