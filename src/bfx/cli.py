@@ -18,6 +18,8 @@ artifacts regardless of where they are written or how wide the pool is.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import os
@@ -677,7 +679,23 @@ RUNNERS = {
 }
 
 
+_exit_hook_registered = False
+
+
 def main(argv=None) -> int:
+    # At exit the interpreter frees numpy's and bfx's module graphs object by
+    # object in cyclic-GC passes, ~20 ms of a call on a 2-vCPU VM. Frozen
+    # objects are left out of those passes and their memory goes back with
+    # the process. atexit runs the newest handler first, so every handler
+    # registered before this one still runs, after it; the interpreter still
+    # flushes the standard streams; and every artifact is written and closed
+    # before main returns. A process that calls main many times registers
+    # the hook once (atexit.unregister leaves an empty slot behind), and
+    # only its own exit is affected.
+    global _exit_hook_registered
+    if not _exit_hook_registered:
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option values, so its first non-option
     # argument is the stage it dispatches to: only that stage needs arguments

@@ -33,9 +33,12 @@ that pixel's left side. Pointer-jumping list ranking (Wyllie, 1979) then
 gives each edge its distance to the cut; a round that retires no edge
 ends it, and the edges still on cycles are holes, which are dropped. The
 rank places each edge in its ring, and a vertex is each edge whose
-direction differs from the one before it. Ranking costs O(E log P) for E
-edges and a longest perimeter P, finding successors and anchors by binary
-search over the sorted keys O(E log E), and the rest O(H*W + E).
+direction differs from the one before it. A label's area is the summed
+length of its row runs, each from a left side to the next right side, so
+the edges give it without a count over the canvas. Ranking costs
+O(E log P) for E edges and a longest perimeter P, finding successors and
+anchors by binary search over the sorted keys O(E log E), and the rest
+O(H*W + E).
 """
 
 from __future__ import annotations
@@ -198,8 +201,7 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
         raise ValueError("expected a 2-D integer instance map")
     h, w = lab.shape
     result = PolygonSet(image_id, h, w)
-    area = raster._label_areas(lab, "instance")
-    n = area.size - 1
+    n = raster._label_bound(lab, "instance")
     if n == 0:
         return result
 
@@ -226,6 +228,12 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
         crack += step
         sides[step] = before, crack[flat[crack] != 0]
         del crack
+    # areas from the row runs (see module doc): the k-th left side and the
+    # k-th right side in row-major order bound one run, and bincount's float
+    # sums of run lengths are exact below 2**53 pixels
+    last, first = sides[1]
+    area = raster._dense_areas(
+        np.bincount(flat[first], last - first + 1, minlength=n + 1).astype(np.int64), "instance")
     # by direction +x, +y, -x, -y: top, right, bottom and left sides
     owners = [sides[s][1], sides[1][0], sides[s][0], sides[1][1]]
     # int32 holds every edge index and rank (ranks stay below 4 E <= 16 H W)

@@ -37,22 +37,34 @@ def _max_label(labels: np.ndarray, what: str) -> int:
     return int(labels.max(initial=0))
 
 
-def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
-    """Pixel count of each label 0..N of an instance map whose nonzero
-    labels must be dense in 1..N. Negative labels are rejected and N is
-    checked against the pixel count before any table is sized from it."""
+def _label_bound(labels: np.ndarray, what: str) -> int:
+    """Largest label N of an instance map whose nonzero labels must be
+    dense in 1..N, checked against the pixel count so that a table can be
+    sized from it; negative labels are rejected."""
     n = _max_label(labels, what)
     if n > labels.size:
         raise ValueError(f"{what} map labels are not dense: largest label {n} "
                          f"exceeds the pixel count {labels.size}")
+    return n
+
+
+def _dense_areas(area: np.ndarray, what: str) -> np.ndarray:
+    """`area`, the pixel counts of labels 0..N, once every label 1..N has pixels."""
+    absent = np.flatnonzero(area[1:] == 0)
+    if absent.size:
+        raise ValueError(f"{what} map labels are not dense in 1..{area.size - 1}: "
+                         f"label {absent[0] + 1} is absent")
+    return area
+
+
+def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
+    """Pixel count of each label 0..N of an instance map whose nonzero
+    labels must be dense in 1..N (see `_label_bound`)."""
+    n = _label_bound(labels, what)
     flat = labels.ravel()
     if not np.can_cast(flat.dtype, np.intp):  # uint64: every label is now <= the size
         flat = flat.astype(np.intp)
-    area = np.bincount(flat, minlength=n + 1)
-    absent = np.flatnonzero(area[1:] == 0)
-    if absent.size:
-        raise ValueError(f"{what} map labels are not dense in 1..{n}: label {absent[0] + 1} is absent")
-    return area
+    return _dense_areas(np.bincount(flat, minlength=n + 1), what)
 
 
 def check_kernel_side(side: int) -> int:

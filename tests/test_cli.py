@@ -1,3 +1,5 @@
+import atexit
+import gc
 import json
 import os
 import struct
@@ -133,6 +135,64 @@ def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "bfx.cli"], capture_output=True, text=True)
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+ENTRY = "import sys\nfrom bfx.cli import main\nsys.exit(main())"  # the `bfx` console script
+
+
+def test_exit_hook_freezes_the_gc_before_earlier_atexit_handlers(tmp_path):
+    formats.write_pmap(tmp_path / "fold.pmap", np.full((2, 4, 4), 0.5, np.float32))
+    code = ("import atexit, gc, sys\nfrom bfx.cli import main\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+            "print('in main', gc.get_freeze_count())\nsys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", code, "fuse", str(tmp_path / "fold.pmap"),
+                           "--out", str(tmp_path / "fused.pmap")], capture_output=True, text=True)
+    # atexit runs the newest handler first: the probe, registered before
+    # main, sees the heap frozen
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["in main 0", "at exit True"]
+
+
+def test_repeated_calls_register_one_exit_hook(tmp_path):
+    atexit.unregister(gc.freeze)  # as if no earlier call in this process had registered it
+    cli._exit_hook_registered = False
+    before = atexit._ncallbacks()
+    for k in range(2):
+        assert cli.main(["lr", "--schedule", "poly", "--out", str(tmp_path / f"lr{k}.csv")]) == 0
+    assert atexit._ncallbacks() == before + 1
+
+
+def fused_scene():
+    """A (building, border, spacing) stack holding two bordered buildings."""
+    stack = np.zeros((3, 16, 20), np.float32)
+    for r0, c0, r1, c1 in ((1, 1, 9, 8), (4, 10, 14, 19)):
+        stack[0, r0:r1, c0:c1] = 0.9
+        stack[1, r0:r1, c0:c1] = 0.8
+        stack[1, r0 + 1:r1 - 1, c0 + 1:c1 - 1] = 0.0
+    return stack
+
+
+def test_fresh_interpreter_calls_exit_clean_with_the_in_process_artifacts(tmp_path):
+    formats.write_pmap(tmp_path / "fold.pmap", fused_scene())
+
+    def calls(run):
+        run.mkdir()
+        return [["fuse", str(tmp_path / "fold.pmap"), "--out", str(run / "fused.pmap")],
+                ["extract", "--in", str(run / "fused.pmap"), "--min-area", "4",
+                 "--out-geojson", str(run / "p.geojson"), "--out-imap", str(run / "p.imap")]]
+
+    for argv in calls(tmp_path / "in-process"):
+        assert cli.main(argv) == 0
+    for argv in calls(tmp_path / "fresh"):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", ENTRY,
+                               *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+    def artifacts(run):
+        return {p.name: p.read_bytes() for p in run.iterdir()}
+
+    assert artifacts(tmp_path / "fresh") == artifacts(tmp_path / "in-process")
+    assert len(read_json(tmp_path / "fresh" / "p.geojson")["features"]) == 2
 
 
 def test_targets_stage_writes_masks_and_sidecars(tmp_path):

@@ -459,6 +459,42 @@ def test_polygonize_rejects_negative_and_sparse_labels(lab, reason):
         extract.polygonize(lab)
 
 
+def test_polygonize_areas_from_row_runs_equal_the_pixel_counts():
+    # area_px comes from the row runs between left and right sides, not from
+    # a count over the canvas: it must equal that count on every dense map
+    for t, lab in enumerate(random_label_maps(40, 300, max_side=40)):
+        lab = lab.astype((np.uint32, np.int64, np.uint16)[t % 3])
+        got = [i.area_px for i in extract.polygonize(lab).instances]
+        assert got == raster._label_areas(lab, "instance")[1:].tolist()
+
+
+def test_polygonize_rejects_what_the_canvas_count_rejects():
+    # dropping or thinning labels of dense maps gives gaps, labels above the
+    # pixel count and negative labels; polygonize refuses each with the
+    # message of raster._label_areas, before any ring is traced
+    rng = np.random.default_rng(42)
+    rejected = 0
+    for lab in random_label_maps(43, 300):
+        lab = lab.astype(np.int64)
+        kind = rng.integers(3)
+        if kind == 0:
+            lab[lab == rng.integers(1, lab.max(initial=0) + 2)] = 0
+        elif kind == 1:
+            lab = lab * int(rng.integers(1, 4))
+        else:
+            lab.ravel()[rng.integers(lab.size)] = -int(rng.integers(1, 3))
+        try:
+            raster._label_areas(lab, "instance")
+        except ValueError as exc:
+            rejected += 1
+            with pytest.raises(ValueError) as got:
+                extract.polygonize(lab)
+            assert str(got.value) == str(exc)
+        else:
+            assert_matches_walk(lab)
+    assert rejected > 100
+
+
 # ---------------------------------------------------------------------------
 # extraction entry points
 # ---------------------------------------------------------------------------
