@@ -218,13 +218,22 @@ def build_parser(only: str | None = None) -> _Parser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON document in `path`; one nested too deeply to parse is a
+    validation error, not a traceback."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
+
+
 def effective_config(stage: str, args: argparse.Namespace) -> dict:
     """Merge defaults <- config file <- explicit flags, then validate."""
     params = {p.name: p for p in (THREADS, *STAGES[stage][1])}
     cfg = {name: p.default for name, p in params.items()}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise ValidationError("config file must hold a JSON object")
         for key, value in doc.items():
@@ -382,9 +391,7 @@ def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], pr
 def run_targets(cfg: dict):
     from . import annotations, formats, targets
 
-    with open(cfg["annotations"], "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    per_image = annotations.ingest_annotations(doc)
+    per_image = annotations.ingest_annotations(_read_json(cfg["annotations"]))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     items = sorted(per_image.items())
@@ -485,9 +492,7 @@ def _load_instance_map(path: str):
 
     if path.endswith(".imap"):
         return formats.read_imap(path)
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return evaluate.rasterize_polygon_set(extract.polygon_set_from_geojson(doc))
+    return evaluate.rasterize_polygon_set(extract.polygon_set_from_geojson(_read_json(path)))
 
 
 def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
@@ -589,8 +594,7 @@ def run_tile(cfg: dict):
 def run_split(cfg: dict):
     from . import tiling
 
-    with open(cfg["index"], "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _read_json(cfg["index"])
     if not isinstance(doc, list):
         raise ValidationError("tile index must be a JSON array of records")
     records = [tiling.TileRecord.from_json(obj, size=0) for obj in doc]

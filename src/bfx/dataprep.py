@@ -1,10 +1,10 @@
-"""Tile subdivision with annotation remapping, plus the tile grid and
-row-balanced k-fold assignment of `bfx.tiling`, re-exported here.
+"""Tile subdivision with annotation remapping.
 
 A 1024 tile splits into four 512 quadrant crops; each polygon is clipped
 to the crop window and dropped when the clipped fragment covers no pixel.
-The grid, the tile records and the folds live in `bfx.tiling`, which
-needs no numpy, so `split` and `tile` do not load this module.
+The grid, the tile records and the row-balanced k-fold assignment live in
+`bfx.tiling`, which needs no numpy, so `split` and `tile` do not load
+this module.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .annotations import ingest_annotations  # noqa: F401  (dataset-prep ingest surface)
 from .targets import rasterize_polygon
-from .tiling import TileRecord, kfold_assign, tile_index  # noqa: F401  (the tiling surface)
 
 
 def _clip_ring(pts: np.ndarray, xlo: float, xhi: float, ylo: float, yhi: float) -> np.ndarray:

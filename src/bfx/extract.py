@@ -168,6 +168,10 @@ def filter_small(instances, min_area: int = 140) -> np.ndarray:
     n = raster._max_label(lab, "instance")
     if n == 0:
         return lab.astype(np.uint32)
+    if n > lab.size:  # size the tables by the pixel count: rank the labels, 0 staying 0
+        ids, rank = np.unique(lab, return_inverse=True)
+        lab = rank.reshape(lab.shape) + (ids[0] != 0)
+        n = int(lab.max())
     counts = np.bincount(lab.ravel(), minlength=n + 1)
     keep = counts >= min_area
     keep[0] = False

@@ -4,8 +4,9 @@ Three channels are generated per image: the filled building footprints,
 their 2-pixel inner borders (each polygon filled, eroded twice by a 3x3
 square, and XORed with its own fill, independently per polygon), and the
 spacing between close buildings (15x15 dilation, watershed division seeded
-by the original buildings, separation lines cut to a Chebyshev distance of
-at most 8 from the nearest building, building pixels excluded).
+by the original buildings, building pixels excluded). The separation lines
+lie inside the dilation, so within Chebyshev distance 7 of a building: the
+cut to a distance of at most 8 is implied, not computed.
 
 Rasterization is pixel-center even-odd: pixel (row i, col j) is covered
 when its center (j+0.5, i+0.5) is inside the ring, counting edge crossings
@@ -36,12 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import annotations, extract, raster
-from .formats import CHANNEL_NAMES  # noqa: F401  (the channel order, defined with the codecs)
 
 BORDER_EROSION_ITERATIONS = 2
 BORDER_KERNEL_SIDE = 3
 SPACING_DILATE_SIDE = 15
-SPACING_MAX_DIST = 8
 
 
 @dataclass
@@ -192,26 +191,23 @@ def _label_boundary(labels: np.ndarray) -> np.ndarray:
     return boundary
 
 
-def make_spacing_mask(building, dilate_side: int = SPACING_DILATE_SIDE,
-                      max_dist: int = SPACING_MAX_DIST) -> np.ndarray:
-    """Separation lines between buildings at most 2*max_dist pixels apart.
+def make_spacing_mask(building) -> np.ndarray:
+    """Separation lines between buildings whose 15x15 dilations touch.
 
     Steps: dilate the building mask; run the watershed over the dilated
     region seeded by the original building components; the basins cover
     the dilation exactly, so the separation lines are the basin pixels
-    8-adjacent to a differently-labeled pixel; finally cut to
-    Chebyshev distance <= max_dist from a building and exclude the
-    buildings themselves. The chessboard ball of radius max_dist is a
-    square, so the cut is a dilation by a (2*max_dist + 1) square.
+    8-adjacent to a differently-labeled pixel; finally exclude the
+    buildings themselves. Every line pixel lies in the dilation, within
+    Chebyshev distance 7 of a building, so the cut to distance <= 8 changes
+    no pixel and is not computed.
     """
     b = raster.as_mask(building)
     seeds = raster.connected_components(b, 8)
     if int(seeds.max(initial=0)) < 2:
         return np.zeros_like(b)  # no inter-label boundary can exist
-    grown = raster.dilate(b, dilate_side, 1)
-    lines = _label_boundary(extract.watershed_assign(seeds, grown))
-    near = raster.dilate(b, 2 * max_dist + 1) == 1
-    return (lines & near & (b == 0)).astype(np.uint8)
+    lines = _label_boundary(extract.watershed_assign(seeds, raster.dilate(b, SPACING_DILATE_SIDE, 1)))
+    return (lines & (b == 0)).astype(np.uint8)
 
 
 def assemble_targets(rings, height: int, width: int,

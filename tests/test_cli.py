@@ -392,7 +392,8 @@ def test_fuse_tta_equals_the_library_sums_at_any_thread_count(tmp_path):
     prefixes = write_tta_folds(tmp_path, 3)
     folds = [fusion.tta_average({view: formats.read_pmap(tmp_path / f"fold{k}.{suffix}.pmap")
                                  for view, suffix in cli.VIEW_SUFFIXES}) for k in range(3)]
-    want = formats.encode_pmap(fusion.ensemble_average(folds))
+    formats.write_pmap(tmp_path / "want.pmap", fusion.ensemble_average(folds))
+    want = (tmp_path / "want.pmap").read_bytes()
     for threads in ("1", "2", "3"):
         assert cli.main(["fuse", "--tta", *prefixes, "--out", str(tmp_path / f"t{threads}.pmap"),
                          "--threads", threads]) == 0
@@ -498,7 +499,7 @@ def test_extract_multi_mode_from_pgm_planes(tmp_path):
 def test_tile_and_split_stages(tmp_path):
     values = np.zeros((64, 96), np.uint8)
     values[0:32, 0:64] = 9
-    formats.atomic_write_bytes(tmp_path / "src.pgm", b"P5\n96 64\n255\n" + values.tobytes())
+    (tmp_path / "src.pgm").write_bytes(b"P5\n96 64\n255\n" + values.tobytes())
     index = tmp_path / "idx.json"
     assert cli.main(["tile", "--raster", str(tmp_path / "src.pgm"), "--size", "32",
                      "--nodata", "0", "--index", str(index)]) == 0
@@ -660,6 +661,20 @@ def test_config_values_are_type_and_choice_checked(tmp_path, capsys, stage, doc)
     assert_rejected(capsys, tmp_path, [stage, "--config", str(cfg), *rest])
 
 
+@pytest.mark.parametrize("reader", ["targets-annotations", "eval-pred", "eval-gt", "split-index", "lr-config"])
+def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys, reader):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    formats.write_imap(tmp_path / "ok.imap", np.zeros((4, 4), np.uint32))
+    ok, out = str(tmp_path / "ok.imap"), str(tmp_path / "out")
+    argv = {"targets-annotations": ["targets", "--annotations", str(deep), "--out-dir", out],
+            "eval-pred": ["eval", "--pred", str(deep), "--gt", ok, "--report", out + ".json"],
+            "eval-gt": ["eval", "--pred", ok, "--gt", str(deep), "--report", out + ".json"],
+            "split-index": ["split", "--index", str(deep), "--out", out + ".json"],
+            "lr-config": ["lr", "--config", str(deep), "--out", out + ".csv"]}[reader]
+    assert "nested too deeply" in assert_rejected(capsys, tmp_path, argv)
+
+
 def test_config_integer_for_float_parameter_matches_the_flag(tmp_path):
     formats.write_pmap(tmp_path / "p.pmap", np.full((1, 4, 4), 0.5, np.float32))
     cfg = tmp_path / "cfg.json"
@@ -704,7 +719,8 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
     pytest.param("bad.geojson",
                  b'{"type": "FeatureCollection", "height": 65536, "width": 65536, "features": []}', "eval",
                  id="eval-canvas-too-large"),
-    pytest.param("bad.imap", formats.encode_imap(np.diag([0, 0, 2_000_000, 0])), "eval",
+    pytest.param("bad.imap", formats.IMAP_MAGIC + struct.pack("<III", 4, 4, 2_000_000)
+                 + np.diag([0, 0, 2_000_000, 0]).astype("<u4").tobytes(), "eval",
                  id="eval-imap-labels-not-dense"),
     pytest.param("bad.pmap", formats.PMAP_MAGIC + struct.pack("<III", 65535, 65535, 65535), "fuse",
                  id="pmap-payload-larger-than-file"),

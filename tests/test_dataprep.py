@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bfx import dataprep
 from bfx.annotations import AnnotationError, ingest_annotations
-from bfx.dataprep import TileRecord, kfold_assign, subdivide_tile, tile_index
+from bfx.dataprep import subdivide_tile
 from bfx.targets import rasterize_polygon
+from bfx.tiling import TileRecord, kfold_assign, tile_index
 
 
 def rect_ring(x0, y0, x1, y1):
@@ -282,14 +282,3 @@ def test_ingest_geojson_rejects_non_list_coordinates():
            "features": [{"geometry": {"type": "Polygon", "coordinates": {"a": 1}}}]}
     with pytest.raises(AnnotationError, match="coordinates"):
         ingest_annotations(doc)
-
-
-def test_dataprep_reexports_ingest():
-    assert dataprep.ingest_annotations is ingest_annotations
-
-
-def test_dataprep_reexports_the_tiling_module():
-    from bfx import tiling
-
-    for name in ("TileRecord", "tile_index", "kfold_assign"):
-        assert getattr(dataprep, name) is getattr(tiling, name)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,28 @@ def test_filter_small_matches_unique_over_every_pixel():
         got = extract.filter_small(lab, min_area)
         want = filter_small_by_unique(lab, min_area)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype,top", [(np.uint32, 2 ** 31), (np.int64, 2 ** 40)])
+def test_filter_small_sizes_its_tables_by_the_pixel_count(dtype, top):
+    # a table sized by the largest label would ask for 16 GiB or 8 TiB
+    rng = np.random.default_rng(41)
+    values = np.arange(40, dtype=np.int64) * (top // 39)
+    values[-1] = top
+    for low in (0, 1):  # with and without background
+        ranked = rng.integers(low, 40, (64, 64))
+        ranked[0, 0] = 39
+        lab = values[ranked].astype(dtype)
+        tracemalloc.start()
+        try:
+            got = extract.filter_small(lab, 103)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = extract.filter_small(ranked.astype(np.uint32), 103)
+        assert 0 < want.max() < 39 - low  # some instances kept, some dropped
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert peak < 64 * lab.size
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])

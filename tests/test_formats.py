@@ -1,10 +1,25 @@
+import inspect
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
 
-from bfx import formats
+from bfx import fileio, formats
+
+
+def written(tmp_path, write, arr) -> bytes:
+    """The bytes of the file `write` makes of `arr`."""
+    path = tmp_path / "written"
+    write(path, arr)
+    return path.read_bytes()
+
+
+def file_of(tmp_path, data: bytes):
+    path = tmp_path / "x.bin"
+    path.write_bytes(data)
+    return path
 
 
 def test_pgm_round_trip(tmp_path):
@@ -17,29 +32,29 @@ def test_pgm_round_trip(tmp_path):
     assert set(np.unique(raw)) <= {0, 255}
 
 
-def test_pgm_header_and_encoding():
+def test_pgm_header_and_encoding(tmp_path):
     mask = np.array([[0, 1], [1, 0]], np.uint8)
-    data = formats.encode_pgm(mask)
+    data = written(tmp_path, formats.write_pgm, mask)
     assert data.startswith(b"P5\n2 2\n255\n")  # width then height
     assert data[-4:] == bytes([0, 255, 255, 0])
 
 
-def test_pgm_loader_threshold_at_127():
+def test_pgm_loader_threshold_at_127(tmp_path):
     header = b"P5\n4 1\n255\n"
     payload = bytes([0, 127, 128, 255])
-    assert formats.decode_pgm(header + payload).tolist() == [[0, 0, 1, 1]]
+    assert formats.read_pgm(file_of(tmp_path, header + payload)).tolist() == [[0, 0, 1, 1]]
 
 
-def test_pgm_comments_in_header():
+def test_pgm_comments_in_header(tmp_path):
     data = b"P5\n# a comment\n3 1\n# more\n255\n" + bytes([0, 255, 0])
-    assert formats.decode_pgm(data).tolist() == [[0, 1, 0]]
+    assert formats.read_pgm(file_of(tmp_path, data)).tolist() == [[0, 1, 0]]
 
 
-def test_pgm_bad_magic_and_truncation():
+def test_pgm_bad_magic_and_truncation(tmp_path):
     with pytest.raises(ValueError):
-        formats.decode_pgm(b"P6\n1 1\n255\n\x00")
+        formats.read_pgm(file_of(tmp_path, b"P6\n1 1\n255\n\x00"))
     with pytest.raises(ValueError):
-        formats.decode_pgm(b"P5\n4 4\n255\n\x00\x00")
+        formats.read_pgm(file_of(tmp_path, b"P5\n4 4\n255\n\x00\x00"))
 
 
 def test_pmap_round_trip(tmp_path):
@@ -52,26 +67,25 @@ def test_pmap_round_trip(tmp_path):
     assert np.array_equal(out, pmap)
 
 
-def test_pmap_layout_is_channel_major_little_endian():
+def test_pmap_layout_is_channel_major_little_endian(tmp_path):
     pmap = np.zeros((2, 1, 2), np.float32)
     pmap[1, 0, 1] = 0.5
-    data = formats.encode_pmap(pmap)
+    data = written(tmp_path, formats.write_pmap, pmap)
     assert data.startswith(b"PMAP1\n")
-    import struct
     c, h, w = struct.unpack_from("<III", data, 6)
     assert (c, h, w) == (2, 1, 2)
     floats = struct.unpack_from("<4f", data, 18)
     assert floats == (0.0, 0.0, 0.0, 0.5)
 
 
-def test_pmap_rejects_out_of_range_values():
+def test_pmap_rejects_out_of_range_values(tmp_path):
     with pytest.raises(ValueError):
-        formats.encode_pmap(np.full((1, 2, 2), 1.5, np.float32))
-    good = formats.encode_pmap(np.zeros((1, 2, 2), np.float32))
+        formats.write_pmap(tmp_path / "p.pmap", np.full((1, 2, 2), 1.5, np.float32))
+    good = written(tmp_path, formats.write_pmap, np.zeros((1, 2, 2), np.float32))
     bad = bytearray(good)
     bad[-4:] = np.array([2.0], "<f4").tobytes()
     with pytest.raises(ValueError):
-        formats.decode_pmap(bytes(bad))
+        formats.read_pmap(file_of(tmp_path, bytes(bad)))
 
 
 def test_imap_round_trip(tmp_path):
@@ -81,15 +95,14 @@ def test_imap_round_trip(tmp_path):
     assert np.array_equal(formats.read_imap(path), labels)
 
 
-def test_imap_header_fields():
+def test_imap_header_fields(tmp_path):
     labels = np.array([[0, 3]], np.uint32)
-    data = formats.encode_imap(labels)
+    data = written(tmp_path, formats.write_imap, labels)
     assert data.startswith(b"IMAP1\n")
-    import struct
     h, w, max_label = struct.unpack_from("<III", data, 6)
     assert (h, w, max_label) == (1, 2, 3)
     with pytest.raises(ValueError):
-        formats.decode_imap(b"IMAP2\n" + data[6:])
+        formats.read_imap(file_of(tmp_path, b"IMAP2\n" + data[6:]))
 
 
 def test_ppm_round_trip(tmp_path):
@@ -98,87 +111,68 @@ def test_ppm_round_trip(tmp_path):
     path = tmp_path / "c.ppm"
     formats.write_ppm(path, rgb)
     assert np.array_equal(formats.read_ppm(path), rgb)
-    data = formats.encode_ppm(rgb)
+    data = path.read_bytes()
     assert data.startswith(b"P6\n2 3\n255\n")
 
 
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "f.bin"
-    formats.atomic_write_bytes(path, b"first")
-    formats.atomic_write_bytes(path, b"second")
+    fileio.atomic_write_bytes(path, b"first")
+    fileio.atomic_write_bytes(path, b"second")
     assert path.read_bytes() == b"second"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "f.bin"]
     assert leftovers == []  # no temp files left behind
-
-
-def test_atomic_writers_are_the_fileio_ones():
-    from bfx import fileio
-
-    assert formats.atomic_write_bytes is fileio.atomic_write_bytes
-    assert formats.atomic_write_text is fileio.atomic_write_text
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_atomic_write_applies_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
-        formats.atomic_write_text(tmp_path / "f.txt", "x")
+        fileio.atomic_write_text(tmp_path / "f.txt", "x")
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == mode
 
 
-@pytest.mark.parametrize("decode,magic", [(formats.decode_pmap, formats.PMAP_MAGIC),
-                                          (formats.decode_imap, formats.IMAP_MAGIC)])
-def test_truncated_binary_header_is_value_error(decode, magic):
+BINARY = [pytest.param(formats.read_pmap, formats.write_pmap, formats.PMAP_MAGIC, "PMAP1", (1, 2, 3), id="pmap"),
+          pytest.param(formats.read_imap, formats.write_imap, formats.IMAP_MAGIC, "IMAP1", (2, 3, 0), id="imap")]
+
+
+@pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
+def test_truncated_binary_header_is_value_error(tmp_path, read, write, magic, name, fields):
     for cut in (0, 4, 11):
-        with pytest.raises(ValueError, match="truncated .* header"):
-            decode(magic + bytes(cut))
+        with pytest.raises(ValueError, match=f"^truncated {name} header$"):
+            read(file_of(tmp_path, magic + bytes(cut)))
 
 
 @pytest.mark.parametrize("size", [b"3 -2", b"0 4", b"4 0"])
-def test_pnm_rejects_non_positive_size(size):
+def test_pnm_rejects_non_positive_size(tmp_path, size):
     with pytest.raises(ValueError, match="not positive"):
-        formats.decode_pgm_raw(b"P5\n" + size + b"\n255\n")
+        formats.read_pgm_raw(file_of(tmp_path, b"P5\n" + size + b"\n255\n"))
 
 
-BINARY = [pytest.param(formats.read_pmap, formats.decode_pmap, formats.PMAP_MAGIC, "PMAP1", (1, 2, 3), id="pmap"),
-          pytest.param(formats.read_imap, formats.decode_imap, formats.IMAP_MAGIC, "IMAP1", (2, 3, 0), id="imap")]
-
-
-@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
-def test_payload_size_is_checked_against_the_file_before_allocating(tmp_path, read, decode, magic, name, fields):
-    import struct
+@pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
+def test_payload_size_is_checked_against_the_file_before_allocating(tmp_path, read, write, magic, name, fields):
     path = tmp_path / "x.bin"
     for declared in ((65535, 65535, 65535), (2 ** 32 - 1, 2 ** 32 - 1, 1)):
-        data = magic + struct.pack("<III", *declared)
-        path.write_bytes(data)
+        path.write_bytes(magic + struct.pack("<III", *declared))
         with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
             read(path)
-        with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
-            decode(data)
     count = fields[0] * fields[1] * (fields[2] if name == "PMAP1" else 1)
-    short = magic + struct.pack("<III", *fields) + bytes(4 * count - 1)
-    path.write_bytes(short)
+    path.write_bytes(magic + struct.pack("<III", *fields) + bytes(4 * count - 1))
     with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
         read(path)
-    with pytest.raises(ValueError, match=f"^truncated {name} payload$"):
-        decode(short)
 
 
-@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
-def test_zero_dimensions_are_rejected_before_allocating(tmp_path, read, decode, magic, name, fields):
-    import struct
+@pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
+def test_zero_dimensions_are_rejected_before_allocating(tmp_path, read, write, magic, name, fields):
     path = tmp_path / "x.bin"
     huge = 2 ** 32 - 1
     declared = [(huge, huge, 0), (0, huge, huge), (0, 0, 0)] if name == "PMAP1" else [(huge, 0, 0), (0, huge, 0)]
     for dims in declared:
-        data = magic + struct.pack("<III", *dims)
-        path.write_bytes(data)
+        path.write_bytes(magic + struct.pack("<III", *dims))
         with pytest.raises(ValueError, match=f"^{name} header declares a zero dimension"):
             read(path)
-        with pytest.raises(ValueError, match=f"^{name} header declares a zero dimension"):
-            decode(data)
 
 
 @pytest.mark.parametrize("write,shape", [(formats.write_pmap, (3, 0, 5)), (formats.write_pmap, (0, 4, 4)),
@@ -189,29 +183,22 @@ def test_writers_refuse_what_readers_refuse(tmp_path, write, shape):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
-def test_trailing_bytes_are_ignored(tmp_path, read, decode, magic, name, fields):
-    data = formats.encode_pmap(np.full((2, 3, 4), 0.25, np.float32)) if name == "PMAP1" else \
-        formats.encode_imap(np.arange(12, dtype=np.uint32).reshape(3, 4))
-    expected = decode(data)
-    path = tmp_path / "x.bin"
-    path.write_bytes(data + b"trailing")
-    out = read(path)
-    assert out.dtype == expected.dtype and out.shape == expected.shape
-    assert out.tobytes() == expected.tobytes() == data[18:]
-    assert decode(data + b"trailing").tobytes() == data[18:]
+@pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
+def test_trailing_bytes_are_ignored(tmp_path, read, write, magic, name, fields):
+    arr = np.full((2, 3, 4), 0.25, np.float32) if name == "PMAP1" else np.arange(12, dtype=np.uint32).reshape(3, 4)
+    data = written(tmp_path, write, arr)
+    out = read(file_of(tmp_path, data + b"trailing"))
+    assert out.dtype == arr.dtype and out.shape == arr.shape
+    assert out.tobytes() == arr.tobytes() == data[18:]
 
 
-@pytest.mark.parametrize("read,decode,magic,name,fields", BINARY)
-def test_binary_header_errors_match_between_file_and_bytes(tmp_path, read, decode, magic, name, fields):
-    path = tmp_path / "x.bin"
-    for data in (b"", magic[:3], b"XXXXX\n" + bytes(12), magic + bytes(5)):
-        path.write_bytes(data)
-        with pytest.raises(ValueError) as from_file:
-            read(path)
-        with pytest.raises(ValueError) as from_bytes:
-            decode(data)
-        assert str(from_file.value) == str(from_bytes.value)
+@pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
+def test_binary_header_errors_name_the_format(tmp_path, read, write, magic, name, fields):
+    bad_magic = "not a PMAP1 file" if name == "PMAP1" else "not an IMAP1 file"
+    for data, message in ((b"", bad_magic), (magic[:3], bad_magic), (b"XXXXX\n" + bytes(12), bad_magic),
+                          (magic + bytes(5), f"truncated {name} header")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(file_of(tmp_path, data))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-38, 1.0000001])
@@ -219,16 +206,11 @@ def test_pmap_non_finite_or_out_of_range_payload_is_rejected(tmp_path, bad):
     pmap = np.full((2, 2, 3), 0.5, np.float32)
     pmap[1, 1, 2] = bad
     with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
-        formats.encode_pmap(pmap)
-    with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
         formats.write_pmap(tmp_path / "p.pmap", pmap)
     assert list(tmp_path.iterdir()) == []
-    import struct
     data = formats.PMAP_MAGIC + struct.pack("<III", *pmap.shape) + pmap.astype("<f4").tobytes()
-    (tmp_path / "p.pmap").write_bytes(data)
-    for load in (lambda: formats.decode_pmap(data), lambda: formats.read_pmap(tmp_path / "p.pmap")):
-        with pytest.raises(ValueError, match=r"^PMAP1 values outside \[0, 1\]$"):
-            load()
+    with pytest.raises(ValueError, match=r"^PMAP1 values outside \[0, 1\]$"):
+        formats.read_pmap(file_of(tmp_path, data))
 
 
 def test_pmap_accepts_both_zeros_and_the_unit_interval_ends(tmp_path):
@@ -243,18 +225,13 @@ def test_writers_emit_c_order_bytes_for_any_input_layout(tmp_path):
     big = np.zeros((3, 11, 21))
     big[:, 1::2, ::3] = values
     for pmap in (values, np.asfortranarray(values), big[:, 1::2, ::3], values[:, ::-1, ::-1]):
-        expected = np.ascontiguousarray(pmap, np.float32).tobytes()
-        data = formats.encode_pmap(pmap)
-        assert data[18:] == expected
-        formats.write_pmap(tmp_path / "p.pmap", pmap)
-        assert (tmp_path / "p.pmap").read_bytes() == data
-        assert formats.read_pmap(tmp_path / "p.pmap").flags.c_contiguous
+        data = written(tmp_path, formats.write_pmap, pmap)
+        assert data == formats.PMAP_MAGIC + struct.pack("<III", 3, 5, 7) + np.ascontiguousarray(pmap, "<f4").tobytes()
+        assert formats.read_pmap(tmp_path / "written").flags.c_contiguous
     labels = rng.integers(0, 9, (6, 4)).astype(np.int64)
     for lab in (labels, np.asfortranarray(labels), labels[::-1, ::2], labels.astype(np.uint8)):
-        data = formats.encode_imap(lab)
-        assert data[18:] == np.ascontiguousarray(lab, np.uint32).tobytes()
-        formats.write_imap(tmp_path / "x.imap", lab)
-        assert (tmp_path / "x.imap").read_bytes() == data
+        assert written(tmp_path, formats.write_imap, lab) == formats.IMAP_MAGIC + struct.pack(
+            "<III", *lab.shape, lab.max()) + np.ascontiguousarray(lab, "<u4").tobytes()
     mask = (rng.random((4, 6)) < 0.5).astype(np.uint8)
     for m in (np.asfortranarray(mask), mask[::-1], mask.astype(bool)):
         formats.write_pgm(tmp_path / "m.pgm", m)
@@ -281,32 +258,28 @@ def test_read_pmap_into_a_buffer(tmp_path):
         assert np.array_equal(bad, before)
 
 
-def test_writers_pass_ready_payloads_through_without_a_copy():
+def test_writers_pass_ready_payloads_through_without_a_copy(tmp_path, monkeypatch):
+    payloads = []
+    monkeypatch.setattr(formats, "atomic_write_bytes", lambda path, header, payload: payloads.append(payload))
     pmap = np.full((1, 2, 3), 0.5, np.float32)
     labels = np.arange(6, dtype=np.uint32).reshape(2, 3)
     rgb = np.zeros((2, 3, 3), np.uint8)
-    for parts, arr in ((formats._pmap_parts(pmap), pmap), (formats._imap_parts(labels), labels),
-                       (formats._ppm_parts(rgb), rgb)):
-        assert parts[1] is arr
-    assert not np.shares_memory(formats._pmap_parts(np.asfortranarray(pmap))[1], pmap)
+    for write, arr in ((formats.write_pmap, pmap), (formats.write_imap, labels), (formats.write_ppm, rgb)):
+        write(tmp_path / "x", arr)
+        assert payloads.pop() is arr
+    formats.write_pmap(tmp_path / "x", np.asfortranarray(pmap))
+    assert not np.shares_memory(payloads.pop(), pmap)
 
 
-def pgm_file(tmp_path, data):
-    path = tmp_path / "x.pgm"
-    path.write_bytes(data)
-    return path
-
-
-def test_pgm_truncated_payload_is_rejected_from_file_and_bytes(tmp_path):
+def test_pgm_truncated_payload_is_rejected(tmp_path):
     header = b"P5\n4 3\n255\n"
     for cut in (0, 1, 11):
-        data = header + bytes(range(cut))
-        for load in (lambda: formats.read_pgm_raw(pgm_file(tmp_path, data)), lambda: formats.decode_pgm_raw(data),
-                     lambda: formats.read_pgm(pgm_file(tmp_path, data))):
+        path = file_of(tmp_path, header + bytes(range(cut)))
+        for read in (formats.read_pgm_raw, formats.read_pgm):
             with pytest.raises(ValueError, match="^truncated PGM payload$"):
-                load()
+                read(path)
     full = header + bytes(range(12)) + b"trailing"
-    assert formats.read_pgm_raw(pgm_file(tmp_path, full)).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    assert formats.read_pgm_raw(file_of(tmp_path, full)).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
 
 
 def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
@@ -331,21 +304,26 @@ def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
 ])
 def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
     for data in (header, header + bytes(range(12)), header + bytes(5000)):
-        try:
-            want = formats.decode_pgm_raw(data)
+        try:  # the whole file's bytes parsed at once
+            w, h, maxval, offset = formats._read_pnm_header(data, b"P5")
+            if not 0 < maxval < 256:
+                raise ValueError(f"unsupported PGM maxval {maxval}")
+            if len(data) - offset < w * h:
+                raise ValueError("truncated PGM payload")
+            want = np.frombuffer(data, np.uint8, w * h, offset)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                formats.read_pgm_raw(pgm_file(tmp_path, data))
+                formats.read_pgm_raw(file_of(tmp_path, data))
             assert str(got.value) == str(exc)
         else:
-            assert formats.read_pgm_raw(pgm_file(tmp_path, data)).tobytes() == want.tobytes()
+            assert formats.read_pgm_raw(file_of(tmp_path, data)).tobytes() == want.tobytes()
 
 
 def test_ppm_round_trip_and_truncation(tmp_path):
     rgb = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
     formats.write_ppm(tmp_path / "c.ppm", rgb)
     data = (tmp_path / "c.ppm").read_bytes()
-    assert data == formats.encode_ppm(rgb)
+    assert data == b"P6\n4 2\n255\n" + rgb.tobytes()
     (tmp_path / "c.ppm").write_bytes(data + b"x")
     assert np.array_equal(formats.read_ppm(tmp_path / "c.ppm"), rgb)
     (tmp_path / "c.ppm").write_bytes(data[:-1])
@@ -354,3 +332,10 @@ def test_ppm_round_trip_and_truncation(tmp_path):
     (tmp_path / "c.ppm").write_bytes(data.replace(b"255", b"254", 1))
     with pytest.raises(ValueError, match="^unsupported PPM maxval 254$"):
         formats.read_ppm(tmp_path / "c.ppm")
+
+
+def test_formats_offers_one_reader_and_one_writer_per_format():
+    public = {name for name, value in vars(formats).items() if not name.startswith("_")
+              and not inspect.ismodule(value) and getattr(value, "__module__", formats.__name__) == formats.__name__}
+    assert public == {"PMAP_MAGIC", "IMAP_MAGIC", "CHANNEL_NAMES", "write_pgm", "read_pgm", "read_pgm_raw",
+                      "write_ppm", "read_ppm", "write_pmap", "read_pmap", "write_imap", "read_imap"}

@@ -44,12 +44,22 @@ def label_map(shape, rects):
 RECTS = [[(1, 1, 6, 6), (2, 7, 9, 11)], [(0, 0, 4, 9), (5, 3, 9, 15), (6, 0, 9, 2)]]
 SHAPES = [(12, 12), (10, 16)]
 
-VALID = {
-    "pmap": [formats.encode_pmap(fused_stack(s, r)) for s, r in zip(SHAPES, RECTS)]
-    + [formats.encode_pmap(fused_stack(SHAPES[0], RECTS[0])[:2])],
-    "imap": [formats.encode_imap(label_map(s, r)) for s, r in zip(SHAPES, RECTS)],
-    "pgm": [formats.encode_pgm(blocks(s, r)) for s, r in zip(SHAPES, RECTS)],
-}
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The valid files of each format, as bytes, as its writer makes them."""
+    path = tmp_path_factory.mktemp("valid") / "file"
+
+    def written(write, arr):
+        write(path, arr)
+        return path.read_bytes()
+
+    return {
+        "pmap": [written(formats.write_pmap, fused_stack(s, r)) for s, r in zip(SHAPES, RECTS)]
+        + [written(formats.write_pmap, fused_stack(SHAPES[0], RECTS[0])[:2])],
+        "imap": [written(formats.write_imap, label_map(s, r)) for s, r in zip(SHAPES, RECTS)],
+        "pgm": [written(formats.write_pgm, blocks(s, r)) for s, r in zip(SHAPES, RECTS)],
+    }
 
 
 def mutants(valid, seed):
@@ -82,14 +92,14 @@ def stage_calls(fmt, path, out, gt):
 
 
 @pytest.mark.parametrize("fmt,seed", [("pmap", 1), ("imap", 2), ("pgm", 3)])
-def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, fmt, seed):
+def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, valid, fmt, seed):
     gt = tmp_path / "gt.imap"
-    gt.write_bytes(VALID["imap"][0])
+    gt.write_bytes(valid["imap"][0])
     out = tmp_path / "out"
     out.mkdir()
     path = tmp_path / f"mutant.{fmt}"
     codes = set()
-    for i, (kind, data) in enumerate(mutants(VALID[fmt], seed)):
+    for i, (kind, data) in enumerate(mutants(valid[fmt], seed)):
         path.write_bytes(data)
         for argv in stage_calls(fmt, str(path), str(out), str(gt)):
             where = f"{argv[0]} on {kind} mutant {i} of {fmt}"

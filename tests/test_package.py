@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -49,3 +51,21 @@ def test_exports_are_looked_up_not_cached(monkeypatch):
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         bfx.no_such_name
+
+
+# names a module imports from a sibling only to offer them under its own name
+REEXPORTS = {("trainmath", "ScheduleParams"), ("trainmath", "lr_one_cycle"), ("trainmath", "lr_poly")}
+
+
+def test_no_module_imports_a_sibling_name_it_does_not_use():
+    unused = []
+    for path in sorted(pathlib.Path(bfx.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bfx")):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used and (path.stem, name) not in REEXPORTS:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
