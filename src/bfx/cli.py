@@ -22,6 +22,7 @@ import atexit
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -270,7 +271,13 @@ def _checked(stage: str, p: Param, value):
         # bool is an int subclass and JSON has no int/float split: compare exact types
         _require(type(value) is p.type or (p.type is float and type(value) is int),
                  f"{stage}: parameter {p.name} must be {p.type.__name__}, got {value!r}")
-        value = p.type(value)
+        try:
+            value = p.type(value)
+        except OverflowError:  # a config-file integer past the float range
+            raise ValidationError(f"{stage}: parameter {p.name} must be finite") from None
+        # NaN passes every range check, and neither NaN nor inf is valid JSON in a sidecar
+        _require(p.type is not float or math.isfinite(value),
+                 f"{stage}: parameter {p.name} must be finite, got {value!r}")
     else:  # a converter such as _parse_box
         value = p.type(value)
     _require(p.choices is None or value in p.choices,
@@ -597,7 +604,12 @@ def run_split(cfg: dict):
     doc = _read_json(cfg["index"])
     if not isinstance(doc, list):
         raise ValidationError("tile index must be a JSON array of records")
-    records = [tiling.TileRecord.from_json(obj, size=0) for obj in doc]
+    records = []
+    for i, obj in enumerate(doc):  # named by index: a record's repr can be arbitrarily long
+        try:
+            records.append(tiling.TileRecord.from_json(obj, size=0))
+        except ValueError as exc:
+            raise ValidationError(f"{cfg['index']}: entry {i}: {exc}") from None
     assigned = tiling.kfold_assign(records, cfg["k"])
     out = cfg["out"] or cfg["index"]
     fileio.atomic_write_text(out, _canonical_json([r.to_json() for r in assigned]))
@@ -700,6 +712,12 @@ def main(argv=None) -> int:
     if not _exit_hook_registered:
         atexit.register(gc.freeze)
         _exit_hook_registered = True
+    # Loading numpy starts OpenBLAS, which spins up a worker thread per extra
+    # CPU; bfx calls no BLAS routine, so a bfx process (argv None: the console
+    # script or `python -m bfx.cli`) asks for none. A value the user set is
+    # kept, and an in-process caller's environment is left alone.
+    if argv is None and "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option values, so its first non-option
     # argument is the stage it dispatches to: only that stage needs arguments

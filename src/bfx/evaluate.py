@@ -204,14 +204,6 @@ def export_per_image_csv(rows) -> str:
     return buf.getvalue()
 
 
-def parse_per_image_csv(text: str) -> list[tuple[str, EvalCounts]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["image_id", "tp", "fp", "fn"]:
-        raise ValueError(f"unexpected CSV header {header}")
-    return [(row[0], EvalCounts(int(row[1]), int(row[2]), int(row[3]))) for row in reader if row]
-
-
 def rasterize_polygon_set(ps: PolygonSet) -> np.ndarray:
     """Rebuild an instance map from polygon exteriors.
 

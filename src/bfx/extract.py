@@ -159,12 +159,17 @@ def watershed_assign(seeds, region) -> np.ndarray:
     return out
 
 
-def filter_small(instances, min_area: int = 140) -> np.ndarray:
-    """Clear labels whose support is below `min_area` pixels (strictly), then
-    relabel survivors densely by their topmost-leftmost pixel."""
+def _instance_map(instances) -> np.ndarray:
     lab = np.asarray(instances)
     if lab.ndim != 2 or not np.issubdtype(lab.dtype, np.integer):
         raise ValueError("expected a 2-D integer instance map")
+    return lab
+
+
+def filter_small(instances, min_area: int = 140) -> np.ndarray:
+    """Clear labels whose support is below `min_area` pixels (strictly), then
+    relabel survivors densely by their topmost-leftmost pixel."""
+    lab = _instance_map(instances)
     n = raster._max_label(lab, "instance")
     if n == 0:
         return lab.astype(np.uint32)
@@ -200,9 +205,7 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
     labeled pixels. Labels must be dense in 1..N: a negative label, or one
     above the pixel count, is rejected before any table is sized from it.
     """
-    lab = np.asarray(instances)
-    if lab.ndim != 2 or not np.issubdtype(lab.dtype, np.integer):
-        raise ValueError("expected a 2-D integer instance map")
+    lab = _instance_map(instances)
     h, w = lab.shape
     result = PolygonSet(image_id, h, w)
     n = raster._label_bound(lab, "instance")

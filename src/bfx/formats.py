@@ -116,7 +116,7 @@ def write_pgm(path, mask) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """A P5 file as a {0,1} mask; values above 127 map to 1."""
-    return (_read_pnm(path, b"P5", "PGM", 1, ()) > 127).astype(np.uint8)
+    return np.greater(_read_pnm(path, b"P5", "PGM", 1, ()), 127).view(np.uint8)
 
 
 def read_pgm_raw(path) -> np.ndarray:
@@ -182,11 +182,6 @@ def _read_binary(path, magic: bytes, bad_magic: str, ndim: int, dtype: str, out=
         return fields, arr
 
 
-def _in_unit_interval(arr) -> bool:
-    # min/max propagate NaN, and NaN fails both comparisons
-    return arr.size == 0 or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
-
-
 # ---------------------------------------------------------------------------
 # PMAP1: float32 probability stacks
 # ---------------------------------------------------------------------------
@@ -196,7 +191,7 @@ def write_pmap(path, pmap) -> None:
     arr = np.asarray(pmap, dtype=np.float32)
     if arr.ndim != 3:
         raise ValueError(f"probability map must be (channels, h, w), got shape {arr.shape}")
-    if not _in_unit_interval(arr):
+    if not raster._in_unit_interval(arr):
         raise ValueError("probability values must lie in [0, 1]")
     _write(path, PMAP_MAGIC + _FIELDS.pack(*arr.shape), arr, "<f4")
 
@@ -205,7 +200,7 @@ def read_pmap(path, out=None) -> np.ndarray:
     """Read a PMAP1 stack, into `out` when given: a C-order float32 array
     of the stack's shape, which is returned filled (else a new array)."""
     arr = _read_binary(path, PMAP_MAGIC, "not a PMAP1 file", 3, "<f4", out)[1]
-    if not _in_unit_interval(arr):
+    if not raster._in_unit_interval(arr):
         raise ValueError("PMAP1 values outside [0, 1]")
     return arr.astype(np.float32, copy=False)
 

@@ -28,6 +28,11 @@ def as_mask(a) -> np.ndarray:
     return (arr != 0).astype(np.uint8)
 
 
+def _in_unit_interval(arr) -> bool:
+    # min/max propagate NaN, and NaN fails both comparisons
+    return arr.size == 0 or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
+
+
 def _max_label(labels: np.ndarray, what: str) -> int:
     """Largest label of an instance map, whose labels must not be negative."""
     if labels.dtype.kind not in "ub" and labels.size:
@@ -92,6 +97,17 @@ def _window_extreme(arr: np.ndarray, side: int, op, axis: int) -> np.ndarray:
     return out
 
 
+def _morph(mask, side: int, iterations: int, op) -> np.ndarray:
+    """`iterations` row-then-column passes of a square window's `op`: np.minimum or np.maximum."""
+    m = as_mask(mask)
+    side = check_kernel_side(side)
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    for _ in range(iterations):
+        m = _window_extreme(_window_extreme(m, side, op, 0), side, op, 1)
+    return m if iterations else m.copy()  # a pass makes a new array; as_mask may return the input
+
+
 def erode(mask, kernel_side: int = 3, iterations: int = 1) -> np.ndarray:
     """Binary erosion by a centered square kernel, applied `iterations` times.
 
@@ -100,24 +116,12 @@ def erode(mask, kernel_side: int = 3, iterations: int = 1) -> np.ndarray:
     A square kernel is separable, so each pass is a row min followed by a
     column min, which is bit-identical to the windowed definition.
     """
-    m = as_mask(mask).copy()
-    side = check_kernel_side(kernel_side)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    for _ in range(iterations):
-        m = _window_extreme(_window_extreme(m, side, np.minimum, 0), side, np.minimum, 1)
-    return m
+    return _morph(mask, kernel_side, iterations, np.minimum)
 
 
 def dilate(mask, kernel_side: int = 3, iterations: int = 1) -> np.ndarray:
     """Binary dilation by a centered square kernel, clipped at canvas edges."""
-    m = as_mask(mask).copy()
-    side = check_kernel_side(kernel_side)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    for _ in range(iterations):
-        m = _window_extreme(_window_extreme(m, side, np.maximum, 0), side, np.maximum, 1)
-    return m
+    return _morph(mask, kernel_side, iterations, np.maximum)
 
 
 def mask_xor(a, b) -> np.ndarray:

@@ -40,8 +40,8 @@ class TileRecord:
         if not (isinstance(obj, dict) and all(_is_json_int(obj.get(k)) for k in ("tile_id", "row", "col"))
                 and isinstance(obj.get("blank"), bool)
                 and (obj.get("fold") is None or _is_json_int(obj["fold"]))):
-            raise ValueError(f"tile record {obj!r} is not an object with integer tile_id, row "
-                             "and col, a boolean blank flag and an integer or null fold")
+            raise ValueError("tile record is not an object with integer tile_id, row and col, "
+                             "a boolean blank flag and an integer or null fold")
         return cls(obj["tile_id"], obj["row"], obj["col"], size, obj["blank"], obj.get("fold"))
 
 

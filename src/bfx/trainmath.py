@@ -17,7 +17,6 @@ import numpy as np
 
 from . import raster
 from .schedules import ScheduleParams, lr_one_cycle, lr_poly  # noqa: F401  (the schedule surface)
-from .targets import TargetStack
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def _loss_inputs(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     g = raster.as_mask(gt).astype(np.float64)
     if p.shape != g.shape:
         raise ValueError(f"prediction/target dimensions differ: {p.shape} vs {g.shape}")
-    if p.size == 0 or p.min() < 0.0 or p.max() > 1.0:
+    if p.size == 0 or not raster._in_unit_interval(p):
         raise ValueError("prediction values must lie in [0, 1]")
     return p, g
 
@@ -232,6 +231,8 @@ def cutmix(image_a, targets_a: TargetStack, image_b, targets_b: TargetStack,
     The image and every mask channel are mixed identically; every output
     pixel comes from exactly one input, decided solely by box membership.
     """
+    from .targets import TargetStack  # here, so the loss stages never load target synthesis
+
     a = np.asarray(image_a)
     b = np.asarray(image_b)
     if a.shape != b.shape:

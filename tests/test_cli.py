@@ -1,10 +1,12 @@
 import atexit
 import gc
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -111,24 +113,101 @@ def test_stages_without_arrays_load_no_numpy(name, tmp_path):
     assert proc.stdout.splitlines()[-1] == f"rc {expected} False"
 
 
-def test_fuse_and_extract_load_only_their_modules(tmp_path):
+# the bfx modules each stage loads, beyond the package, `bfx.cli` and `bfx.fileio`
+STAGE_MODULES = {
+    "targets": {"annotations", "extract", "formats", "fusion", "raster", "targets"},
+    "fuse": {"formats", "fusion", "raster"},
+    "extract": {"annotations", "extract", "formats", "fusion", "raster"},
+    "eval": {"annotations", "evaluate", "extract", "formats", "fusion", "raster", "targets"},
+    "tile": {"formats", "raster", "tiling"},
+    "split": {"tiling"},
+    "lossmath": {"formats", "raster", "schedules", "trainmath"},
+    "lr": {"schedules"},
+    "cutmix": {"annotations", "extract", "formats", "fusion", "raster", "schedules", "targets",
+               "trainmath"},
+}
+
+
+@pytest.fixture(scope="module")
+def stage_calls(tmp_path_factory):
+    """The argv of a succeeding call of a stage on tiny inputs, writing into
+    a fresh directory of its own."""
+    d = tmp_path_factory.mktemp("stages")
+    write_annotations(d / "ann.json")
     rng = np.random.default_rng(0)
-    formats.write_pmap(tmp_path / "fold.pmap", rng.random((3, 8, 8)).astype(np.float32))
-    calls = {"fuse": [str(tmp_path / "fold.pmap"), "--out", str(tmp_path / "fused.pmap")],
-             "extract": ["--in", str(tmp_path / "fused.pmap"), "--out-geojson", str(tmp_path / "p.geojson"),
-                         "--out-imap", str(tmp_path / "p.imap")]}
+    formats.write_pmap(d / "p.pmap", rng.random((3, 8, 8)).astype(np.float32))
+    formats.write_pmap(d / "m.pmap", (rng.random((3, 8, 8)) < 0.5).astype(np.float32))
+    formats.write_pgm(d / "g.pgm", rng.random((8, 8)) < 0.5)
+    labels = np.zeros((8, 8), np.uint32)
+    labels[1:4, 1:4] = 1
+    formats.write_imap(d / "l.imap", labels)
+    (d / "tiles.json").write_text(json.dumps(
+        [{"tile_id": i, "row": 0, "col": i, "blank": False, "fold": None} for i in range(4)]))
+    calls = {
+        "targets": ["--annotations", "{d}/ann.json", "--out-dir", "{o}", "--height", "32", "--width", "48"],
+        "fuse": ["{d}/p.pmap", "--out", "{o}/f.pmap"],
+        "extract": ["--in", "{d}/p.pmap", "--out-geojson", "{o}/x.geojson", "--out-imap", "{o}/x.imap"],
+        "eval": ["--pred", "{d}/l.imap", "--gt", "{d}/l.imap", "--report", "{o}/r.json"],
+        "tile": ["--raster", "{d}/g.pgm", "--size", "4", "--index", "{o}/t.json"],
+        "split": ["--index", "{d}/tiles.json", "--k", "2", "--out", "{o}/s.json"],
+        "lossmath": ["dice", "--pred", "{d}/p.pmap", "--gt", "{d}/g.pgm"],
+        "lr": ["--schedule", "poly", "--out", "{o}/lr.csv"],
+        "cutmix": ["--image-a", "{d}/p.pmap", "--masks-a", "{d}/m.pmap", "--image-b", "{d}/m.pmap",
+                   "--masks-b", "{d}/p.pmap", "--box", "0,0,4,4", "--out-image", "{o}/i.pmap",
+                   "--out-masks", "{o}/k.pmap"],
+    }
+    assert set(calls) == set(cli.STAGES)
+
+    def call(stage):
+        out = tempfile.mkdtemp(prefix=f"out-{stage}-", dir=d)
+        return [stage, *(a.format(d=d, o=out) for a in calls[stage])]
+
+    return call
+
+
+@pytest.mark.parametrize("stage", STAGE_MODULES)
+def test_each_stage_loads_only_its_modules(stage_calls, stage):
+    argv = stage_calls(stage)
     code = ("import sys; import bfx; bare = sorted(sys.modules); from bfx.cli import main; "
             "assert main(sys.argv[1:]) == 0; print(' '.join(m for m in bare if m.startswith('bfx.'))); "
             "print(*sorted(m for m in sys.modules if m.startswith(('bfx', 'concurrent'))))")
-    loaded = {}
-    for stage, argv in calls.items():  # in order: extract reads what fuse wrote
-        proc = subprocess.run([sys.executable, "-c", code, stage, *argv], capture_output=True, text=True,
-                              check=True)
-        bare, after = proc.stdout.split("\n")[:2]
-        assert bare == ""  # `import bfx` alone loads no submodule
-        loaded[stage] = set(after.split())
-    assert loaded["fuse"] == {"bfx", "bfx.cli", "bfx.fileio", "bfx.formats", "bfx.raster", "bfx.fusion"}
-    assert loaded["extract"] - loaded["fuse"] == {"bfx.extract", "bfx.annotations"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    bare, after = proc.stdout.splitlines()[-2:]
+    assert bare == ""  # `import bfx` alone loads no submodule
+    expected = {"bfx", "bfx.cli", "bfx.fileio", *(f"bfx.{m}" for m in STAGE_MODULES[stage])}
+    assert set(after.split()) == expected
+
+
+BLAS_PROBE = ("import os, sys\nfrom bfx import cli\n"
+              "rc = cli.main({argv})\n"
+              "print(rc, len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1, "
+              "os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+
+def run_blas_probe(argv, in_process, **env):
+    """Run `argv` through `cli.main` in a fresh interpreter, as the program
+    (argv None) or as an in-process caller would, and report its exit code,
+    the threads left and OPENBLAS_NUM_THREADS."""
+    code = BLAS_PROBE.format(argv="sys.argv[1:]" if in_process else "")
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          check=True, env=dict(environ, **env))
+    return proc.stdout.split()
+
+
+def test_a_bfx_process_starts_no_blas_threads(stage_calls):
+    assert run_blas_probe(stage_calls("fuse"), in_process=False) == ["0", "1", "1"]
+
+
+def test_a_preset_blas_thread_count_is_kept(stage_calls):
+    rc, _, blas = run_blas_probe(stage_calls("fuse"), in_process=False, OPENBLAS_NUM_THREADS="2")
+    assert (rc, blas) == ("0", "2")
+
+
+def test_an_in_process_call_leaves_the_environment_alone(stage_calls):
+    rc, _, blas = run_blas_probe(stage_calls("fuse"), in_process=True)
+    assert (rc, blas) == ("0", "None")
 
 
 def test_console_entry_point_runs():
@@ -661,6 +740,37 @@ def test_config_values_are_type_and_choice_checked(tmp_path, capsys, stage, doc)
     assert_rejected(capsys, tmp_path, [stage, "--config", str(cfg), *rest])
 
 
+FLOAT_PARAMS = [(stage, p) for stage, (_, params) in cli.STAGES.items() for p in params if p.type is float]
+FLOAT_STAGE_ARGV = {
+    "fuse": ["fuse", "{d}/p.pmap", "--out", "{d}/f.pmap"],
+    "extract": ["extract", "--in", "{d}/p.pmap", "--out-geojson", "{d}/x.geojson", "--out-imap", "{d}/x.imap"],
+    "eval": ["eval", "--pred", "{d}/l.imap", "--gt", "{d}/l.imap", "--report", "{d}/r.json"],
+    "lossmath": ["lossmath", "dice", "--pred", "{d}/p.pmap", "--gt", "{d}/g.pgm"],
+    "lr": ["lr", "--schedule", "poly", "--out", "{d}/lr.csv"],
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("by", ["flag", "config"])
+@pytest.mark.parametrize("stage,param", FLOAT_PARAMS, ids=lambda x: getattr(x, "name", x))
+def test_non_finite_float_parameters_are_refused(tmp_path, capsys, stage, param, by, value):
+    argv = [a.format(d=tmp_path) for a in FLOAT_STAGE_ARGV[stage]]
+    if by == "flag":
+        argv.append(f"--{param.name.replace('_', '-')}={value!r}")
+    else:  # Python's json reads and writes NaN and Infinity literals
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({param.name: value}))
+        argv += ["--config", str(cfg)]
+    assert f"parameter {param.name} must be finite" in assert_rejected(capsys, tmp_path, argv)
+
+
+def test_a_config_integer_past_the_float_range_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lr_max": 1%s}' % ("0" * 400))
+    argv = ["lr", "--schedule", "poly", "--config", str(cfg), "--out", str(tmp_path / "lr.csv")]
+    assert "parameter lr_max must be finite" in assert_rejected(capsys, tmp_path, argv)
+
+
 @pytest.mark.parametrize("reader", ["targets-annotations", "eval-pred", "eval-gt", "split-index", "lr-config"])
 def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys, reader):
     deep = tmp_path / "deep.json"
@@ -757,6 +867,15 @@ def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data,
             "split": ["--index", str(bad), "--out", out + ".json"],
             "targets": ["--annotations", str(bad), "--out-dir", out]}[stage]
     assert_rejected(capsys, tmp_path, [stage, *argv])
+
+
+def test_a_bad_tile_record_is_named_by_its_index(tmp_path, capsys):
+    records = [{"tile_id": i, "row": 0, "col": i, "blank": False} for i in range(6)]
+    records[4] = [json.loads("[" * 900 + "]" * 900), "x" * 100_000]  # its repr runs to 100 kB
+    index = tmp_path / "tiles.json"
+    index.write_text(json.dumps(records))
+    err = assert_rejected(capsys, tmp_path, ["split", "--index", str(index), "--out", str(tmp_path / "s.json")])
+    assert f"{index}: entry 4: tile record is not an object" in err and len(err) < 200 + len(str(index))
 
 
 def test_pmap_header_with_a_zero_dimension_names_the_format(tmp_path, capsys):

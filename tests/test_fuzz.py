@@ -1,18 +1,24 @@
-"""Seeded mutation fuzz of the binary readers against the CLI's exit contract.
+"""Seeded mutation fuzz of every file reader against the CLI's exit contract.
 
-Valid PMAP1, IMAP1 and PGM files are truncated, have bytes flipped (half
-of them in the header) or are spliced onto one another, and each mutant
-goes through the stages that read its format, in process. Every call must
-exit 0, 1 or 2 with no traceback and no warning; a failed call prints one
-`bfx: error:` or `bfx: i/o error:` line and leaves no file behind.
+Valid files are truncated, have bytes flipped (half of them in the first
+24 bytes) or are spliced onto one another; JSON documents also have one
+value replaced by a hostile one (a wrong type, NaN, an infinity, a huge
+integer) or removed. Each mutant goes through the stages that read its
+format, in process. Every call must exit 0, 1 or 2 with no traceback and no
+warning; a failed call prints one `bfx: error:` or `bfx: i/o error:` line
+and leaves no file behind. No stage reads PPM, so its reader is fuzzed
+directly: it returns or raises ValueError or OSError.
 """
 
+import copy
+import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from bfx import cli, formats
+from bfx import cli, extract, formats
 
 MUTANTS = 200  # per format
 HEADER = 24  # bytes counted as the header by the flips
@@ -62,22 +68,29 @@ def valid(tmp_path_factory):
     }
 
 
+def byte_mutant(rng, data, valid, kind):
+    """`data` truncated, with 1-3 bytes flipped, or spliced onto one of `valid`."""
+    data = bytearray(data)
+    if kind == "truncate":
+        data = data[:rng.integers(len(data))]
+    elif kind == "flip":
+        for _ in range(rng.integers(1, 4)):
+            span = min(HEADER, len(data)) if rng.random() < 0.5 else len(data)
+            data[rng.integers(span)] ^= rng.integers(1, 256)
+    else:  # the head of one valid file onto the tail of another
+        other = valid[rng.integers(len(valid))]
+        data = data[:rng.integers(len(data) + 1)] + other[rng.integers(len(other) + 1):]
+    return bytes(data)
+
+
 def mutants(valid, seed):
-    """(kind, bytes) of `MUTANTS` seeded mutations of the valid files."""
+    """(kind, source index, bytes) of `MUTANTS` seeded mutations of the
+    valid files."""
     rng = np.random.default_rng(seed)
     for i in range(MUTANTS):
-        data = bytearray(valid[rng.integers(len(valid))])
+        src = int(rng.integers(len(valid)))
         kind = ("truncate", "flip", "splice")[i % 3]
-        if kind == "truncate":
-            data = data[:rng.integers(len(data))]
-        elif kind == "flip":
-            for _ in range(rng.integers(1, 4)):
-                span = HEADER if rng.random() < 0.5 else len(data)
-                data[rng.integers(span)] ^= rng.integers(1, 256)
-        else:  # the head of one valid file onto the tail of another
-            other = valid[rng.integers(len(valid))]
-            data = data[:rng.integers(len(data) + 1)] + other[rng.integers(len(other) + 1):]
-        yield kind, bytes(data)
+        yield kind, src, byte_mutant(rng, valid[src], valid, kind)
 
 
 def stage_calls(fmt, path, out, gt):
@@ -91,6 +104,30 @@ def stage_calls(fmt, path, out, gt):
     return [["eval", "--pred", path, "--gt", gt, "--report", f"{out}/r.json"]]
 
 
+def exit_code(capsys, argv, out, where):
+    """`cli.main(argv)`'s exit code, once the call has kept the exit contract;
+    `out`, the only directory it may write to, is emptied after a success."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # any traceback breaks the contract
+            pytest.fail(f"{where} raised {exc!r}")
+    stdout, stderr = capsys.readouterr()
+    assert not caught, f"{where} warned: {caught[0].message}"
+    if code == 0:
+        # lossmath prints its value; every other stage is silent
+        assert stderr == "" and (stdout.count("\n") == 1 if argv[0] == "lossmath" else stdout == ""), where
+        for p in out.iterdir():
+            p.unlink()
+    else:
+        assert code in (1, 2) and stdout == "", where
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("bfx: error:", "bfx: i/o error:")), where
+        assert list(out.iterdir()) == [], where
+    return code
+
+
 @pytest.mark.parametrize("fmt,seed", [("pmap", 1), ("imap", 2), ("pgm", 3)])
 def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, valid, fmt, seed):
     gt = tmp_path / "gt.imap"
@@ -99,27 +136,168 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, valid, fmt, see
     out.mkdir()
     path = tmp_path / f"mutant.{fmt}"
     codes = set()
-    for i, (kind, data) in enumerate(mutants(valid[fmt], seed)):
+    for i, (kind, _, data) in enumerate(mutants(valid[fmt], seed)):
         path.write_bytes(data)
         for argv in stage_calls(fmt, str(path), str(out), str(gt)):
-            where = f"{argv[0]} on {kind} mutant {i} of {fmt}"
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    code = cli.main(argv)
-                except Exception as exc:  # any traceback breaks the contract
-                    pytest.fail(f"{where} raised {exc!r}")
-            stdout, stderr = capsys.readouterr()
-            assert not caught, f"{where} warned: {caught[0].message}"
-            assert stdout == "", where
-            if code == 0:
-                assert stderr == "", where
-                for p in out.iterdir():
-                    p.unlink()
-            else:
-                assert code in (1, 2), where
-                lines = stderr.splitlines()
-                assert len(lines) == 1 and lines[0].startswith(("bfx: error:", "bfx: i/o error:")), where
-                assert list(out.iterdir()) == [], where
-            codes.add(code)
+            codes.add(exit_code(capsys, argv, out, f"{argv[0]} on {kind} mutant {i} of {fmt}"))
     assert {0, 1} <= codes  # the mutations reach both the readers' checks and valid files
+
+
+# ---------------------------------------------------------------------------
+# text inputs: GeoJSON, annotation JSON, config files and tile indexes
+# ---------------------------------------------------------------------------
+
+# a mix of wrong types, edge values and values no float holds
+HOSTILE = (None, True, False, 0, -1, 2, 4096, 2 ** 70, 0.5, -0.5, 1e308, math.nan, math.inf, -math.inf,
+           "", "a", [], {}, [0, 0], [[0, 0], [4, 0], [4, 4]], {"type": "Polygon"})
+# config values stay small: an epoch count of 2**70 is valid and would run for ever
+CONFIG_HOSTILE = tuple(v for v in HOSTILE if not (type(v) is int and abs(v) > 4096))
+
+
+def json_paths(doc, path=()):
+    """The path to every value of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def json_mutants(docs, seed, hostile=HOSTILE):
+    """(kind, source index, bytes) of `MUTANTS` seeded mutations of JSON
+    documents: one value replaced by a hostile one, one value removed, or a
+    byte mutation of the document's text."""
+    rng = np.random.default_rng(seed)
+    texts = [json.dumps(doc).encode() for doc in docs]
+    for i in range(MUTANTS):
+        src = int(rng.integers(len(docs)))
+        kind = ("replace", "remove", "truncate", "flip", "splice")[i % 5]
+        if kind in ("replace", "remove"):
+            doc = copy.deepcopy(docs[src])
+            paths = list(json_paths(doc))
+            path = paths[rng.integers(len(paths))]
+            value = hostile[rng.integers(len(hostile))]
+            if not path:
+                doc = value
+            else:
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                if kind == "remove":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            yield kind, src, json.dumps(doc).encode()
+        else:
+            yield kind, src, byte_mutant(rng, texts[src], texts, kind)
+
+
+def plain_annotations(rects, image_id):
+    return {image_id: [{"points": [[c0, r0], [c1, r0], [c1, r1], [c0, r1]]} for r0, c0, r1, c1 in rects]}
+
+
+def geojson(shape, rects, image_id):
+    """The extractor's GeoJSON of the blocks, each feature also naming its
+    image, so that `targets` reads it as well as `eval`."""
+    doc = extract.polygon_set_to_geojson(extract.polygonize(label_map(shape, rects), image_id))
+    for feature in doc["features"]:
+        feature["properties"]["image_id"] = image_id
+    return doc
+
+
+GEOJSON = [geojson(s, r, f"img{k}") for k, (s, r) in enumerate(zip(SHAPES, RECTS))]
+ANNOTATIONS = [plain_annotations(r, f"img{k}") for k, r in enumerate(RECTS)] + [
+    dict(plain_annotations(RECTS[0], "a"), **plain_annotations(RECTS[1], "b"))]
+TILE_INDEXES = [[{"tile_id": i, "row": i // 3, "col": i % 3, "blank": i == 4, "fold": None} for i in range(6)],
+                [{"tile_id": 5 - i, "row": 0, "col": i, "blank": False, "fold": i % 2} for i in range(4)]]
+# one valid config per stage: every parameter that is not a path
+CONFIGS = [
+    ("targets", {"height": 12, "width": 16, "format": "pmap", "erosion_iterations": 1}),
+    ("fuse", {"threshold": 0.3, "tta": False}),
+    ("extract", {"mode": "multi", "threshold": 0.3, "min_area": 2, "no_spacing": False, "image_id": "img"}),
+    ("eval", {"iou": 0.5}),
+    ("tile", {"size": 4, "nodata": 0}),
+    ("split", {"k": 2}),
+    ("lossmath", {"op": "gradcheck", "channel": 0, "beta": 1.0, "eps": 1e-4, "gamma1": 0.5, "gamma2": 0.5,
+                  "clamp": 1e-7, "w_building": 1.0, "w_border": 2.0, "w_spacing": 2.0, "step": 1e-5}),
+    ("lr", {"schedule": "onecycle", "total_epochs": 10, "up_epochs": 4, "lr_init": 1e-5, "lr_max": 1e-4,
+            "lr_final": 1e-8, "poly_power": 0.9, "poly_lr0": 1e-3, "poly_recursive": False}),
+    ("cutmix", {"seed": 3, "box": [0, 0, 4, 4]}),
+]
+# each stage's paths, for its config's mutants; outputs go to the working directory
+CONFIG_PATHS = {
+    "targets": ["--annotations", "{d}/ann.json", "--out-dir", "."],
+    "fuse": ["{d}/p.pmap", "--out", "f.pmap"],
+    "extract": ["--in", "{d}/p.pmap", "--out-geojson", "x.geojson", "--out-imap", "x.imap"],
+    "eval": ["--pred", "{d}/l.imap", "--gt", "{d}/l.imap", "--report", "r.json"],
+    "tile": ["--raster", "{d}/g.pgm", "--index", "t.json"],
+    "split": ["--index", "{d}/tiles.json", "--out", "s.json"],
+    "lossmath": ["--pred", "{d}/p.pmap", "--gt", "{d}/g.pgm"],
+    "lr": ["--out", "lr.csv"],
+    "cutmix": ["--image-a", "{d}/p.pmap", "--masks-a", "{d}/p.pmap", "--image-b", "{d}/p.pmap",
+               "--masks-b", "{d}/p.pmap", "--out-image", "i.pmap", "--out-masks", "k.pmap"],
+}
+TEXT_FORMATS = {"geojson": (GEOJSON, HOSTILE), "annotations": (ANNOTATIONS, HOSTILE),
+                "config": ([doc for _, doc in CONFIGS], CONFIG_HOSTILE), "tiles": (TILE_INDEXES, HOSTILE)}
+TARGETS_REST = ["--out-dir", ".", "--height", "12", "--width", "16"]
+
+
+def text_calls(fmt, src, path, d):
+    """The calls that read a `fmt` mutant at `path` made from valid document
+    `src`, with inputs in `d`; relative outputs land in the working directory."""
+    if fmt == "geojson":  # scored against the valid document it came from, both ways round
+        gt = f"{d}/gt{src}.geojson"
+        return [["eval", "--pred", path, "--gt", gt, "--report", "r.json"],
+                ["eval", "--pred", gt, "--gt", path, "--csv", "r.csv"],
+                ["targets", "--annotations", path, *TARGETS_REST]]
+    if fmt == "annotations":
+        return [["targets", "--annotations", path, *TARGETS_REST]]
+    if fmt == "tiles":
+        return [["split", "--index", path, "--k", "2", "--out", "s.json"]]
+    stage = CONFIGS[src][0]
+    return [[stage, *(a.format(d=d) for a in CONFIG_PATHS[stage]), "--config", path]]
+
+
+@pytest.mark.parametrize("fmt,seed", [("geojson", 4), ("annotations", 5), ("config", 6), ("tiles", 7)])
+def test_mutated_text_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatch, fmt, seed):
+    d = tmp_path / "in"
+    d.mkdir()
+    for k, doc in enumerate(GEOJSON):
+        (d / f"gt{k}.geojson").write_text(json.dumps(doc))
+    (d / "ann.json").write_text(json.dumps(ANNOTATIONS[2]))
+    (d / "tiles.json").write_text(json.dumps(TILE_INDEXES[0]))
+    formats.write_pmap(d / "p.pmap", fused_stack(SHAPES[1], RECTS[1]))
+    formats.write_pgm(d / "g.pgm", blocks(SHAPES[1], RECTS[1]))
+    formats.write_imap(d / "l.imap", label_map(SHAPES[1], RECTS[1]))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)  # a mutant that names a relative path writes where the checks look
+    path = d / f"mutant.{fmt}"
+    docs, hostile = TEXT_FORMATS[fmt]
+    codes = set()
+    for i, (kind, src, data) in enumerate(json_mutants(docs, seed, hostile)):
+        path.write_bytes(data)
+        for argv in text_calls(fmt, src, str(path), str(d)):
+            codes.add(exit_code(capsys, argv, out, f"{argv[0]} on {kind} mutant {i} of {fmt}"))
+    assert {0, 1} <= codes
+
+
+def test_mutated_ppm_files_are_read_or_refused(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "file.ppm"
+    valid = []
+    for shape in SHAPES:
+        formats.write_ppm(path, rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+        valid.append(path.read_bytes())
+    outcomes = set()
+    for i, (kind, _, data) in enumerate(mutants(valid, 9)):
+        path.write_bytes(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rgb = formats.read_ppm(path)
+                assert rgb.dtype == np.uint8 and rgb.ndim == 3 and rgb.shape[2] == 3
+                outcomes.add("read")
+            except (ValueError, OSError):
+                outcomes.add("refused")
+        assert not caught, f"{kind} mutant {i} warned: {caught[0].message}"
+    assert outcomes == {"read", "refused"}

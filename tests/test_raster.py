@@ -41,6 +41,9 @@ def test_erode_zero_iterations_is_identity():
     m = (rng.random((9, 9)) < 0.5).astype(np.uint8)
     assert np.array_equal(raster.erode(m, 3, 0), m)
     assert np.array_equal(raster.dilate(m, 15, 0), m)
+    for op in (raster.erode, raster.dilate):  # never the caller's array, whatever the pass count
+        for it in (0, 1, 2):
+            assert not np.shares_memory(op(m, 3, it), m)
 
 
 def test_dilate_single_center_pixel():

@@ -161,6 +161,17 @@ def test_loss_value_checks_like_the_losses():
         trainmath.loss_value("channel", np.full((4, 5), 0.5), gt)
 
 
+@pytest.mark.parametrize("check", [
+    trainmath.dice_loss, trainmath.bce_loss, trainmath.channel_loss, trainmath.gradient_check,
+    lambda p, g: trainmath.loss_value("dice", p, g), lambda p, g: trainmath.loss_value("bce", p, g),
+    lambda p, g: trainmath.loss_value("channel", p, g)])
+def test_a_nan_prediction_is_refused(check):
+    pred = np.full((4, 4), 0.5)
+    pred[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"prediction values must lie in \[0, 1\]"):
+        check(pred, np.ones((4, 4), np.uint8))
+
+
 def test_total_equal_losses_any_weights():
     assert trainmath.total_loss([0.7, 0.7, 0.7], ChannelWeights(1, 2, 2)) == pytest.approx(0.7)
     assert trainmath.total_loss([0.7, 0.7, 0.7], ChannelWeights(5, 1, 3)) == pytest.approx(0.7)
