@@ -7,7 +7,8 @@ Two annotation schemas are accepted:
   (x rightward, y downward, origin at the top-left corner);
 * GeoJSON: a FeatureCollection of Polygon features in pixel coordinates,
   exterior ring only. A feature may carry a string "image_id" property;
-  features without one are grouped under the empty id "".
+  features without one are grouped under the collection's own string
+  "image_id" member (as `bfx extract` writes it), else under the empty id "".
 
 `_ring` and `_polygon_features` are the one ring rule and the one
 FeatureCollection walk behind annotations, `extract.polygon_set_from_geojson`
@@ -112,9 +113,12 @@ def _ingest_plain(doc: dict) -> dict[str, list[np.ndarray]]:
 
 
 def _ingest_geojson(doc: dict) -> dict[str, list[np.ndarray]]:
+    default_id = doc.get("image_id", "")
+    if not isinstance(default_id, str):
+        raise AnnotationError("FeatureCollection 'image_id' must be a string")
     out: dict[str, list[np.ndarray]] = {}
     for k, props, ring in _polygon_features(doc):
-        image_id = props.get("image_id", "")
+        image_id = props.get("image_id", default_id)
         if not isinstance(image_id, str):
             raise AnnotationError(f"feature {k}: 'image_id' must be a string")
         rings = out.setdefault(image_id, [])

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import annotations, fusion, raster
+from . import fusion, raster
 from .fileio import _is_json_int
 
 LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
@@ -392,6 +392,8 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     features and rings follow the polygon-input rules of `annotations`.
     Each feature's `id` (default: its 1-based position) is its instance
     label, so ids must be distinct."""
+    from . import annotations  # here, so `bfx extract` never loads polygon input
+
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
     height, width = doc.get("height"), doc.get("width")

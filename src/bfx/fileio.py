@@ -1,9 +1,13 @@
-"""Atomic file writes and the JSON-integer rule; nothing here may import numpy.
+"""Atomic file writes, the PGM/PPM reader and the JSON-integer rule;
+nothing here may import numpy.
 
 Every artifact goes through `atomic_write_bytes` (temp file + rename within
 the target directory), so interrupted runs never leave partial artifacts
-behind. The stages that do no array work (`split`, `lr`) and the CLI's
-sidecars use this module without loading numpy.
+behind. `read_pnm` parses a PGM or PPM header and reads the payload into
+one `bytearray`; `bfx.formats` views that buffer as an array, and `bfx
+tile` tests it for nodata as it is. The stages that do no array work
+(`tile`, `split`, `lr`) and the CLI's sidecars use this module without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -47,3 +51,75 @@ def atomic_write_text(path, text: str) -> None:
 def _is_json_int(value) -> bool:
     """A JSON integer: an int that is not a bool (no floats, no strings)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# ---------------------------------------------------------------------------
+# PGM (P5) and PPM (P6)
+# ---------------------------------------------------------------------------
+
+# magic -> (format name, smallest accepted maxval, bytes per pixel)
+_PNM = {b"P5": ("PGM", 1, 1), b"P6": ("PPM", 255, 3)}
+_PNM_PREFIX = 4096  # bytes read for a PNM header at first
+
+
+def _read_pnm_header(data: bytes, magic: bytes):
+    """Parse a PNM header, returning (width, height, maxval, payload offset)."""
+    if not data.startswith(magic):
+        raise ValueError(f"not a {magic.decode().strip()} file")
+    pos = len(magic)
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(data):
+            raise ValueError("truncated PNM header")
+        c = data[pos:pos + 1]
+        if c == b"#":
+            eol = data.find(b"\n", pos)
+            pos = len(data) if eol < 0 else eol + 1
+        elif c.isspace():
+            pos += 1
+        else:
+            end = pos
+            while end < len(data) and not data[end:end + 1].isspace():
+                end += 1
+            fields.append(int(data[pos:end]))
+            pos = end
+    if fields[0] < 1 or fields[1] < 1:
+        raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
+    # exactly one whitespace byte separates the header from the payload
+    return fields[0], fields[1], fields[2], pos + 1
+
+
+def read_pnm(path, magic: bytes) -> tuple[tuple[int, ...], bytearray]:
+    """The shape and 8-bit payload of a PGM (`magic` b"P5", shape (height,
+    width)) or PPM file (b"P6", shape (height, width, 3)): the payload's
+    bytes, row-major, in one bytearray; trailing bytes are ignored.
+
+    The header is parsed from a prefix of the file that doubles until the
+    header ends inside it or it is the whole file, so the outcome is that
+    of parsing the whole file. Its maxval must be at most 255, and 255
+    for a PPM. The payload size is checked against the file size before
+    anything is allocated."""
+    name, min_maxval, depth = _PNM[magic]
+    with open(path, "rb") as f:
+        n = _PNM_PREFIX
+        head = f.read(n)
+        while len(head) == n:  # not the whole file: the header may run past it
+            try:
+                if _read_pnm_header(head, magic)[3] <= n:  # the separator byte lies inside
+                    break
+            except ValueError:  # perhaps only cut short by the prefix
+                pass
+            head += f.read(n)
+            n *= 2
+        w, h, maxval, offset = _read_pnm_header(head, magic)
+        if not min_maxval <= maxval < 256:
+            raise ValueError(f"unsupported {name} maxval {maxval}")
+        shape = (h, w) if depth == 1 else (h, w, depth)
+        nbytes = h * w * depth
+        if os.fstat(f.fileno()).st_size - offset < nbytes:
+            raise ValueError(f"truncated {name} payload")
+        payload = bytearray(nbytes)
+        f.seek(offset)
+        if f.readinto(payload) != nbytes:  # the file shrank after its size was taken
+            raise ValueError(f"truncated {name} payload")
+        return shape, payload

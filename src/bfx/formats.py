@@ -11,7 +11,10 @@ Every writer is atomic (temp file + rename within the target directory,
 A writer hands the header and the payload array over as two buffers, and
 the payload is copied only when its dtype or memory order differ from the
 file's. Every reader parses the header, then reads the payload into one
-preallocated array (`read_pmap` optionally into the caller's).
+preallocated buffer: the PGM/PPM header parse and payload read are
+`bfx.fileio.read_pnm`, stdlib only, whose bytearray the readers here view
+with `np.frombuffer`; the PMAP1/IMAP1 readers read into an array
+(`read_pmap` optionally into the caller's).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import struct
 import numpy as np
 
 from . import raster
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_bytes, read_pnm
 
 PMAP_MAGIC = b"PMAP1\n"
 IMAP_MAGIC = b"IMAP1\n"
@@ -46,66 +49,11 @@ def _write(path, header: bytes, arr: np.ndarray, dtype) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_pnm_header(data: bytes, magic: bytes):
-    """Parse a PNM header, returning (width, height, maxval, payload offset)."""
-    if not data.startswith(magic):
-        raise ValueError(f"not a {magic.decode().strip()} file")
-    pos = len(magic)
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise ValueError("truncated PNM header")
-        c = data[pos:pos + 1]
-        if c == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            fields.append(int(data[pos:end]))
-            pos = end
-    if fields[0] < 1 or fields[1] < 1:
-        raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
-    # exactly one whitespace byte separates the header from the payload
-    return fields[0], fields[1], fields[2], pos + 1
-
-
-_PNM_PREFIX = 4096  # bytes read for a PNM header at first
-
-
-def _read_pnm(path, magic: bytes, name: str, min_maxval: int, depth: tuple) -> np.ndarray:
-    """The uint8 payload of a PNM file, of shape (height, width, *depth),
-    read into one preallocated array; trailing bytes are ignored.
-
-    The header is parsed from a prefix of the file that doubles until the
-    header ends inside it or it is the whole file, so the outcome is that
-    of parsing the whole file. Its maxval must lie in [min_maxval, 255]."""
-    with open(path, "rb") as f:
-        n = _PNM_PREFIX
-        head = f.read(n)
-        while len(head) == n:  # not the whole file: the header may run past it
-            try:
-                if _read_pnm_header(head, magic)[3] <= n:  # the separator byte lies inside
-                    break
-            except ValueError:  # perhaps only cut short by the prefix
-                pass
-            head += f.read(n)
-            n *= 2
-        w, h, maxval, offset = _read_pnm_header(head, magic)
-        if not min_maxval <= maxval < 256:
-            raise ValueError(f"unsupported {name} maxval {maxval}")
-        shape = (h, w, *depth)
-        nbytes = math.prod(shape)
-        if os.fstat(f.fileno()).st_size - offset < nbytes:
-            raise ValueError(f"truncated {name} payload")
-        arr = np.empty(shape, np.uint8)
-        f.seek(offset)
-        if f.readinto(arr) != nbytes:  # the file shrank after its size was taken
-            raise ValueError(f"truncated {name} payload")
-        return arr
+def _read_pnm(path, magic: bytes) -> np.ndarray:
+    """The uint8 payload of a PGM or PPM file (see `fileio.read_pnm`),
+    viewed as a writable array of its shape."""
+    shape, payload = read_pnm(path, magic)
+    return np.frombuffer(payload, np.uint8).reshape(shape)
 
 
 def write_pgm(path, mask) -> None:
@@ -116,12 +64,12 @@ def write_pgm(path, mask) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """A P5 file as a {0,1} mask; values above 127 map to 1."""
-    return np.greater(_read_pnm(path, b"P5", "PGM", 1, ()), 127).view(np.uint8)
+    return np.greater(_read_pnm(path, b"P5"), 127).view(np.uint8)
 
 
 def read_pgm_raw(path) -> np.ndarray:
     """A P5 file's raw 8-bit grayscale values."""
-    return _read_pnm(path, b"P5", "PGM", 1, ())
+    return _read_pnm(path, b"P5")
 
 
 def write_ppm(path, rgb) -> None:
@@ -133,7 +81,7 @@ def write_ppm(path, rgb) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    return _read_pnm(path, b"P6", "PPM", 255, (3,))
+    return _read_pnm(path, b"P6")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""`bfx extract`: instance maps and polygons from fused masks."""
+
+import os
+
+import numpy as np
+
+from .. import extract, fileio, formats, fusion
+from ..cli import _canonical_json, _require
+
+
+def run(cfg: dict):
+    inputs = []
+    if cfg["input"] is not None:
+        inputs.append(cfg["input"])
+        if cfg["input"].endswith(".pgm"):
+            _require(cfg["mode"] == "single", "extract: PGM input is only valid in single mode")
+            stack = formats.read_pgm(cfg["input"]).astype(np.float32)[None]
+        else:
+            stack = formats.read_pmap(cfg["input"])
+        default_id = os.path.splitext(os.path.basename(cfg["input"]))[0]
+    else:
+        planes = [formats.read_pgm(cfg["building"]), formats.read_pgm(cfg["border"])]
+        inputs += [cfg["building"], cfg["border"]]
+        if cfg["spacing"]:
+            planes.append(formats.read_pgm(cfg["spacing"]))
+            inputs.append(cfg["spacing"])
+        stack = np.stack([p.astype(np.float32) for p in planes])
+        default_id = os.path.splitext(os.path.basename(cfg["building"]))[0]
+    image_id = cfg["image_id"] if cfg["image_id"] is not None else default_id
+
+    if cfg["mode"] == "single":
+        building = fusion.binarize(stack, 0, cfg["threshold"])
+        labels = extract.single_class_instances(building, cfg["min_area"])
+    else:
+        labels = extract.multi_class_instances(
+            stack, cfg["threshold"], cfg["min_area"], use_spacing=not cfg["no_spacing"])
+    ps = extract.polygonize(labels, image_id)
+
+    fileio.atomic_write_text(cfg["out_geojson"], _canonical_json(extract.polygon_set_to_geojson(ps)))
+    formats.write_imap(cfg["out_imap"], labels)
+    outputs = [cfg["out_geojson"], cfg["out_imap"]]
+    return inputs, outputs, os.path.splitext(cfg["out_geojson"])[0]

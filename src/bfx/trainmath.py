@@ -54,8 +54,10 @@ class ChannelWeights:
 
 
 def _loss_inputs(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction as float64 and the target as a {0,1} uint8 mask, which
+    every float64 operation reads exactly as 0.0 and 1.0."""
     p = np.asarray(pred, np.float64)
-    g = raster.as_mask(gt).astype(np.float64)
+    g = raster.as_mask(gt)
     if p.shape != g.shape:
         raise ValueError(f"prediction/target dimensions differ: {p.shape} vs {g.shape}")
     if p.size == 0 or not raster._in_unit_interval(p):
@@ -85,8 +87,16 @@ def _dice(p, g, params: LossParams, with_grad: bool = True) -> tuple[float, np.n
 
 
 def _soft_counts(p, g) -> tuple[float, float, float]:
-    """Soft TP, FP and FN of a float64 prediction against a 0/1 target."""
-    return float((p * g).sum()), float((p * (1.0 - g)).sum()), float(((1.0 - p) * g).sum())
+    """Soft TP = sum(p*g), FP = sum(p*(1-g)) and FN = sum((1-p)*g) of a
+    float64 prediction against a 0/1 target, through one scratch plane."""
+    t = np.multiply(p, g, dtype=np.float64)
+    tp = float(t.sum())
+    np.subtract(1.0, g, out=t)
+    t *= p
+    fp = float(t.sum())
+    np.subtract(1.0, p, out=t)
+    t *= g
+    return tp, fp, float(t.sum())
 
 
 def _dice_ratio(tp, fp, fn, params: LossParams):
@@ -112,17 +122,24 @@ def _bce(p, g, params: LossParams, with_grad: bool = True) -> tuple[float, np.nd
     gradient is None unless `with_grad`."""
     n = p.size
     pc = np.clip(p, params.clamp, 1.0 - params.clamp)
-    loss = float(np.mean(_bce_terms(pc, g)))
-    if not with_grad:
-        return loss, None
-    grad = (-(g / pc) + (1.0 - g) / (1.0 - pc)) / n
-    grad[(p < params.clamp) | (p > 1.0 - params.clamp)] = 0.0
-    return loss, grad
+    grad = None
+    if with_grad:
+        grad = (-(g / pc) + (1.0 - g) / (1.0 - pc)) / n
+        grad[(p < params.clamp) | (p > 1.0 - params.clamp)] = 0.0
+    return float(np.mean(_bce_terms(pc, g))), grad
 
 
 def _bce_terms(pc, g):
-    """Per-pixel cross-entropy of clamped predictions `pc` against `g`."""
-    return -(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))
+    """Per-pixel cross-entropy -(g*log(pc) + (1-g)*log1p(-pc)) of clamped
+    float64 predictions `pc` against a 0/1 target `g`, written over `pc`
+    (an array the caller gives up) with one more scratch plane."""
+    t = np.negative(pc)
+    np.log1p(t, out=t)
+    t *= 1 - g
+    np.log(pc, out=pc)
+    pc *= g
+    pc += t
+    return np.negative(pc, out=pc)
 
 
 def channel_loss(pred, gt, params: LossParams = LossParams()) -> tuple[float, np.ndarray]:

@@ -1,5 +1,4 @@
 import atexit
-import gc
 import json
 import math
 import os
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from bfx import cli, formats, fusion
+from bfx.stages import fuse as fuse_stage
 from bfx.targets import assemble_targets
 
 
@@ -56,8 +56,8 @@ def test_stage_parser_reads_like_the_full_parser(argv, capsys, monkeypatch):
     staged = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or staged(only))
     got = run_main(argv, capsys)
-    stage = next((a for a in argv if not a.startswith("-")), None)
-    assert built == [stage]
+    # argparse dispatches an argv that starts with a stage name to that stage
+    assert built == [argv[0] if argv and argv[0] in cli.STAGES else None]
     monkeypatch.setattr(cli, "build_parser", lambda only=None: staged())
     assert got == run_main(argv, capsys)
     assert got[1] or got[2]
@@ -66,7 +66,7 @@ def test_stage_parser_reads_like_the_full_parser(argv, capsys, monkeypatch):
 def test_stage_parser_has_only_its_stage_arguments():
     parser = cli.build_parser("lr")
     assert parser.parse_args(["lr", "--schedule", "poly", "--out", "x"]).schedule == "poly"
-    with pytest.raises(cli.ValidationError, match="unrecognized arguments: --out x"):
+    with pytest.raises(cli.ValidationError, match=r"invalid choice: 'fuse' \(choose from 'lr'\)"):
         parser.parse_args(["fuse", "--out", "x"])
 
 
@@ -90,6 +90,7 @@ def test_stdlib_only_modules_load_no_numpy():
 
 
 NUMPY_FREE_CALLS = {
+    "tile": (["tile", "--raster", "{d}/r.pgm", "--size", "2", "--index", "{d}/t.json"], 0),
     "split": (["split", "--index", "{d}/tiles.json", "--k", "2", "--out", "{d}/folds.json"], 0),
     "lr-poly": (["lr", "--schedule", "poly", "--poly-recursive", "--out", "{d}/poly.csv"], 0),
     "lr-onecycle": (["lr", "--schedule", "onecycle", "--out", "{d}/onecycle.csv"], 0),
@@ -104,6 +105,7 @@ NUMPY_FREE_CALLS = {
 def test_stages_without_arrays_load_no_numpy(name, tmp_path):
     tiles = [{"tile_id": i, "row": i // 3, "col": i % 3, "blank": False, "fold": None} for i in range(6)]
     (tmp_path / "tiles.json").write_text(json.dumps(tiles))
+    (tmp_path / "r.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(8) + bytes(range(8)))
     argv, expected = NUMPY_FREE_CALLS[name]
     code = ("import sys\nfrom bfx.cli import main\n"
             "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as exc:\n    rc = exc.code\n"
@@ -113,13 +115,14 @@ def test_stages_without_arrays_load_no_numpy(name, tmp_path):
     assert proc.stdout.splitlines()[-1] == f"rc {expected} False"
 
 
-# the bfx modules each stage loads, beyond the package, `bfx.cli` and `bfx.fileio`
+# the bfx library modules each stage loads, beyond the package, `bfx.cli`,
+# `bfx.fileio` and its own runner `bfx.stages.<stage>`
 STAGE_MODULES = {
     "targets": {"annotations", "extract", "formats", "fusion", "raster", "targets"},
     "fuse": {"formats", "fusion", "raster"},
-    "extract": {"annotations", "extract", "formats", "fusion", "raster"},
+    "extract": {"extract", "formats", "fusion", "raster"},
     "eval": {"annotations", "evaluate", "extract", "formats", "fusion", "raster", "targets"},
-    "tile": {"formats", "raster", "tiling"},
+    "tile": {"tiling"},
     "split": {"tiling"},
     "lossmath": {"formats", "raster", "schedules", "trainmath"},
     "lr": {"schedules"},
@@ -175,14 +178,17 @@ def test_each_stage_loads_only_its_modules(stage_calls, stage):
     assert proc.returncode == 0, proc.stderr
     bare, after = proc.stdout.splitlines()[-2:]
     assert bare == ""  # `import bfx` alone loads no submodule
-    expected = {"bfx", "bfx.cli", "bfx.fileio", *(f"bfx.{m}" for m in STAGE_MODULES[stage])}
+    expected = {"bfx", "bfx.cli", "bfx.fileio", "bfx.stages", f"bfx.stages.{stage}",
+                *(f"bfx.{m}" for m in STAGE_MODULES[stage])}
     assert set(after.split()) == expected
 
 
-BLAS_PROBE = ("import os, sys\nfrom bfx import cli\n"
-              "rc = cli.main({argv})\n"
-              "print(rc, len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1, "
-              "os.environ.get('OPENBLAS_NUM_THREADS'))")
+# main() as the program does not return, so the probe reads the process
+# from an atexit handler
+BLAS_PROBE = ("import atexit, os, sys\nfrom bfx import cli\n"
+              "atexit.register(lambda: print(len(os.listdir('/proc/self/task')) "
+              "if sys.platform == 'linux' else 1, os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+              "sys.exit(cli.main({argv}))")
 
 
 def run_blas_probe(argv, in_process, **env):
@@ -192,8 +198,8 @@ def run_blas_probe(argv, in_process, **env):
     code = BLAS_PROBE.format(argv="sys.argv[1:]" if in_process else "")
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          check=True, env=dict(environ, **env))
-    return proc.stdout.split()
+                          env=dict(environ, **env))
+    return [str(proc.returncode), *proc.stdout.split()]
 
 
 def test_a_bfx_process_starts_no_blas_threads(stage_calls):
@@ -219,26 +225,60 @@ def test_console_entry_point_runs():
 ENTRY = "import sys\nfrom bfx.cli import main\nsys.exit(main())"  # the `bfx` console script
 
 
-def test_exit_hook_freezes_the_gc_before_earlier_atexit_handlers(tmp_path):
+def test_the_program_runs_earlier_atexit_handlers(tmp_path):
     formats.write_pmap(tmp_path / "fold.pmap", np.full((2, 4, 4), 0.5, np.float32))
-    code = ("import atexit, gc, sys\nfrom bfx.cli import main\n"
-            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
-            "print('in main', gc.get_freeze_count())\nsys.exit(main())")
+    code = ("import atexit, sys\nfrom bfx.cli import main\n"
+            "atexit.register(lambda: print('at exit', file=sys.stderr))\n"
+            "print('in main')\nsys.exit(main())")
     proc = subprocess.run([sys.executable, "-c", code, "fuse", str(tmp_path / "fold.pmap"),
                            "--out", str(tmp_path / "fused.pmap")], capture_output=True, text=True)
-    # atexit runs the newest handler first: the probe, registered before
-    # main, sees the heap frozen
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == ["in main 0", "at exit True"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "in main\n", "at exit\n")
+    assert (tmp_path / "fused.manifest.json").exists()
 
 
-def test_repeated_calls_register_one_exit_hook(tmp_path):
-    atexit.unregister(gc.freeze)  # as if no earlier call in this process had registered it
-    cli._exit_hook_registered = False
+def test_piped_lossmath_output_arrives_complete(stage_calls, capsys):
+    argv = stage_calls("lossmath")
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    assert len(want.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lr", "--schedule", "poly", "--out", "{d}/lr.csv"], 0),
+    (["lr", "--schedule", "cosine", "--out", "{d}/lr.csv"], 1),
+    (["split", "--index", "{d}/missing.json"], 2),
+], ids=["ok", "usage", "io"])
+def test_the_program_exits_with_the_call_status(tmp_path, argv, code):
+    argv = [a.format(d=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    if code:
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(("bfx: error: ", "bfx: i/o error: "))
+    else:
+        assert proc.stderr == "" and (tmp_path / "lr.manifest.json").exists()
+
+
+def test_the_program_reports_a_closed_stdout_as_an_io_error(stage_calls):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nothing the call prints can arrive
+    try:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *stage_calls("lossmath")], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "bfx: i/o error: [Errno 32] Broken pipe\n"
+
+
+def test_an_in_process_call_registers_no_exit_handler(tmp_path):
     before = atexit._ncallbacks()
     for k in range(2):
         assert cli.main(["lr", "--schedule", "poly", "--out", str(tmp_path / f"lr{k}.csv")]) == 0
-    assert atexit._ncallbacks() == before + 1
+    assert cli.main(["lr", "--schedule", "cosine"]) == 1
+    assert atexit._ncallbacks() == before
 
 
 def fused_scene():
@@ -313,6 +353,47 @@ def test_targets_accepts_geojson_annotations(tmp_path):
                      "--height", "32", "--width", "32"]) == 0
     building = formats.read_pgm(out / "tileX.building.pgm")
     assert building.sum() == 18 * 18
+
+
+def test_targets_reads_the_geojson_extract_writes(tmp_path):
+    formats.write_pmap(tmp_path / "scene.pmap", fused_scene())
+    assert cli.main(["extract", "--in", str(tmp_path / "scene.pmap"), "--min-area", "4",
+                     "--out-geojson", str(tmp_path / "scene.geojson"),
+                     "--out-imap", str(tmp_path / "scene.imap")]) == 0
+    doc = read_json(tmp_path / "scene.geojson")
+    # the id rides on the collection, not on the features
+    assert doc["image_id"] == "scene" and len(doc["features"]) == 2
+    assert all("image_id" not in f["properties"] for f in doc["features"])
+    plain = {"scene": [{"points": f["geometry"]["coordinates"][0]} for f in doc["features"]]}
+    (tmp_path / "plain.json").write_text(json.dumps(plain))
+    for out, ann in (("from-geojson", "scene.geojson"), ("from-plain", "plain.json")):
+        assert cli.main(["targets", "--annotations", str(tmp_path / ann), "--out-dir", str(tmp_path / out),
+                         "--height", "16", "--width", "20"]) == 0
+    for channel in formats.CHANNEL_NAMES:
+        got = (tmp_path / "from-geojson" / f"scene.{channel}.pgm").read_bytes()
+        assert got == (tmp_path / "from-plain" / f"scene.{channel}.pgm").read_bytes()
+    assert formats.read_pgm(tmp_path / "from-geojson" / "scene.building.pgm").sum() > 0
+
+
+SQUARE = {"type": "Polygon", "coordinates": [[[2, 2], [9, 2], [9, 9], [2, 9], [2, 2]]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"type": "FeatureCollection", "image_id": 7, "features": []},
+     "FeatureCollection 'image_id' must be a string"),
+    ({"type": "FeatureCollection", "image_id": None,
+      "features": [{"type": "Feature", "properties": {"image_id": "a"}, "geometry": SQUARE}]},
+     "FeatureCollection 'image_id' must be a string"),
+    ({"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {}, "geometry": SQUARE}]},
+     "image id '' is not usable as a file stem"),
+    ({"../up": [{"points": [[1, 1], [5, 1], [5, 5]]}]}, "image id '../up' is not usable as a file stem"),
+], ids=["collection-id-int", "collection-id-null", "no-id", "id-with-slash"])
+def test_a_refused_targets_call_creates_no_out_dir(tmp_path, capsys, doc, message):
+    (tmp_path / "ann.json").write_text(json.dumps(doc))
+    out = tmp_path / "new" / "tgt"
+    assert cli.main(["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"bfx: error: {message}\n"
+    assert os.listdir(tmp_path) == ["ann.json"]
 
 
 def test_targets_pmap_format(tmp_path):
@@ -448,7 +529,7 @@ def test_eval_requires_an_output(tmp_path):
 def test_fuse_tta_views(tmp_path):
     rng = np.random.default_rng(0)
     base = rng.random((2, 8, 8)).astype(np.float32)
-    for view, suffix in ((v, s) for v, s in cli.VIEW_SUFFIXES):
+    for view, suffix in ((v, s) for v, s in fuse_stage.VIEW_SUFFIXES):
         formats.write_pmap(tmp_path / f"fold0.{suffix}.pmap", fusion.apply_view(base, view))
     assert cli.main(["fuse", "--tta", str(tmp_path / "fold0.pmap"),
                      "--out", str(tmp_path / "fused.pmap")]) == 0
@@ -462,7 +543,7 @@ def write_tta_folds(tmp_path, folds, shape=(2, 8, 8)):
     rng = np.random.default_rng(4)
     for k in range(folds):
         base = rng.random(shape).astype(np.float32)
-        for view, suffix in cli.VIEW_SUFFIXES:
+        for view, suffix in fuse_stage.VIEW_SUFFIXES:
             formats.write_pmap(tmp_path / f"fold{k}.{suffix}.pmap", fusion.apply_view(base, view))
     return [str(tmp_path / f"fold{k}.pmap") for k in range(folds)]
 
@@ -470,7 +551,7 @@ def write_tta_folds(tmp_path, folds, shape=(2, 8, 8)):
 def test_fuse_tta_equals_the_library_sums_at_any_thread_count(tmp_path):
     prefixes = write_tta_folds(tmp_path, 3)
     folds = [fusion.tta_average({view: formats.read_pmap(tmp_path / f"fold{k}.{suffix}.pmap")
-                                 for view, suffix in cli.VIEW_SUFFIXES}) for k in range(3)]
+                                 for view, suffix in fuse_stage.VIEW_SUFFIXES}) for k in range(3)]
     formats.write_pmap(tmp_path / "want.pmap", fusion.ensemble_average(folds))
     want = (tmp_path / "want.pmap").read_bytes()
     for threads in ("1", "2", "3"):
@@ -478,7 +559,7 @@ def test_fuse_tta_equals_the_library_sums_at_any_thread_count(tmp_path):
                          "--threads", threads]) == 0
         assert (tmp_path / f"t{threads}.pmap").read_bytes() == want
         inputs = read_json(tmp_path / f"t{threads}.manifest.json")["inputs"]
-        assert inputs == [f"fold{k}.{suffix}.pmap" for k in range(3) for _, suffix in cli.VIEW_SUFFIXES]
+        assert inputs == [f"fold{k}.{suffix}.pmap" for k in range(3) for _, suffix in fuse_stage.VIEW_SUFFIXES]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -591,6 +672,21 @@ def test_tile_and_split_stages(tmp_path):
     assert cli.main(["split", "--index", str(index), "--k", "5"]) == 1
 
 
+@pytest.mark.parametrize("size, nodata", [(4, 0), (5, 0), (3, 200)])
+def test_tile_blank_flags_match_a_full_tile_compare(tmp_path, size, nodata):
+    rng = np.random.default_rng(size)
+    values = rng.integers(0, 256, (23, 17), dtype=np.uint8)
+    values[rng.random((23, 17)) < 0.9] = nodata  # all-nodata tiles, and tiles with one pixel left
+    (tmp_path / "src.pgm").write_bytes(b"P5\n17 23\n255\n" + values.tobytes())
+    assert cli.main(["tile", "--raster", str(tmp_path / "src.pgm"), "--size", str(size),
+                     "--nodata", str(nodata), "--index", str(tmp_path / "idx.json")]) == 0
+    records = read_json(tmp_path / "idx.json")
+    want = [bool((values[r * size:(r + 1) * size, c * size:(c + 1) * size] == nodata).all())
+            for r in range(23 // size) for c in range(17 // size)]
+    assert [rec["blank"] for rec in records] == want
+    assert True in want and False in want
+
+
 def test_lossmath_prints_nine_significant_digits(tmp_path, capsys):
     pred = np.full((1, 10, 10), 0.5, np.float32)
     gt = np.ones((10, 10), np.uint8)
@@ -640,9 +736,10 @@ def test_lossmath_prints_the_value_of_the_gradient_bearing_losses(tmp_path, caps
     params = trainmath.LossParams(0.7, 0.01, 0.2, 0.5, 0.001)
     losses = [trainmath.channel_loss(pred[i], gts[i], params)[0] for i in range(3)]
     expected = trainmath.total_loss(losses, trainmath.ChannelWeights(1.0, 3.0, 2.0))
-    assert cli.main(["lossmath", "total", "--pred", str(tmp_path / "p.pmap"), "--gt", *gt_paths,
-                     "--w-border", "3", *flags]) == 0
-    assert capsys.readouterr().out == f"{expected:.9g}\n"
+    for threads in ("1", "2"):  # the channels' losses run on the pool
+        assert cli.main(["lossmath", "total", "--pred", str(tmp_path / "p.pmap"), "--gt", *gt_paths,
+                         "--w-border", "3", "--threads", threads, *flags]) == 0
+        assert capsys.readouterr().out == f"{expected:.9g}\n"
     for op, fn in (("dice", trainmath.dice_loss), ("bce", trainmath.bce_loss),
                    ("channel", trainmath.channel_loss)):
         assert cli.main(["lossmath", op, "--pred", str(tmp_path / "p.pmap"), "--gt", gt_paths[2],
@@ -663,6 +760,24 @@ def test_lr_poly_recursive_table_of_100k_epochs(tmp_path):
     params = ScheduleParams(total_epochs=100000)
     for epoch in (0, 1, 2, 999, 5000):
         assert lines[epoch + 1] == f"{epoch},{poly_recurrence_per_epoch(epoch, params)!r}"
+
+
+def test_lr_total_epochs_has_an_upper_bound(tmp_path, capsys, monkeypatch):
+    from bfx import schedules
+
+    def refuse(*args):
+        raise AssertionError("a schedule was built")
+
+    monkeypatch.setattr(schedules, "ScheduleParams", refuse)  # no call may get as far as the schedule
+    (tmp_path / "cfg.json").write_text('{"total_epochs": %d}' % 2 ** 70)
+    for extra in (["--total-epochs", "1000001"], ["--total-epochs", str(10 ** 12)],
+                  ["--config", str(tmp_path / "cfg.json")]):
+        assert cli.main(["lr", "--schedule", "poly", "--out", str(tmp_path / "lr.csv"), *extra]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("bfx: error: lr: parameter total_epochs=") and line.endswith(" out of range")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+    total_epochs = next(p for p in cli.STAGES["lr"][1] if p.name == "total_epochs")
+    assert cli._checked("lr", total_epochs, 10 ** 6) == 10 ** 6
 
 
 def test_lr_stage_csv(tmp_path):

@@ -305,7 +305,7 @@ def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
 def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
     for data in (header, header + bytes(range(12)), header + bytes(5000)):
         try:  # the whole file's bytes parsed at once
-            w, h, maxval, offset = formats._read_pnm_header(data, b"P5")
+            w, h, maxval, offset = fileio._read_pnm_header(data, b"P5")
             if not 0 < maxval < 256:
                 raise ValueError(f"unsupported PGM maxval {maxval}")
             if len(data) - offset < w * h:

@@ -59,7 +59,10 @@ REEXPORTS = {("trainmath", "ScheduleParams"), ("trainmath", "lr_one_cycle"), ("t
 
 def test_no_module_imports_a_sibling_name_it_does_not_use():
     unused = []
-    for path in sorted(pathlib.Path(bfx.__file__).parent.glob("*.py")):
+    root = pathlib.Path(bfx.__file__).parent
+    paths = sorted(root.rglob("*.py"))
+    assert any(path.parent.name == "stages" for path in paths)
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -67,5 +70,22 @@ def test_no_module_imports_a_sibling_name_it_does_not_use():
                 for alias in node.names:
                     name = alias.asname or alias.name
                     if name not in used and (path.stem, name) not in REEXPORTS:
-                        unused.append(f"{path.name}:{node.lineno} {name}")
+                        unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_library_module_imports_the_cli():
+    """Only the stage runners import `bfx.cli`, so no library call can load it."""
+    root = pathlib.Path(bfx.__file__).parent
+    importers = []
+    for path in sorted(set(root.glob("*.py")) - {root / "cli.py"}):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" if node.module else a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "cli" or n.startswith(("cli.", "bfx.cli")) for n in names):
+                importers.append(path.name)
+    assert importers == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,22 @@ def test_loss_value_is_the_losses_first_element_bit_for_bit(dtype, beta, eps, cl
             value = trainmath.loss_value(kind, pred, gt, params)
             assert type(value) is float
             assert value.hex() == fn(pred, gt, params)[0].hex(), (kind, side)
+
+
+def test_loss_value_holds_about_three_float64_planes():
+    """The value path holds the float64 prediction and two scratch planes
+    (the target stays a uint8 mask), so `lossmath total` can run its three
+    channels on two threads below what one channel used to take (7 planes)."""
+    pred = np.random.default_rng(2).random((512, 512), dtype=np.float32)
+    gt = (pred > 0.6).astype(np.uint8)
+    for kind in ("dice", "bce", "channel"):
+        tracemalloc.start()
+        try:
+            trainmath.loss_value(kind, pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * pred.size * 8, (kind, peak / (pred.size * 8))
 
 
 def test_loss_value_checks_like_the_losses():
