@@ -22,13 +22,12 @@ _SUBMODULES = ("annotations", "cli", "dataprep", "evaluate", "extract", "fileio"
 
 _LAZY = {name: module for module, names in {
     "annotations": ("AnnotationError", "ingest_annotations"),
-    "evaluate": ("EvalCounts", "MatchResult", "PixelScores", "aggregate_global", "color_map",
-                 "export_per_image_csv", "f1_from_counts", "instance_iou", "match_instances",
-                 "pixel_scores"),
+    "evaluate": ("EvalCounts", "MatchResult", "aggregate_global", "color_map",
+                 "export_per_image_csv", "f1_from_counts", "match_instances"),
     "extract": ("PolygonInstance", "PolygonSet", "extract_multi_class", "extract_single_class",
                 "filter_small", "make_seeds", "polygon_set_from_geojson", "polygon_set_to_geojson",
                 "polygonize", "watershed_assign"),
-    "fusion": ("apply_view", "binarize", "ensemble_average", "tta_average"),
+    "fusion": ("apply_view", "binarize", "ensemble_average"),
     "raster": ("connected_components", "dilate", "erode", "mask_xor"),
     "schedules": ("ScheduleParams", "lr_one_cycle", "lr_poly"),
     "targets": ("TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",

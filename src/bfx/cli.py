@@ -4,8 +4,10 @@ Subcommands: targets, fuse, extract, eval, tile, split, lossmath, lr,
 cutmix. Every stage resolves its configuration as flags over config-file
 values over defaults, validates ranges, and echoes the effective config to
 a JSON sidecar next to its outputs together with a run manifest (inputs,
-outputs, config hash). Writes are atomic, so a failed run leaves no
-partial artifacts.
+outputs, config hash). Writes are atomic and are committed (renamed into
+place) only once the whole call, sidecars included, has succeeded, so a
+failed run leaves no partial artifacts; a rename that fails partway may
+leave the files renamed before it (exit 2).
 
 Exit status: 0 on success, 1 on validation/usage errors, 2 on I/O errors.
 
@@ -399,9 +401,10 @@ def _run(argv: list[str]) -> int:
         if args.stage is None:
             raise ValidationError("no stage given (see --help)")
         cfg = effective_config(args.stage, args)
-        inputs, outputs, primary = import_module(f"bfx.stages.{args.stage}").run(cfg)
-        if primary is not None:
-            _finish_run(args.stage, cfg, inputs, outputs, primary)
+        with fileio.staged_commit():  # no artifact appears unless the call succeeds
+            inputs, outputs, primary = import_module(f"bfx.stages.{args.stage}").run(cfg)
+            if primary is not None:
+                _finish_run(args.stage, cfg, inputs, outputs, primary)
         return 0
     except ValueError as exc:
         print(f"bfx: error: {exc}", file=sys.stderr)

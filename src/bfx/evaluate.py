@@ -1,4 +1,4 @@
-"""Pixel- and object-level scoring with color-map diagnostics.
+"""Object-level scoring with color-map diagnostics.
 
 Object scoring follows the SpaceNet buildings convention: candidate
 prediction/ground-truth pairs with IoU >= 0.5 are matched greedily in
@@ -9,8 +9,8 @@ truths false negatives. IoU is computed on rasterized instance supports,
 not polygon geometry. F1 aggregates globally over summed counts, which is
 not the mean of per-image F1 scores.
 
-Empty-versus-empty scenes score 1.0 (an empty scene predicted empty is
-correct); this convention differs between toolkits, so it is pinned here.
+An empty scene predicted empty scores an F1 of 100 % (it is correct);
+this convention differs between toolkits, so it is pinned here.
 """
 
 from __future__ import annotations
@@ -45,45 +45,6 @@ class MatchResult:
     counts: EvalCounts = EvalCounts()
     unmatched_pred: list[int] = field(default_factory=list)
     unmatched_gt: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class PixelScores:
-    counts: EvalCounts
-    precision: float
-    recall: float
-    fscore: float
-    iou: float
-
-
-def pixel_scores(pred, gt) -> PixelScores:
-    """Pixelwise precision/recall/F-score/IoU over two masks."""
-    p = raster.as_mask(pred)
-    g = raster.as_mask(gt)
-    if p.shape != g.shape:
-        raise ValueError(f"mask dimensions differ: {p.shape} vs {g.shape}")
-    tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & (1 - g)))
-    fn = int(np.count_nonzero((1 - p) & g))
-    if tp + fp + fn == 0:
-        return PixelScores(EvalCounts(0, 0, 0), 1.0, 1.0, 1.0, 1.0)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    fscore = 2 * tp / (2 * tp + fp + fn)
-    iou = tp / (tp + fp + fn)
-    return PixelScores(EvalCounts(tp, fp, fn), precision, recall, fscore, iou)
-
-
-def instance_iou(a, b) -> float:
-    """Intersection over union of two instance pixel supports."""
-    ma = raster.as_mask(a)
-    mb = raster.as_mask(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"mask dimensions differ: {ma.shape} vs {mb.shape}")
-    union = int(np.count_nonzero(ma | mb))
-    if union == 0:
-        raise ValueError("both instances are empty")
-    return int(np.count_nonzero(ma & mb)) / union
 
 
 def _overlap_table(pred: np.ndarray, gt: np.ndarray):

@@ -3,22 +3,42 @@ nothing here may import numpy.
 
 Every artifact goes through `atomic_write_bytes` (temp file + rename within
 the target directory), so interrupted runs never leave partial artifacts
-behind. `read_pnm` parses a PGM or PPM header and reads the payload into
-one `bytearray`; `bfx.formats` views that buffer as an array, and `bfx
-tile` tests it for nodata as it is. The stages that do no array work
-(`tile`, `split`, `lr`) and the CLI's sidecars use this module without
-loading numpy.
+behind. Inside `staged_commit()`, which `bfx.cli` opens around each call,
+the renames wait until the whole call has succeeded, so a call that fails
+after some of its writes leaves none of them. `read_pnm` parses a PGM or
+PPM header and reads the payload into one `bytearray`; `bfx.formats`
+views that buffer as an array, and `bfx tile` tests it for nodata as it
+is. The stages that do no array work (`tile`, `split`, `lr`) and the
+CLI's sidecars use this module without loading numpy.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+# (temp file, path) of each write in the open staged commit, in write order
+_STAGED = ContextVar("bfx_staged_writes", default=None)
+
+
+def _named(exc: OSError, path: str) -> OSError:
+    """`exc` naming `path`, the file the caller asked for, rather than a temp file."""
+    return exc if exc.errno is None else OSError(exc.errno, exc.strerror, path)
+
+
+def _unlink(tmp: str) -> None:
+    try:
+        os.unlink(tmp)
+    except OSError:
+        pass
 
 
 def atomic_write_bytes(path, *parts) -> None:
     """Write bytes-like objects (bytes, or C-contiguous arrays, whose
     buffers are written as they are) one after another to `path` through
-    a temp file renamed over it.
+    a temp file renamed over it; inside `staged_commit()`, the temp file
+    is left for the commit to rename. An OSError names `path`.
 
     The temp file is created with mode 0666 less the process umask, as
     `open()` would create `path`, so artifacts get the usual permissions."""
@@ -31,17 +51,50 @@ def atomic_write_bytes(path, *parts) -> None:
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise _named(exc, path) from None
+    staged = _STAGED.get()
     try:
         with os.fdopen(fd, "wb") as f:
             for part in parts:
                 f.write(part)
-        os.replace(tmp, path)
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, path))
+    except OSError as exc:
+        _unlink(tmp)
+        raise _named(exc, path) from None
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink(tmp)
         raise
+
+
+@contextmanager
+def staged_commit():
+    """Hold back the renames of the `atomic_write_bytes` calls made in this
+    context (this thread) until the block has run to its end, then rename
+    every temp file in write order. If the block raises, every temp file is
+    unlinked and no file is written. A rename that fails stops the commit
+    with its OSError, naming that file: the files renamed before it stay,
+    the temp files after it are unlinked."""
+    staged = []
+    token = _STAGED.set(staged)
+    try:
+        yield
+    except BaseException:
+        for tmp, _ in staged:
+            _unlink(tmp)
+        raise
+    finally:
+        _STAGED.reset(token)
+    for i, (tmp, path) in enumerate(staged):
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            for later, _ in staged[i:]:
+                _unlink(later)
+            raise _named(exc, path) from None
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -67,11 +67,6 @@ def read_pgm(path) -> np.ndarray:
     return np.greater(_read_pnm(path, b"P5"), 127).view(np.uint8)
 
 
-def read_pgm_raw(path) -> np.ndarray:
-    """A P5 file's raw 8-bit grayscale values."""
-    return _read_pnm(path, b"P5")
-
-
 def write_ppm(path, rgb) -> None:
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:

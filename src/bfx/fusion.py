@@ -15,7 +15,7 @@ not four views.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,58 +42,31 @@ def apply_view(arr, view: str) -> np.ndarray:
     return a[_VIEW_INDEX[view]].copy()
 
 
-def _tta_total(read):
-    """float64 sum ((a0 + a1) + a2) + a3 of the four views `read(name,
-    buffer)` returns, called once per name in VIEWS order, each aligned
-    back to the reference frame through strided indexing (no copy).
+def tta_average_stream(read) -> np.ndarray:
+    """Align four views back to the reference frame and average them,
+    holding one view at a time.
 
-    `buffer` is None for the first view, then the array returned for the
-    previous one, which has been added by then. The sum starts as
-    a0.astype(float64), not from zeros, so a pixel that is -0.0 in every
-    view stays -0.0. Returns the sum and the last view's array."""
-    shape = None
+    `read(name, buffer)` is called once per name in VIEWS order and returns
+    that view as a float32 (c, h, w) stack. `buffer` is None for the first
+    call and then the array the previous call returned, whose values have
+    been added to the sum, so `read` may fill it in place. Each view is
+    added through strided indexing (no copy) into one float64 accumulator
+    as ((a0 + a1) + a2) + a3, which starts as a0.astype(float64), not from
+    zeros, so a pixel that is -0.0 in every view stays -0.0. The sum is
+    divided by 4 and rounded to float32 once, into the last returned array,
+    which is returned.
+    """
     total = buf = None
     for name in VIEWS:
         buf = read(name, buf)
         if buf.ndim != 3:
             raise ValueError(f"view {name!r} must be a (c, h, w) stack")
-        if shape is None:
-            shape = buf.shape
+        if total is None:
             total = buf.astype(np.float64)  # the identity view needs no alignment
-            continue
-        if buf.shape != shape:
-            raise ValueError(f"view {name!r} has shape {buf.shape}, expected {shape}")
-        total += buf[_VIEW_INDEX[name]]
-    return total, buf
-
-
-def tta_average(views: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Align four tagged views back to the reference frame and average them.
-
-    `views` must hold exactly the keys in VIEWS. The result does not depend
-    on mapping order: the views are added into one float64 accumulator in
-    the canonical VIEWS order, as ((a0 + a1) + a2) + a3, then divided by 4
-    and rounded to float32 once; a pixel that is -0.0 in every view stays
-    -0.0. `tta_average_stream` is the same sum over views read one at a
-    time.
-    """
-    if set(views) != set(VIEWS):
-        raise ValueError(f"expected exactly the views {VIEWS}, got {sorted(views)}")
-    total, _ = _tta_total(lambda name, _: np.asarray(views[name], np.float32))
-    return np.divide(total, 4.0, out=np.empty(total.shape, np.float32))
-
-
-def tta_average_stream(read) -> np.ndarray:
-    """`tta_average` of the views `read(name, buffer)` returns, holding one
-    view at a time.
-
-    `read` is called once per name in VIEWS order and returns that view as
-    a float32 (c, h, w) stack. `buffer` is None for the first call and then
-    the array the previous call returned, whose values have been added to
-    the sum, so `read` may fill it in place. The average is written into
-    the last returned array, which is returned.
-    """
-    total, buf = _tta_total(read)
+        elif buf.shape != total.shape:
+            raise ValueError(f"view {name!r} has shape {buf.shape}, expected {total.shape}")
+        else:
+            total += buf[_VIEW_INDEX[name]]
     return np.divide(total, 4.0, out=buf)
 
 

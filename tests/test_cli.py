@@ -1,4 +1,5 @@
 import atexit
+import errno
 import json
 import math
 import os
@@ -13,6 +14,8 @@ import pytest
 from bfx import cli, formats, fusion
 from bfx.stages import fuse as fuse_stage
 from bfx.targets import assemble_targets
+
+from _oracles import copy_tta_average
 
 
 def write_annotations(path, scale=1.0):
@@ -443,6 +446,52 @@ def test_missing_input_exits_2_without_partial_outputs(tmp_path):
     assert not (tmp_path / "o.imap").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--pred", "p.imap", "--gt", "g.imap", "--colormap", "c.ppm", "--csv", "nodir/c.csv"],
+    ["extract", "--in", "s.pmap", "--out-geojson", "x.geojson", "--out-imap", "nodir/x.imap"],
+], ids=["eval", "extract"])
+def test_a_failed_write_leaves_none_of_the_calls_files(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    labels = np.zeros((8, 8), np.uint32)
+    labels[1:4, 1:4] = 1
+    formats.write_imap("p.imap", labels)
+    formats.write_imap("g.imap", labels)
+    formats.write_pmap("s.pmap", np.full((3, 8, 8), 0.5, np.float32))
+    before = sorted(os.listdir())
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    # the file the call could not write, by the path given, not its temp file
+    assert (out, err) == ("", f"bfx: i/o error: [Errno 2] No such file or directory: '{argv[-1]}'\n")
+    assert sorted(os.listdir()) == before
+
+
+# the program with a 200-byte file size limit: a 2-epoch schedule's CSV fits, its config sidecar does not
+FSIZE_ENTRY = ("import resource, sys\nfrom bfx.cli import main\n"
+               "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (200, hard))\nsys.exit(main())")
+
+
+def test_a_failed_sidecar_write_leaves_no_artifact(tmp_path):
+    out = tmp_path / "lr.csv"
+    argv = ["lr", "--schedule", "poly", "--total-epochs", "2", "--up-epochs", "1", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", FSIZE_ENTRY, *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    sidecar = tmp_path / "lr.config.json"
+    assert proc.stderr == f"bfx: i/o error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{sidecar}'\n"
+    assert os.listdir(tmp_path) == []
+    assert cli.main(argv) == 0
+    assert out.stat().st_size < 200 < sidecar.stat().st_size
+
+
+def test_a_rename_that_fails_keeps_the_renames_before_it(tmp_path, capsys):
+    (tmp_path / "lr.config.json").mkdir()
+    out = tmp_path / "lr.csv"
+    assert cli.main(["lr", "--schedule", "poly", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bfx: i/o error: ") and err.endswith(f": '{tmp_path / 'lr.config.json'}'\n")
+    assert sorted(os.listdir(tmp_path)) == ["lr.config.json", "lr.csv"]  # no manifest, no temp file
+
+
 def pipeline(tmp_path, threads="1"):
     """targets -> fuse -> extract -> eval on one image; returns the out dir."""
     tmp_path.mkdir(exist_ok=True)
@@ -550,8 +599,8 @@ def write_tta_folds(tmp_path, folds, shape=(2, 8, 8)):
 
 def test_fuse_tta_equals_the_library_sums_at_any_thread_count(tmp_path):
     prefixes = write_tta_folds(tmp_path, 3)
-    folds = [fusion.tta_average({view: formats.read_pmap(tmp_path / f"fold{k}.{suffix}.pmap")
-                                 for view, suffix in fuse_stage.VIEW_SUFFIXES}) for k in range(3)]
+    folds = [copy_tta_average({view: formats.read_pmap(tmp_path / f"fold{k}.{suffix}.pmap")
+                               for view, suffix in fuse_stage.VIEW_SUFFIXES}) for k in range(3)]
     formats.write_pmap(tmp_path / "want.pmap", fusion.ensemble_average(folds))
     want = (tmp_path / "want.pmap").read_bytes()
     for threads in ("1", "2", "3"):

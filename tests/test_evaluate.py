@@ -34,77 +34,6 @@ def best_matching_tp(iou_table):
 
 
 # ---------------------------------------------------------------------------
-# pixel scores
-# ---------------------------------------------------------------------------
-
-
-def test_pixel_scores_perfect():
-    m = inst_map(10, 10, [(2, 2, 7, 7)]) > 0
-    s = evaluate.pixel_scores(m, m)
-    assert s.fscore == 1.0 and s.iou == 1.0
-
-
-def test_pixel_scores_disjoint():
-    a = inst_map(10, 10, [(0, 0, 3, 3)]) > 0
-    b = inst_map(10, 10, [(5, 5, 9, 9)]) > 0
-    s = evaluate.pixel_scores(a, b)
-    assert s.fscore == 0.0
-
-
-def test_pixel_scores_half_overlap():
-    pred = inst_map(20, 30, [(5, 5, 15, 15)]) > 0   # 10x10
-    gt = inst_map(20, 30, [(5, 10, 15, 20)]) > 0    # 10x10, 50 px overlap
-    s = evaluate.pixel_scores(pred, gt)
-    assert s.counts == EvalCounts(50, 50, 50)
-    assert s.fscore == pytest.approx(0.5)
-    assert s.iou == pytest.approx(1 / 3)
-
-
-def test_pixel_scores_empty_vs_empty_convention():
-    z = np.zeros((5, 5), np.uint8)
-    s = evaluate.pixel_scores(z, z)
-    assert (s.precision, s.recall, s.fscore, s.iou) == (1.0, 1.0, 1.0, 1.0)
-
-
-def test_pixel_scores_iou_fscore_consistency():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = (rng.random((12, 12)) < 0.5).astype(np.uint8)
-        b = (rng.random((12, 12)) < 0.5).astype(np.uint8)
-        s = evaluate.pixel_scores(a, b)
-        if s.counts.tp + s.counts.fp + s.counts.fn > 0:
-            assert s.iou == pytest.approx(s.fscore / (2 - s.fscore))
-
-
-# ---------------------------------------------------------------------------
-# instance iou
-# ---------------------------------------------------------------------------
-
-
-def test_instance_iou_identity():
-    m = inst_map(12, 12, [(1, 1, 6, 6)]) > 0
-    assert evaluate.instance_iou(m, m) == 1.0
-
-
-def test_instance_iou_one_column_offset():
-    a = inst_map(20, 30, [(5, 5, 15, 15)]) > 0
-    b = inst_map(20, 30, [(5, 6, 15, 16)]) > 0
-    assert evaluate.instance_iou(a, b) == pytest.approx(90 / 110)
-
-
-def test_instance_iou_five_column_offset():
-    a = inst_map(20, 30, [(5, 5, 15, 15)]) > 0
-    b = inst_map(20, 30, [(5, 10, 15, 20)]) > 0
-    assert evaluate.instance_iou(a, b) == pytest.approx(50 / 150)
-
-
-def test_instance_iou_both_empty_is_error():
-    z = np.zeros((4, 4), np.uint8)
-    with pytest.raises(ValueError):
-        evaluate.instance_iou(z, z)
-
-
-# ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------
 

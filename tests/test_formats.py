@@ -28,8 +28,8 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "m.pgm"
     formats.write_pgm(path, mask)
     assert np.array_equal(formats.read_pgm(path), mask)
-    raw = formats.read_pgm_raw(path)
-    assert set(np.unique(raw)) <= {0, 255}
+    shape, raw = fileio.read_pnm(path, b"P5")
+    assert shape == mask.shape and set(raw) <= {0, 255}
 
 
 def test_pgm_header_and_encoding(tmp_path):
@@ -148,7 +148,7 @@ def test_truncated_binary_header_is_value_error(tmp_path, read, write, magic, na
 @pytest.mark.parametrize("size", [b"3 -2", b"0 4", b"4 0"])
 def test_pnm_rejects_non_positive_size(tmp_path, size):
     with pytest.raises(ValueError, match="not positive"):
-        formats.read_pgm_raw(file_of(tmp_path, b"P5\n" + size + b"\n255\n"))
+        fileio.read_pnm(file_of(tmp_path, b"P5\n" + size + b"\n255\n"), b"P5")
 
 
 @pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
@@ -275,11 +275,11 @@ def test_pgm_truncated_payload_is_rejected(tmp_path):
     header = b"P5\n4 3\n255\n"
     for cut in (0, 1, 11):
         path = file_of(tmp_path, header + bytes(range(cut)))
-        for read in (formats.read_pgm_raw, formats.read_pgm):
+        for read in (lambda p: fileio.read_pnm(p, b"P5"), formats.read_pgm):
             with pytest.raises(ValueError, match="^truncated PGM payload$"):
                 read(path)
     full = header + bytes(range(12)) + b"trailing"
-    assert formats.read_pgm_raw(file_of(tmp_path, full)).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    assert fileio.read_pnm(file_of(tmp_path, full), b"P5") == ((3, 4), bytes(range(12)))
 
 
 def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
@@ -313,10 +313,10 @@ def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
             want = np.frombuffer(data, np.uint8, w * h, offset)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                formats.read_pgm_raw(file_of(tmp_path, data))
+                fileio.read_pnm(file_of(tmp_path, data), b"P5")
             assert str(got.value) == str(exc)
         else:
-            assert formats.read_pgm_raw(file_of(tmp_path, data)).tobytes() == want.tobytes()
+            assert fileio.read_pnm(file_of(tmp_path, data), b"P5") == ((h, w), want.tobytes())
 
 
 def test_ppm_round_trip_and_truncation(tmp_path):
@@ -337,5 +337,5 @@ def test_ppm_round_trip_and_truncation(tmp_path):
 def test_formats_offers_one_reader_and_one_writer_per_format():
     public = {name for name, value in vars(formats).items() if not name.startswith("_")
               and not inspect.ismodule(value) and getattr(value, "__module__", formats.__name__) == formats.__name__}
-    assert public == {"PMAP_MAGIC", "IMAP_MAGIC", "CHANNEL_NAMES", "write_pgm", "read_pgm", "read_pgm_raw",
+    assert public == {"PMAP_MAGIC", "IMAP_MAGIC", "CHANNEL_NAMES", "write_pgm", "read_pgm",
                       "write_ppm", "read_ppm", "write_pmap", "read_pmap", "write_imap", "read_imap"}

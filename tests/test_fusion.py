@@ -46,7 +46,7 @@ def test_unknown_view_rejected():
 
 
 # ---------------------------------------------------------------------------
-# tta_average
+# tta_average_stream
 # ---------------------------------------------------------------------------
 
 
@@ -56,15 +56,19 @@ def views_of(reference):
 
 def test_tta_constant_maps():
     const = np.full((1, 4, 4), 0.25, np.float32)
-    out = fusion.tta_average({v: const for v in fusion.VIEWS})
+    views = {v: const for v in fusion.VIEWS}
+    out = streamed(views, [])
     assert np.array_equal(out, const)
+    assert_same_bits(out, copy_tta_average(views))
 
 
 def test_tta_fully_symmetric_input_equals_identity_view():
     m = np.zeros((1, 4, 4), np.float32)
     m[0, 1:3, 1:3] = 0.8  # symmetric under both flips
-    out = fusion.tta_average(views_of(m))
+    views = views_of(m)
+    out = streamed(views, [])
     assert np.allclose(out, m, atol=0)
+    assert_same_bits(out, copy_tta_average(views))
 
 
 def test_tta_matches_direct_recompute():
@@ -73,32 +77,18 @@ def test_tta_matches_direct_recompute():
     supplied = views_of(reference)
     expected = sum(fusion.apply_view(supplied[v], v).astype(np.float64)
                    for v in fusion.VIEWS) / 4.0
-    out = fusion.tta_average(supplied)
+    out = streamed(supplied, [])
     assert np.array_equal(out, expected.astype(np.float32))
-
-
-def test_tta_order_invariance():
-    rng = np.random.default_rng(3)
-    supplied = {v: rand_pmap(rng, 2, 3, 3) for v in fusion.VIEWS}
-    baseline = fusion.tta_average(supplied)
-    for perm in itertools.permutations(fusion.VIEWS):
-        shuffled = {v: supplied[v] for v in perm}
-        assert fusion.tta_average(shuffled).tobytes() == baseline.tobytes()
-
-
-def test_tta_requires_all_four_views():
-    rng = np.random.default_rng(4)
-    supplied = views_of(rand_pmap(rng, 1, 2, 2))
-    supplied.pop("hflip")
-    with pytest.raises(ValueError):
-        fusion.tta_average(supplied)
+    assert_same_bits(out, copy_tta_average(supplied))
 
 
 def test_tta_dimension_mismatch():
     supplied = {v: np.zeros((1, 2, 2), np.float32) for v in fusion.VIEWS}
     supplied["vflip"] = np.zeros((1, 3, 2), np.float32)
     with pytest.raises(ValueError):
-        fusion.tta_average(supplied)
+        streamed(supplied, [])
+    with pytest.raises(ValueError):
+        copy_tta_average(supplied)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +221,7 @@ def test_tta_matches_copy_oracle_bit_for_bit(layout):
     rng = np.random.default_rng(200)
     for _ in range(20):
         views = {v: laid_out(tricky_values(rng, (2, 5, 6)), layout) for v in fusion.VIEWS}
-        assert_same_bits(fusion.tta_average(views), copy_tta_average(views))
+        assert_same_bits(streamed(views, []), copy_tta_average(views))
 
 
 def streamed(views, calls):
@@ -258,7 +248,6 @@ def test_tta_stream_reuses_one_buffer_and_matches_copy_oracle(layout):
         assert calls[0][1] is None and all(buf is calls[1][1] for _, buf in calls[1:])
         assert out is calls[1][1] and out.dtype == np.float32
         assert_same_bits(out, copy_tta_average(views))
-        assert_same_bits(out, fusion.tta_average(views))
 
 
 def test_tta_stream_signed_zeros_match_oracle():
@@ -282,7 +271,7 @@ def test_tta_stream_rejects_bad_views():
 
 def test_tta_all_negative_zero_views_stay_negative_zero():
     views = {v: np.full((1, 2, 3), -0.0, np.float32) for v in fusion.VIEWS}
-    out = fusion.tta_average(views)
+    out = streamed(views, [])
     assert (out.view(np.uint32) == 0x80000000).all()
     assert_same_bits(out, copy_tta_average(views))
 
@@ -291,7 +280,7 @@ def test_tta_signed_zero_mixtures_match_oracle():
     zeros = np.array([0.0, -0.0], np.float32)
     for signs in itertools.product(range(2), repeat=4):
         views = {v: np.full((1, 1, 1), zeros[s], np.float32) for v, s in zip(fusion.VIEWS, signs)}
-        assert_same_bits(fusion.tta_average(views), copy_tta_average(views))
+        assert_same_bits(streamed(views, []), copy_tta_average(views))
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -318,7 +307,7 @@ def test_nan_pixel_gives_nan(k):
     assert np.array_equal(out[~nan].view(np.uint32), expected[~nan].view(np.uint32))
     views = {v: rng.random((1, 3, 3)).astype(np.float32) for v in fusion.VIEWS}
     views["vflip"][0, 0, 0] = np.nan
-    out = fusion.tta_average(views)
+    out = streamed(views, [])
     assert np.isnan(out[0, 2, 0]) and np.isnan(out).sum() == 1
 
 

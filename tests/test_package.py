@@ -9,13 +9,12 @@ import bfx
 # the names `bfx/__init__.py` re-exported before it resolved them lazily
 EXPORTS = {
     "annotations": ["AnnotationError", "ingest_annotations"],
-    "evaluate": ["EvalCounts", "MatchResult", "PixelScores", "aggregate_global", "color_map",
-                 "export_per_image_csv", "f1_from_counts", "instance_iou", "match_instances",
-                 "pixel_scores"],
+    "evaluate": ["EvalCounts", "MatchResult", "aggregate_global", "color_map",
+                 "export_per_image_csv", "f1_from_counts", "match_instances"],
     "extract": ["PolygonInstance", "PolygonSet", "extract_multi_class", "extract_single_class",
                 "filter_small", "make_seeds", "polygon_set_from_geojson", "polygon_set_to_geojson",
                 "polygonize", "watershed_assign"],
-    "fusion": ["apply_view", "binarize", "ensemble_average", "tta_average"],
+    "fusion": ["apply_view", "binarize", "ensemble_average"],
     "raster": ["connected_components", "dilate", "erode", "mask_xor"],
     "targets": ["TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
                 "rasterize_polygon"],
@@ -89,3 +88,40 @@ def test_no_library_module_imports_the_cli():
             if any(n.split(".")[-1] == "cli" or n.startswith(("cli.", "bfx.cli")) for n in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def _code_uses(tree):
+    """Names that `tree` loads, as a name or an attribute, outside the def
+    or class statement that defines that name (a docstring is no use)."""
+    uses = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                uses.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return uses
+
+
+def test_every_export_is_used_by_the_package_or_an_acceptance_criterion():
+    root = pathlib.Path(bfx.__file__).parent
+    used = set()
+    for path in sorted(root.rglob("*.py")):
+        if path != root / "__init__.py":
+            used |= _code_uses(ast.parse(path.read_text(encoding="utf-8")))
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    named = set()
+    for node in ast.walk(ast.parse(acceptance)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):  # from bfx.evaluate import EvalCounts
+            named.add(node.name)
+    assert sorted(set(bfx._LAZY) - used - named) == []
