@@ -6,8 +6,12 @@ values over defaults, validates ranges, and echoes the effective config to
 a JSON sidecar next to its outputs together with a run manifest (inputs,
 outputs, config hash). Writes are atomic and are committed (renamed into
 place) only once the whole call, sidecars included, has succeeded, so a
-failed run leaves no partial artifacts; a rename that fails partway may
-leave the files renamed before it (exit 2).
+failed run leaves no partial artifacts and no directory it made; a rename
+that fails partway may leave the files renamed before it (exit 2). The
+manifest's outputs are the files the commit logged, in write order: a
+runner returns its inputs and the sidecars' stem, not a list of outputs.
+A path parameter holding a NUL byte, or two writes of one call to one
+file, is refused (exit 1) and nothing is written.
 
 Exit status: 0 on success, 1 on validation/usage errors, 2 on I/O errors.
 
@@ -284,6 +288,9 @@ def _checked(stage: str, p: Param, value):
                  f"{stage}: parameter {p.name} must be finite, got {value!r}")
     else:  # a converter such as _parse_box
         value = p.type(value)
+    # an os call would refuse it only once the call's work has begun (a path, or a list of them)
+    _require(not p.path or "\x00" not in "".join(value),
+             f"{stage}: parameter {p.name} must not hold a NUL byte")
     _require(p.choices is None or value in p.choices,
              f"{stage}: parameter {p.name}={value!r} is not one of {', '.join(p.choices or ())}")
     _require(p.check is None or p.check(value), f"{stage}: parameter {p.name}={value!r} out of range")
@@ -361,9 +368,9 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], primary: str) -> None:
-    """Write the effective-config sidecar and the run manifest."""
-    base_dir = os.path.dirname(os.path.abspath(primary)) or "."
+def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], stem: str) -> None:
+    """Write the effective-config sidecar and the run manifest at `stem`."""
+    base_dir = os.path.dirname(os.path.abspath(stem)) or "."
 
     def rel(p: str) -> str:
         return os.path.relpath(os.path.abspath(p), base_dir)
@@ -379,8 +386,8 @@ def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], pr
             hashed[p.name] = value
     config_hash = hashlib.sha256(_canonical_json(hashed).encode("utf-8")).hexdigest()
 
-    config_path = primary + ".config.json"
-    manifest_path = primary + ".manifest.json"
+    config_path = stem + ".config.json"
+    manifest_path = stem + ".manifest.json"
     fileio.atomic_write_text(config_path, _canonical_json(
         {"stage": stage, "config": echo, "config_hash": config_hash}))
     fileio.atomic_write_text(manifest_path, _canonical_json(
@@ -401,10 +408,10 @@ def _run(argv: list[str]) -> int:
         if args.stage is None:
             raise ValidationError("no stage given (see --help)")
         cfg = effective_config(args.stage, args)
-        with fileio.staged_commit():  # no artifact appears unless the call succeeds
-            inputs, outputs, primary = import_module(f"bfx.stages.{args.stage}").run(cfg)
-            if primary is not None:
-                _finish_run(args.stage, cfg, inputs, outputs, primary)
+        with fileio.staged_commit() as writes:  # no artifact appears unless the call succeeds
+            inputs, stem = import_module(f"bfx.stages.{args.stage}").run(cfg)
+            if stem is not None:  # the outputs: what the runner wrote, before the sidecars
+                _finish_run(args.stage, cfg, inputs, [path for _, path in writes], stem)
         return 0
     except ValueError as exc:
         print(f"bfx: error: {exc}", file=sys.stderr)

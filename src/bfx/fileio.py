@@ -5,11 +5,14 @@ Every artifact goes through `atomic_write_bytes` (temp file + rename within
 the target directory), so interrupted runs never leave partial artifacts
 behind. Inside `staged_commit()`, which `bfx.cli` opens around each call,
 the renames wait until the whole call has succeeded, so a call that fails
-after some of its writes leaves none of them. `read_pnm` parses a PGM or
-PPM header and reads the payload into one `bytearray`; `bfx.formats`
-views that buffer as an array, and `bfx tile` tests it for nodata as it
-is. The stages that do no array work (`tile`, `split`, `lr`) and the
-CLI's sidecars use this module without loading numpy.
+after some of its writes leaves none of them, nor a directory it made
+through `make_dirs`. The commit's log of writes is the one record of
+what a call writes: `bfx.cli` takes the manifest's outputs from it.
+`read_pnm` parses a PGM or PPM header and reads the payload into one
+`bytearray`; `bfx.formats` views that buffer as an array, and `bfx tile`
+tests it for nodata as it is. The stages that do no array work (`tile`,
+`split`, `lr`) and the CLI's sidecars use this module without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
+from types import SimpleNamespace
 
-# (temp file, path) of each write in the open staged commit, in write order
-_STAGED = ContextVar("bfx_staged_writes", default=None)
+# the open staged commit of this thread: `writes`, the (temp file, path) of
+# each write in write order, and `dirs`, each directory level `make_dirs`
+# made, shallowest first
+_STAGED = ContextVar("bfx_staged_commit", default=None)
 
 
 def _named(exc: OSError, path: str) -> OSError:
@@ -61,7 +67,7 @@ def atomic_write_bytes(path, *parts) -> None:
         if staged is None:
             os.replace(tmp, path)
         else:
-            staged.append((tmp, path))
+            staged.writes.append((tmp, path))
     except OSError as exc:
         _unlink(tmp)
         raise _named(exc, path) from None
@@ -70,31 +76,67 @@ def atomic_write_bytes(path, *parts) -> None:
         raise
 
 
+def make_dirs(path) -> None:
+    """`os.makedirs(path, exist_ok=True)`. Inside `staged_commit()`, each
+    directory level it creates is recorded, and a commit that does not
+    succeed removes them again, deepest first, once its temp files are
+    gone; a level that is not empty by then stays."""
+    staged = _STAGED.get()
+    if staged is None:
+        os.makedirs(path, exist_ok=True)
+        return
+    missing = []  # deepest first
+    head = os.fspath(path)
+    while head and not os.path.exists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    # recorded first: levels made before a failing mkdir are removed too
+    staged.dirs.extend(reversed(missing))
+    os.makedirs(path, exist_ok=True)
+
+
 @contextmanager
 def staged_commit():
     """Hold back the renames of the `atomic_write_bytes` calls made in this
     context (this thread) until the block has run to its end, then rename
-    every temp file in write order. If the block raises, every temp file is
-    unlinked and no file is written. A rename that fails stops the commit
-    with its OSError, naming that file: the files renamed before it stay,
-    the temp files after it are unlinked."""
-    staged = []
+    every temp file in write order. The context's value is the commit's log
+    of (temp file, path) pairs, in write order, which grows as the block
+    writes.
+
+    If the block raises, or two writes go to one file (a ValueError naming
+    the later path), every temp file is unlinked, then every directory
+    `make_dirs` made in the commit that is empty by then is removed, and no
+    file is written. A rename that fails stops the commit with its error
+    (an OSError names that file): the files renamed before it stay, and
+    the temp files after it and the empty directories are removed."""
+    staged = SimpleNamespace(writes=[], dirs=[])
     token = _STAGED.set(staged)
+    renamed = 0
     try:
-        yield
+        yield staged.writes
+        entries = set()
+        for tmp, path in staged.writes:  # a temp file lies in its file's directory
+            entry = (os.path.realpath(os.path.dirname(tmp)), os.path.basename(path))
+            if entry in entries:  # its rename would replace the earlier write's file
+                raise ValueError(f"the call writes {path!r} twice")
+            entries.add(entry)
+        for tmp, path in staged.writes:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise _named(exc, path) from None
+            renamed += 1
     except BaseException:
-        for tmp, _ in staged:
+        for tmp, _ in staged.writes[renamed:]:
             _unlink(tmp)
+        for directory in reversed(staged.dirs):
+            try:
+                os.rmdir(directory)
+            except OSError:  # not empty, or gone
+                pass
         raise
     finally:
         _STAGED.reset(token)
-    for i, (tmp, path) in enumerate(staged):
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            for later, _ in staged[i:]:
-                _unlink(later)
-            raise _named(exc, path) from None
 
 
 def atomic_write_text(path, text: str) -> None:

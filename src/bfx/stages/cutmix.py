@@ -22,4 +22,4 @@ def run(cfg: dict):
     formats.write_pmap(cfg["out_image"], mixed_image)
     formats.write_pmap(cfg["out_masks"], mixed_masks.to_probmap())
     inputs = [cfg["image_a"], cfg["masks_a"], cfg["image_b"], cfg["masks_b"]]
-    return inputs, [cfg["out_image"], cfg["out_masks"]], os.path.splitext(cfg["out_image"])[0]
+    return inputs, os.path.splitext(cfg["out_image"])[0]

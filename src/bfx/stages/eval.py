@@ -47,7 +47,6 @@ def run(cfg: dict):
     pairs = _eval_pairs(cfg["pred"], cfg["gt"])
     directory_mode = os.path.isdir(cfg["pred"])
     inputs = [p for _, p, _ in pairs] + [g for _, _, g in pairs]
-    outputs = []
 
     def work(item):
         image_id, pred_path, gt_path = item
@@ -63,17 +62,13 @@ def run(cfg: dict):
 
     if cfg["colormap"]:
         if directory_mode:
-            os.makedirs(cfg["colormap"], exist_ok=True)
+            fileio.make_dirs(cfg["colormap"])
             for image_id, _, rgb in results:
-                path = os.path.join(cfg["colormap"], f"{image_id}.ppm")
-                formats.write_ppm(path, rgb)
-                outputs.append(path)
+                formats.write_ppm(os.path.join(cfg["colormap"], f"{image_id}.ppm"), rgb)
         else:
             formats.write_ppm(cfg["colormap"], results[0][2])
-            outputs.append(cfg["colormap"])
     if cfg["csv"]:
         fileio.atomic_write_text(cfg["csv"], evaluate.export_per_image_csv(rows))
-        outputs.append(cfg["csv"])
     if cfg["report"]:
         total, f1 = evaluate.aggregate_global([c for _, c in rows])
         report = {
@@ -82,8 +77,7 @@ def run(cfg: dict):
             "f1_percent": f1,
         }
         fileio.atomic_write_text(cfg["report"], _canonical_json(report))
-        outputs.append(cfg["report"])
 
     primary = cfg["report"] or cfg["csv"] or cfg["colormap"]
     stem = primary if directory_mode and primary == cfg["colormap"] else os.path.splitext(primary)[0]
-    return inputs, outputs, stem
+    return inputs, stem

@@ -38,5 +38,4 @@ def run(cfg: dict):
 
     fileio.atomic_write_text(cfg["out_geojson"], _canonical_json(extract.polygon_set_to_geojson(ps)))
     formats.write_imap(cfg["out_imap"], labels)
-    outputs = [cfg["out_geojson"], cfg["out_imap"]]
-    return inputs, outputs, os.path.splitext(cfg["out_geojson"])[0]
+    return inputs, os.path.splitext(cfg["out_geojson"])[0]

@@ -28,12 +28,9 @@ def run(cfg: dict):
 
     # nothing is written until every input has been read and fused
     formats.write_pmap(cfg["out"], fused)
-    outputs = [cfg["out"]]
     stem = os.path.splitext(cfg["out"])[0]
     names = formats.CHANNEL_NAMES
     for i in range(fused.shape[0]):
         name = names[i] if i < len(names) else f"ch{i}"
-        path = f"{stem}.{name}.pgm"
-        formats.write_pgm(path, fusion.binarize(fused, i, cfg["threshold"]))
-        outputs.append(path)
-    return inputs, outputs, stem
+        formats.write_pgm(f"{stem}.{name}.pgm", fusion.binarize(fused, i, cfg["threshold"]))
+    return inputs, stem

@@ -27,4 +27,4 @@ def run(cfg: dict):
         else:
             value = trainmath.loss_value(op, plane, gts[0], params)
     print(f"{value:.9g}")
-    return [cfg["pred"], *cfg["gt"]], [], None
+    return [cfg["pred"], *cfg["gt"]], None

@@ -18,4 +18,4 @@ def run(cfg: dict):
         lrs = [schedules.lr_poly(epoch, sched) for epoch in epochs]
     lines = ["epoch,lr", *(f"{epoch},{lr!r}" for epoch, lr in zip(epochs, lrs))]
     fileio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
-    return [], [cfg["out"]], os.path.splitext(cfg["out"])[0]
+    return [], os.path.splitext(cfg["out"])[0]

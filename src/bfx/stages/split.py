@@ -19,4 +19,4 @@ def run(cfg: dict):
     assigned = tiling.kfold_assign(records, cfg["k"])
     out = cfg["out"] or cfg["index"]
     fileio.atomic_write_text(out, _canonical_json([r.to_json() for r in assigned]))
-    return [cfg["index"]], [out], os.path.splitext(out)[0]
+    return [cfg["index"]], os.path.splitext(out)[0]

@@ -2,12 +2,12 @@
 
 import os
 
-from .. import annotations, formats, targets
+from .. import annotations, fileio, formats, targets
 from ..cli import ValidationError, _pool_map, _read_json
 
 
 def _safe_image_id(image_id: str) -> str:
-    if not image_id or any(sep in image_id for sep in ("/", "\\")) or image_id.startswith("."):
+    if not image_id or any(c in image_id for c in ("/", "\\", "\x00")) or image_id.startswith("."):
         raise ValidationError(f"image id {image_id!r} is not usable as a file stem")
     return image_id
 
@@ -18,22 +18,17 @@ def run(cfg: dict):
     for image_id, _ in items:  # before the output directory exists: a refused call makes none
         _safe_image_id(image_id)
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    fileio.make_dirs(out_dir)
 
     def work(item):
         image_id, rings = item
         return image_id, targets.assemble_targets(
             rings, cfg["height"], cfg["width"], cfg["erosion_iterations"])
 
-    outputs = []
     for image_id, stack in _pool_map(work, items, cfg["threads"]):
         if cfg["format"] == "pmap":
-            path = os.path.join(out_dir, f"{image_id}.pmap")
-            formats.write_pmap(path, stack.to_probmap())
-            outputs.append(path)
+            formats.write_pmap(os.path.join(out_dir, f"{image_id}.pmap"), stack.to_probmap())
         else:
             for name, mask in zip(formats.CHANNEL_NAMES, (stack.building, stack.border, stack.spacing)):
-                path = os.path.join(out_dir, f"{image_id}.{name}.pgm")
-                formats.write_pgm(path, mask)
-                outputs.append(path)
-    return [cfg["annotations"]], outputs, os.path.join(out_dir, "targets")
+                formats.write_pgm(os.path.join(out_dir, f"{image_id}.{name}.pgm"), mask)
+    return [cfg["annotations"]], os.path.join(out_dir, "targets")

@@ -18,4 +18,4 @@ def run(cfg: dict):
 
     records = tiling.tile_index(h, w, size, probe)
     fileio.atomic_write_text(cfg["index"], _canonical_json([r.to_json() for r in records]))
-    return [cfg["raster"]], [cfg["index"]], os.path.splitext(cfg["index"])[0]
+    return [cfg["raster"]], os.path.splitext(cfg["index"])[0]

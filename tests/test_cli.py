@@ -137,7 +137,7 @@ STAGE_MODULES = {
 @pytest.fixture(scope="module")
 def stage_calls(tmp_path_factory):
     """The argv of a succeeding call of a stage on tiny inputs, writing into
-    a fresh directory of its own."""
+    a fresh directory of its own (or into `out`)."""
     d = tmp_path_factory.mktemp("stages")
     write_annotations(d / "ann.json")
     rng = np.random.default_rng(0)
@@ -164,8 +164,8 @@ def stage_calls(tmp_path_factory):
     }
     assert set(calls) == set(cli.STAGES)
 
-    def call(stage):
-        out = tempfile.mkdtemp(prefix=f"out-{stage}-", dir=d)
+    def call(stage, out=None):
+        out = out or tempfile.mkdtemp(prefix=f"out-{stage}-", dir=d)
         return [stage, *(a.format(d=d, o=out) for a in calls[stage])]
 
     return call
@@ -390,7 +390,8 @@ SQUARE = {"type": "Polygon", "coordinates": [[[2, 2], [9, 2], [9, 9], [2, 9], [2
     ({"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {}, "geometry": SQUARE}]},
      "image id '' is not usable as a file stem"),
     ({"../up": [{"points": [[1, 1], [5, 1], [5, 5]]}]}, "image id '../up' is not usable as a file stem"),
-], ids=["collection-id-int", "collection-id-null", "no-id", "id-with-slash"])
+    ({"a\x00b": [{"points": [[1, 1], [5, 1], [5, 5]]}]}, "image id 'a\\x00b' is not usable as a file stem"),
+], ids=["collection-id-int", "collection-id-null", "no-id", "id-with-slash", "id-with-nul"])
 def test_a_refused_targets_call_creates_no_out_dir(tmp_path, capsys, doc, message):
     (tmp_path / "ann.json").write_text(json.dumps(doc))
     out = tmp_path / "new" / "tgt"
@@ -449,13 +450,18 @@ def test_missing_input_exits_2_without_partial_outputs(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["eval", "--pred", "p.imap", "--gt", "g.imap", "--colormap", "c.ppm", "--csv", "nodir/c.csv"],
     ["extract", "--in", "s.pmap", "--out-geojson", "x.geojson", "--out-imap", "nodir/x.imap"],
-], ids=["eval", "extract"])
+    ["eval", "--pred", "pd", "--gt", "gd", "--colormap", "cm", "--csv", "nodir/c.csv"],
+], ids=["eval", "extract", "eval-colormap-directory"])
 def test_a_failed_write_leaves_none_of_the_calls_files(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     labels = np.zeros((8, 8), np.uint32)
     labels[1:4, 1:4] = 1
     formats.write_imap("p.imap", labels)
     formats.write_imap("g.imap", labels)
+    for d in ("pd", "gd"):  # the directory pair: two images each
+        os.mkdir(d)
+        formats.write_imap(f"{d}/a.imap", labels)
+        formats.write_imap(f"{d}/b.imap", labels)
     formats.write_pmap("s.pmap", np.full((3, 8, 8), 0.5, np.float32))
     before = sorted(os.listdir())
     assert cli.main(argv) == 2
@@ -465,22 +471,101 @@ def test_a_failed_write_leaves_none_of_the_calls_files(tmp_path, monkeypatch, ca
     assert sorted(os.listdir()) == before
 
 
-# the program with a 200-byte file size limit: a 2-epoch schedule's CSV fits, its config sidecar does not
+# the program with a file size limit of %d bytes
 FSIZE_ENTRY = ("import resource, sys\nfrom bfx.cli import main\n"
                "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
-               "resource.setrlimit(resource.RLIMIT_FSIZE, (200, hard))\nsys.exit(main())")
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (%d, hard))\nsys.exit(main())")
 
 
 def test_a_failed_sidecar_write_leaves_no_artifact(tmp_path):
     out = tmp_path / "lr.csv"
     argv = ["lr", "--schedule", "poly", "--total-epochs", "2", "--up-epochs", "1", "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-c", FSIZE_ENTRY, *argv], capture_output=True, text=True)
+    # a 2-epoch schedule's CSV fits in 200 bytes, its config sidecar does not
+    proc = subprocess.run([sys.executable, "-c", FSIZE_ENTRY % 200, *argv], capture_output=True, text=True)
     assert proc.returncode == 2
     sidecar = tmp_path / "lr.config.json"
     assert proc.stderr == f"bfx: i/o error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{sidecar}'\n"
     assert os.listdir(tmp_path) == []
     assert cli.main(argv) == 0
     assert out.stat().st_size < 200 < sidecar.stat().st_size
+
+
+def test_a_failed_targets_call_removes_the_out_dir_it_made(tmp_path):
+    write_annotations(tmp_path / "ann.json")
+    out = tmp_path / "new" / "deep"
+    argv = ["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir", str(out), "--format", "pmap"]
+    # the first 512x512 PMAP, 3 MB, is far past the 3000-byte limit
+    proc = subprocess.run([sys.executable, "-c", FSIZE_ENTRY % 3000, *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    first = out / "imgA.pmap"
+    assert proc.stderr == f"bfx: i/o error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{first}'\n"
+    assert os.listdir(tmp_path) == ["ann.json"]
+
+
+@pytest.mark.parametrize("stage, doc, param", [
+    ("lr", {"out": "lr\x00.csv", "schedule": "poly"}, "out"),
+    ("fuse", {"inputs": ["f.pmap", "f\x00.pmap"], "out": "o.pmap"}, "inputs"),
+], ids=["lr-out", "fuse-inputs"])
+def test_a_path_with_a_nul_byte_is_refused_before_any_work(tmp_path, monkeypatch, capsys, stage, doc, param):
+    monkeypatch.chdir(tmp_path)
+    formats.write_pmap("f.pmap", np.zeros((3, 4, 4), np.float32))
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main([stage, "--config", "cfg.json"]) == 1
+    assert capsys.readouterr() == ("", f"bfx: error: {stage}: parameter {param} must not hold a NUL byte\n")
+    assert sorted(os.listdir()) == ["cfg.json", "f.pmap"]
+
+
+@pytest.mark.parametrize("argv, twice", [
+    (["extract", "--in", "s.pmap", "--out-geojson", "o.geojson", "--out-imap", "o.config.json"], "o.config.json"),
+    (["cutmix", "--image-a", "s.pmap", "--masks-a", "m.pmap", "--image-b", "m.pmap", "--masks-b", "s.pmap",
+      "--box", "0,0,4,4", "--out-image", "x.pmap", "--out-masks", "./x.pmap"], "./x.pmap"),
+    (["eval", "--pred", "p.imap", "--gt", "p.imap", "--csv", "r.json", "--report", "r.json"], "r.json"),
+], ids=["extract-imap-on-its-sidecar", "cutmix-image-and-masks", "eval-csv-and-report"])
+def test_two_writes_of_one_call_to_one_file_are_refused(tmp_path, monkeypatch, capsys, argv, twice):
+    monkeypatch.chdir(tmp_path)
+    formats.write_pmap("s.pmap", fused_scene())
+    formats.write_pmap("m.pmap", (fused_scene() > 0.5).astype(np.float32))
+    labels = np.zeros((8, 8), np.uint32)
+    labels[1:4, 1:4] = 1
+    formats.write_imap("p.imap", labels)
+    before = sorted(os.listdir())
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"bfx: error: the call writes {twice!r} twice\n")
+    assert sorted(os.listdir()) == before
+
+
+def assert_the_manifest_lists_the_files_left(out):
+    """The files under `out`, which was empty before one call, are its
+    manifest's outputs and its two sidecars."""
+    (manifest,) = out.glob("*.manifest.json")
+    stem = manifest.name[:-len(".manifest.json")]
+    outputs = read_json(manifest)["outputs"]
+    assert len(set(outputs)) == len(outputs)
+    left = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert left - {f"{stem}.config.json", f"{stem}.manifest.json"} == set(outputs)
+    assert len(left) == len(outputs) + 2
+
+
+@pytest.mark.parametrize("stage", [stage for stage in cli.STAGES if stage != "lossmath"])
+def test_every_manifest_lists_exactly_the_files_its_call_left(stage_calls, tmp_path, stage):
+    assert cli.main(stage_calls(stage, out=tmp_path)) == 0
+    assert_the_manifest_lists_the_files_left(tmp_path)
+
+
+def test_an_eval_directory_manifest_lists_every_colour_map(tmp_path):
+    labels = np.zeros((8, 8), np.uint32)
+    labels[1:4, 1:4] = 1
+    for d in ("pd", "gd"):
+        (tmp_path / d).mkdir()
+        for image_id in ("b", "a"):
+            formats.write_imap(tmp_path / d / f"{image_id}.imap", labels)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["eval", "--pred", str(tmp_path / "pd"), "--gt", str(tmp_path / "gd"),
+                     "--colormap", str(out / "cm"), "--csv", str(out / "c.csv"),
+                     "--report", str(out / "r.json")]) == 0
+    assert_the_manifest_lists_the_files_left(out)
+    assert read_json(out / "r.manifest.json")["outputs"] == ["cm/a.ppm", "cm/b.ppm", "c.csv", "r.json"]
 
 
 def test_a_rename_that_fails_keeps_the_renames_before_it(tmp_path, capsys):

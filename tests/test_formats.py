@@ -124,6 +124,68 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert leftovers == []  # no temp files left behind
 
 
+def test_a_staged_commit_logs_every_write_and_renames_them_in_order(tmp_path):
+    with fileio.staged_commit() as writes:
+        fileio.atomic_write_text(tmp_path / "b.txt", "b")
+        fileio.atomic_write_text(str(tmp_path / "a.txt"), "a")
+        assert [path for _, path in writes] == [str(tmp_path / "b.txt"), str(tmp_path / "a.txt")]
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(tmp) for tmp, _ in writes)
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+
+def test_a_rename_that_raises_a_value_error_unlinks_the_temp_files_after_it(tmp_path):
+    with pytest.raises(ValueError, match="null byte"):
+        with fileio.staged_commit():
+            fileio.atomic_write_text(tmp_path / "a.txt", "a")
+            fileio.atomic_write_text(str(tmp_path / "b\x00.txt"), "b")  # the temp file has no NUL
+            fileio.atomic_write_text(tmp_path / "c.txt", "c")
+    assert os.listdir(tmp_path) == ["a.txt"]  # renamed before the failing rename, as any such file
+
+
+@pytest.mark.parametrize("second", ["a.txt", "./a.txt", "sub/../a.txt", "link/a.txt"])
+def test_two_writes_to_one_file_are_refused_before_any_rename(tmp_path, monkeypatch, second):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    os.symlink(".", "link")
+    with pytest.raises(ValueError) as caught:
+        with fileio.staged_commit():
+            fileio.atomic_write_text("a.txt", "first")
+            fileio.atomic_write_text("b.txt", "other")
+            fileio.atomic_write_text(second, "second")
+    assert str(caught.value) == f"the call writes {second!r} twice"
+    assert sorted(os.listdir()) == ["link", "sub"]
+
+
+def test_make_dirs_outside_a_commit_is_makedirs(tmp_path):
+    fileio.make_dirs(tmp_path / "a" / "b")
+    fileio.make_dirs(tmp_path / "a" / "b")
+    assert (tmp_path / "a" / "b").is_dir()
+    (tmp_path / "f").write_text("")
+    with pytest.raises(FileExistsError):
+        fileio.make_dirs(tmp_path / "f")
+
+
+def test_a_failed_commit_removes_the_empty_directories_it_made(tmp_path):
+    (tmp_path / "old").mkdir()
+    with pytest.raises(RuntimeError):
+        with fileio.staged_commit():
+            fileio.make_dirs(tmp_path / "old" / "new" / "deep")
+            fileio.make_dirs(str(tmp_path / "old" / "new" / "deep" / "er") + os.sep)
+            fileio.make_dirs(tmp_path / "kept" / "x")
+            fileio.atomic_write_text(tmp_path / "old" / "new" / "deep" / "er" / "f.txt", "f")
+            (tmp_path / "kept" / "other.txt").write_text("not the commit's")
+            raise RuntimeError
+    # every level the commit made is gone unless something else lies in it
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "kept", "kept/other.txt", "old"]
+
+
+def test_a_commit_that_succeeds_keeps_the_directories_it_made(tmp_path):
+    with fileio.staged_commit():
+        fileio.make_dirs(tmp_path / "new" / "deep")
+    assert (tmp_path / "new" / "deep").is_dir()
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_atomic_write_applies_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)

@@ -147,9 +147,9 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, valid, fmt, see
 # text inputs: GeoJSON, annotation JSON, config files and tile indexes
 # ---------------------------------------------------------------------------
 
-# a mix of wrong types, edge values and values no float holds
+# a mix of wrong types, edge values, values no float holds and a NUL byte no path may hold
 HOSTILE = (None, True, False, 0, -1, 2, 4096, 2 ** 70, 0.5, -0.5, 1e308, math.nan, math.inf, -math.inf,
-           "", "a", [], {}, [0, 0], [[0, 0], [4, 0], [4, 4]], {"type": "Polygon"})
+           "", "a", "a\x00b", [], {}, [0, 0], [[0, 0], [4, 0], [4, 4]], {"type": "Polygon"})
 # config values stay small: an epoch count of 2**70 is valid and would run for ever
 CONFIG_HOSTILE = tuple(v for v in HOSTILE if not (type(v) is int and abs(v) > 4096))
 
