@@ -28,7 +28,7 @@ _LAZY = {name: module for module, names in {
                 "filter_small", "make_seeds", "polygon_set_from_geojson", "polygon_set_to_geojson",
                 "polygonize", "watershed_assign"),
     "fusion": ("apply_view", "binarize", "ensemble_average"),
-    "raster": ("connected_components", "dilate", "erode", "mask_xor"),
+    "raster": ("connected_components", "dilate", "erode"),
     "schedules": ("ScheduleParams", "lr_one_cycle", "lr_poly"),
     "targets": ("TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
                 "rasterize_polygon"),

@@ -105,7 +105,9 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
         Param("height", int, 512, check=lambda v: v >= 1),
         Param("width", int, 512, check=lambda v: v >= 1),
         Param("format", str, "pgm", choices=("pgm", "pmap")),
-        Param("erosion_iterations", int, 2, check=lambda v: v >= 0),
+        Param("erosion_iterations", int, 2, check=lambda v: v >= 0,
+              help="border width k in pixels: a ring's border is its fill minus that fill "
+                   "eroded by a (2k+1)-pixel square"),
     )),
     "fuse": ("average probability maps and binarize", (
         Param("inputs", list, required=True, path=True, flag="inputs",

@@ -1,12 +1,13 @@
 """Ground-truth channel synthesis from polygon annotations.
 
 Three channels are generated per image: the filled building footprints,
-their 2-pixel inner borders (each polygon filled, eroded twice by a 3x3
-square, and XORed with its own fill, independently per polygon), and the
-spacing between close buildings (15x15 dilation, watershed division seeded
-by the original buildings, building pixels excluded). The separation lines
-lie inside the dilation, so within Chebyshev distance 7 of a building: the
-cut to a distance of at most 8 is implied, not computed.
+their 2-pixel inner borders (each polygon filled, eroded by a 5x5 square,
+i.e. twice by a 3x3 one, and XORed with its own fill, independently per
+polygon), and the spacing between close buildings (15x15 dilation,
+watershed division seeded by the original buildings, building pixels
+excluded). The separation lines lie inside the dilation, so within
+Chebyshev distance 7 of a building: the cut to a distance of at most 8 is
+implied, not computed.
 
 Rasterization is pixel-center even-odd: pixel (row i, col j) is covered
 when its center (j+0.5, i+0.5) is inside the ring, counting edge crossings
@@ -23,10 +24,11 @@ half-open spans [on, off), which is the even-odd parity. Its cost is
 O(edges + crossings + covered pixels), not O(canvas), so
 `evaluate.rasterize_polygon_set` paints every instance of an image in one
 pass. `rasterize_polygon` is the one-ring case; the ground-truth channels
-call it once per ring and erode and paint each border inside the ring's
-window (`_ring_window`), the canvas rows and columns outside which its
-fill is 0. That is exact because erosion counts pixels outside the canvas
-as 0, the same value the fill has outside the window.
+call it once per ring on the ring's own rows, and erode (once, by a
+(2k+1)^2 square for border width k) and paint each border inside the
+ring's window (`_ring_window`), the canvas rows and columns outside which
+its fill is 0. That is exact because erosion counts pixels outside the
+canvas as 0, the same value the fill has outside the window.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 from . import annotations, extract, raster
 
 BORDER_EROSION_ITERATIONS = 2
-BORDER_KERNEL_SIDE = 3
 SPACING_DILATE_SIDE = 15
 
 
@@ -146,31 +147,36 @@ def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     return out
 
 
-def _fill_and_border(rings, height: int, width: int, erosion_iterations: int,
-                     kernel_side: int) -> tuple[np.ndarray, np.ndarray]:
+def _fill_and_border(rings, height: int, width: int,
+                     erosion_iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """(union of the ring fills, union of their borders), where a ring's
-    border is its fill XOR its erosion, computed inside the ring's window.
-    `rasterize_polygon` is called once per ring."""
+    border is its fill XOR its erosion by one (2k+1)^2 square, k the border
+    width. Each ring is validated, then filled by `rasterize_polygon` on its
+    own rows and bordered inside its window, unless that window is empty."""
+    if erosion_iterations < 0:
+        raise ValueError(f"erosion_iterations must be >= 0, got {erosion_iterations}")
     building = np.zeros((height, width), np.uint8)
     border = np.zeros((height, width), np.uint8)
     for i, ring in enumerate(rings):
         try:
-            filled = rasterize_polygon(ring, height, width)
+            rows, cols = _ring_window(annotations._ring(ring), height, width)
         except ValueError as exc:
             raise ValueError(f"polygon {i}: {exc}") from exc
-        win = _ring_window(np.asarray(ring, np.float64), height, width)
-        filled = filled[win]
-        if filled.size:
-            building[win] |= filled
-            border[win] |= raster.mask_xor(filled, raster.erode(filled, kernel_side, erosion_iterations))
+        if rows.start == rows.stop or cols.start == cols.stop:
+            continue
+        band = np.array(ring, np.float64)  # not the validated copy: its closing vertex is gone
+        r0 = rows.start if band[:, 1].max() < 2.0 ** 53 else 0  # y - r0 is exact: no crossing moves
+        band[:, 1] -= r0
+        filled = rasterize_polygon(band, rows.stop - r0, width)[rows.start - r0:, cols]
+        building[rows, cols] |= filled
+        border[rows, cols] |= filled ^ raster.erode(filled, 2 * erosion_iterations + 1)
     return building, border
 
 
 def make_border_mask(rings, height: int, width: int,
-                     erosion_iterations: int = BORDER_EROSION_ITERATIONS,
-                     kernel_side: int = BORDER_KERNEL_SIDE) -> np.ndarray:
+                     erosion_iterations: int = BORDER_EROSION_ITERATIONS) -> np.ndarray:
     """Union of per-polygon borders: fill, erode, XOR, independently per ring."""
-    return _fill_and_border(rings, height, width, erosion_iterations, kernel_side)[1]
+    return _fill_and_border(rings, height, width, erosion_iterations)[1]
 
 
 def _label_boundary(labels: np.ndarray) -> np.ndarray:
@@ -206,7 +212,7 @@ def make_spacing_mask(building) -> np.ndarray:
     seeds = raster.connected_components(b, 8)
     if int(seeds.max(initial=0)) < 2:
         return np.zeros_like(b)  # no inter-label boundary can exist
-    lines = _label_boundary(extract.watershed_assign(seeds, raster.dilate(b, SPACING_DILATE_SIDE, 1)))
+    lines = _label_boundary(extract.watershed_assign(seeds, raster.dilate(b, SPACING_DILATE_SIDE)))
     return (lines & (b == 0)).astype(np.uint8)
 
 
@@ -218,5 +224,5 @@ def assemble_targets(rings, height: int, width: int,
     included, so that seeds = building - border stays well defined
     downstream. Overlapping polygons union in both channels.
     """
-    building, border = _fill_and_border(rings, height, width, erosion_iterations, BORDER_KERNEL_SIDE)
+    building, border = _fill_and_border(rings, height, width, erosion_iterations)
     return TargetStack(building, border, make_spacing_mask(building))

@@ -1133,3 +1133,94 @@ def test_pmap_header_with_a_zero_dimension_names_the_format(tmp_path, capsys):
     bad.write_bytes(formats.PMAP_MAGIC + struct.pack("<III", 2 ** 32 - 1, 2 ** 32 - 1, 0))
     err = assert_rejected(capsys, tmp_path, ["fuse", str(bad), "--out", str(tmp_path / "out.pmap")])
     assert "PMAP1" in err and "zero dimension" in err
+
+
+def write_refusal_inputs(d):
+    """Inputs for the refusals below: paired instance maps, image and mask
+    stacks, and a 3-channel prediction with its ground-truth planes."""
+    labels = np.zeros((4, 4), np.uint32)
+    labels[1:3, 1:3] = 1
+    for sub, stems in (("pred", "ab"), ("gt", "ac"), ("bare1", ""), ("bare2", "")):
+        (d / sub).mkdir()
+        for stem in stems:
+            formats.write_imap(d / sub / f"{stem}.imap", labels)
+    for sub in ("bare1", "bare2"):
+        (d / sub / "notes.txt").write_text("no instance map here\n")
+    formats.write_imap(d / "one.imap", labels)
+    formats.write_pmap(d / "img.pmap", np.full((1, 4, 4), 0.5, np.float32))
+    formats.write_pmap(d / "m3.pmap", np.ones((3, 4, 4), np.float32))
+    formats.write_pmap(d / "m2.pmap", np.ones((2, 4, 4), np.float32))
+    formats.write_pmap(d / "m3wide.pmap", np.ones((3, 4, 5), np.float32))
+    formats.write_pmap(d / "p3.pmap", np.full((3, 4, 4), 0.5, np.float32))
+    for i in range(3):
+        formats.write_pgm(d / f"g{i}.pgm", np.eye(4, dtype=np.uint8))
+
+
+def cutmix_argv(masks_a="m3", masks_b="m3"):
+    return ["cutmix", "--image-a", "{d}/img.pmap", "--masks-a", f"{{d}}/{masks_a}.pmap",
+            "--image-b", "{d}/img.pmap", "--masks-b", f"{{d}}/{masks_b}.pmap",
+            "--out-image", "{d}/out.pmap", "--out-masks", "{d}/outm.pmap"]
+
+
+LOSSMATH_TOTAL = ["lossmath", "total", "--pred", "{d}/p3.pmap", "--gt", "{d}/g0.pgm", "{d}/g1.pgm", "{d}/g2.pgm"]
+EVAL_REPORT = ["--report", "{d}/r.json", "--colormap", "{d}/cmap", "--csv", "{d}/c.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["eval", "--pred", "{d}/one.imap", "--gt", "{d}/gt", *EVAL_REPORT],
+                 "must both be files or both directories", id="eval-file-and-directory"),
+    pytest.param(["eval", "--pred", "{d}/pred", "--gt", "{d}/gt", *EVAL_REPORT],
+                 "unpaired image ids across directories: ['b', 'c']", id="eval-unpaired-stems"),
+    pytest.param(["eval", "--pred", "{d}/bare1", "--gt", "{d}/bare2", *EVAL_REPORT],
+                 "no evaluable files found", id="eval-no-instance-files"),
+    pytest.param([*cutmix_argv(), "--box", "1,2,x,4"], "box must hold integers", id="cutmix-box-not-integer"),
+    pytest.param([*cutmix_argv(masks_b="m2"), "--seed", "1"], "expected a (3, h, w) stack",
+                 id="cutmix-masks-two-channels"),
+    pytest.param([*cutmix_argv(masks_a="m3wide", masks_b="m3wide"), "--seed", "1"],
+                 "mask dimensions differ from the image canvas", id="cutmix-masks-other-canvas"),
+    pytest.param(["lr", "--schedule", "poly", "--lr-init", "1", "--lr-max", "0.5", "--out", "{d}/lr.csv"],
+                 "need lr_final < lr_init < lr_max", id="lr-init-above-max"),
+    pytest.param([*LOSSMATH_TOTAL, "--gamma1", "-1", "--gamma2", "0.5"], "gamma1 + gamma2 must be > 0",
+                 id="lossmath-gamma-sum"),
+    pytest.param([*LOSSMATH_TOTAL, "--w-building", "-1"], "channel weights must be non-negative",
+                 id="lossmath-negative-weight"),
+])
+def test_library_refusals_exit_1_with_one_line_and_leave_no_files(tmp_path, capsys, argv, message):
+    write_refusal_inputs(tmp_path)
+    err = assert_rejected(capsys, tmp_path, [a.format(d=tmp_path) for a in argv])
+    assert message in err
+
+
+def test_every_cli_default_is_the_library_default_it_feeds():
+    import dataclasses
+    import inspect
+
+    from bfx import evaluate, extract, schedules, targets, tiling, trainmath
+
+    def fields(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    fed = [
+        *(("lossmath", name, value) for name, value in fields(trainmath.LossParams).items()),
+        *(("lossmath", f"w_{name}", value) for name, value in fields(trainmath.ChannelWeights).items()),
+        ("lossmath", "step", default(trainmath.gradient_check, "step")),
+        *(("lr", name, value) for name, value in fields(schedules.ScheduleParams).items()),
+        ("targets", "erosion_iterations", targets.BORDER_EROSION_ITERATIONS),
+        ("fuse", "threshold", default(fusion.binarize, "threshold")),
+        ("extract", "threshold", default(extract.multi_class_instances, "threshold")),
+        ("extract", "threshold", default(fusion.binarize, "threshold")),
+        ("extract", "min_area", default(extract.multi_class_instances, "min_area")),
+        ("extract", "min_area", default(extract.single_class_instances, "min_area")),
+        ("extract", "no_spacing", not default(extract.multi_class_instances, "use_spacing")),
+        ("eval", "iou", default(evaluate.match_instances, "iou_threshold")),
+        ("tile", "size", default(tiling.tile_index, "tile_size")),
+        ("split", "k", default(tiling.kfold_assign, "k")),
+    ]
+    cli_defaults = {(stage, p.name): p.default for stage, (_, params) in cli.STAGES.items() for p in params}
+    assert len({(stage, name) for stage, name, _ in fed}) == 24
+    for stage, name, want in fed:
+        got = cli_defaults[stage, name]
+        assert type(got) is type(want) and got == want, (stage, name, got, want)

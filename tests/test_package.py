@@ -15,7 +15,7 @@ EXPORTS = {
                 "filter_small", "make_seeds", "polygon_set_from_geojson", "polygon_set_to_geojson",
                 "polygonize", "watershed_assign"],
     "fusion": ["apply_view", "binarize", "ensemble_average"],
-    "raster": ["connected_components", "dilate", "erode", "mask_xor"],
+    "raster": ["connected_components", "dilate", "erode"],
     "targets": ["TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
                 "rasterize_polygon"],
     "trainmath": ["ChannelWeights", "LossParams", "ScheduleParams", "bce_loss", "channel_loss",

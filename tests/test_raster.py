@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,35 +22,36 @@ def block(h, w, r0, c0, r1, c1):
 def test_erode_solid_block():
     m = block(8, 8, 2, 2, 6, 6)
     expected = window_erode(m, 3, 1)
-    out = raster.erode(m, 3, 1)
+    out = raster.erode(m, 3)
     assert np.array_equal(out, expected)
     assert out.sum() == 4 and out[3:5, 3:5].all()  # the 2x2 center
 
 
 def test_erode_single_pixel_vanishes():
     m = block(5, 5, 2, 2, 3, 3)
-    assert raster.erode(m, 3, 1).sum() == 0
+    assert raster.erode(m, 3).sum() == 0
 
 
 def test_erode_empty_stays_empty():
     m = np.zeros((6, 6), np.uint8)
-    for it in (0, 1, 3):
-        assert raster.erode(m, 3, it).sum() == 0
+    for side in (1, 3, 7):
+        assert raster.erode(m, side).sum() == 0
 
 
 def test_erode_zero_iterations_is_identity():
+    # zero passes of any window are one pass of a side-1 window
     rng = np.random.default_rng(0)
     m = (rng.random((9, 9)) < 0.5).astype(np.uint8)
-    assert np.array_equal(raster.erode(m, 3, 0), m)
-    assert np.array_equal(raster.dilate(m, 15, 0), m)
-    for op in (raster.erode, raster.dilate):  # never the caller's array, whatever the pass count
-        for it in (0, 1, 2):
-            assert not np.shares_memory(op(m, 3, it), m)
+    assert np.array_equal(raster.erode(m, 1), m)
+    assert np.array_equal(raster.dilate(m, 1), m)
+    for op in (raster.erode, raster.dilate):  # never the caller's array, whatever the side
+        for side in (1, 3, 5):
+            assert not np.shares_memory(op(m, side), m)
 
 
 def test_dilate_single_center_pixel():
     m = block(7, 7, 3, 3, 4, 4)
-    out = raster.dilate(m, 3, 1)
+    out = raster.dilate(m, 3)
     assert np.array_equal(out, block(7, 7, 2, 2, 5, 5))
 
 
@@ -56,19 +59,46 @@ def test_dilate_bridges_a_four_column_gap_with_side_15():
     m = np.zeros((30, 40), np.uint8)
     m[9:21, 4:16] = 1
     m[9:21, 20:32] = 1
-    grown = raster.dilate(m, 15, 1)
+    grown = raster.dilate(m, 15)
     assert int(raster.connected_components(grown, 8).max()) == 1
 
 
-@pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1)])
+@pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1), (5, 3)])
 def test_morphology_matches_window_oracle(side, iterations):
+    # k passes of a side-s window are one pass of a side k(s-1)+1 window
     rng = np.random.default_rng(side * 10 + iterations)
+    wide = iterations * (side - 1) + 1
     for _ in range(4):
         m = (rng.random((20, 24)) < 0.45).astype(np.uint8)
-        assert np.array_equal(raster.erode(m, side, iterations),
-                              window_erode(m, side, iterations))
-        assert np.array_equal(raster.dilate(m, side, iterations),
-                              window_dilate(m, side, iterations))
+        assert np.array_equal(raster.erode(m, wide), window_erode(m, side, iterations))
+        assert np.array_equal(raster.dilate(m, wide), window_dilate(m, side, iterations))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7)])
+def test_windows_wider_than_the_mask_match_window_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(6):
+        m = (rng.random(shape) < 0.7).astype(np.uint8)
+        for side in (3, 5, 7, 9, 15):
+            assert np.array_equal(raster.erode(m, side), window_erode(m, side))
+            assert np.array_equal(raster.dilate(m, side), window_dilate(m, side))
+
+
+def test_a_huge_window_is_one_clamped_pass():
+    m = np.zeros((64, 96), np.uint8)
+    m[40, 70] = 1
+    full = np.ones_like(m)
+    side = 2 * 10 ** 6 + 1
+    tracemalloc.start()
+    try:
+        eroded = raster.erode(full, side)
+        dilated = raster.dilate(m, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eroded.dtype == np.uint8 and not eroded.any()
+    assert dilated.dtype == np.uint8 and dilated.all()
+    assert peak < 8 * m.nbytes  # the reach is clamped to the axis length: no side pads past 2n
 
 
 @pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1), (15, 2)])
@@ -77,55 +107,28 @@ def test_erosion_dilation_duality(side, iterations):
     # out-of-canvas ones are materialized
     rng = np.random.default_rng(7)
     pad = iterations * (side - 1) // 2
+    wide = 2 * pad + 1
     m = (rng.random((16, 18)) < 0.5).astype(np.uint8)
     padded = np.pad(m, pad)
-    rhs = 1 - raster.dilate(1 - padded, side, iterations)
-    assert np.array_equal(raster.erode(m, side, iterations), rhs[pad:-pad, pad:-pad])
+    rhs = 1 - raster.dilate(1 - padded, wide)
+    assert np.array_equal(raster.erode(m, wide), rhs[pad:-pad, pad:-pad])
 
 
 def test_monotonicity():
     rng = np.random.default_rng(3)
     m = (rng.random((15, 15)) < 0.5).astype(np.uint8)
-    assert (raster.dilate(m, 3, 1) >= m).all()
-    assert (raster.erode(m, 3, 1) <= m).all()
+    assert (raster.dilate(m, 3) >= m).all()
+    assert (raster.erode(m, 3) <= m).all()
 
 
 def test_kernel_validation():
     m = np.zeros((4, 4), np.uint8)
     with pytest.raises(ValueError):
-        raster.erode(m, 4, 1)
+        raster.erode(m, 4)
     with pytest.raises(ValueError):
-        raster.dilate(m, 0, 1)
+        raster.dilate(m, 0)
     with pytest.raises(ValueError):
-        raster.erode(m, 3, -1)
-
-
-# ---------------------------------------------------------------------------
-# mask_xor
-# ---------------------------------------------------------------------------
-
-
-def test_xor_self_is_empty():
-    rng = np.random.default_rng(11)
-    m = (rng.random((9, 7)) < 0.5).astype(np.uint8)
-    assert raster.mask_xor(m, m).sum() == 0
-
-
-def test_xor_with_empty_is_identity():
-    rng = np.random.default_rng(12)
-    m = (rng.random((9, 7)) < 0.5).astype(np.uint8)
-    assert np.array_equal(raster.mask_xor(m, np.zeros_like(m)), m)
-
-
-def test_xor_block_with_its_erosion_gives_ring():
-    m = block(14, 14, 2, 2, 12, 12)  # 10x10 block
-    ring = raster.mask_xor(m, raster.erode(m, 3, 2))
-    assert ring.sum() == 100 - 36
-
-
-def test_xor_dimension_mismatch():
-    with pytest.raises(ValueError):
-        raster.mask_xor(np.zeros((3, 3), np.uint8), np.zeros((3, 4), np.uint8))
+        raster.erode(m, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def test_purity_and_determinism():
     rng = np.random.default_rng(1)
     m = (rng.random((16, 16)) < 0.5).astype(np.uint8)
     before = m.copy()
-    a = raster.erode(m, 3, 2)
-    b = raster.erode(m, 3, 2)
+    a = raster.erode(m, 5)
+    b = raster.erode(m, 5)
     assert np.array_equal(m, before)  # inputs untouched
     assert a.tobytes() == b.tobytes()

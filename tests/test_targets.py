@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,7 +166,7 @@ def test_border_per_polygon_independence():
 def test_border_count_equals_fill_minus_erosion_when_interior_survives():
     ring = rect_ring(2, 3, 11, 12)  # 9x9
     filled = targets.rasterize_polygon(ring, 16, 16)
-    eroded = raster.erode(filled, 3, 2)
+    eroded = raster.erode(filled, 5)
     assert eroded.sum() > 0
     border = targets.make_border_mask([ring], 16, 16)
     assert border.sum() == filled.sum() - eroded.sum()
@@ -178,19 +180,75 @@ def edge_rings(height, width):
             np.array([(width - 0.5, height - 5), (width + 6, height + 1), (width - 6, height + 2)])]
 
 
+def random_rings(rng, height, width, count):
+    """Rings of 3-7 fractional vertices scattered over and past the canvas,
+    some explicitly closed, some given as lists."""
+    rings = []
+    for _ in range(count):
+        ring = rng.uniform((-4, -4), (width + 4, height + 4), (int(rng.integers(3, 8)), 2))
+        if rng.random() < 0.3:
+            ring = np.vstack([ring, ring[:1]])
+        rings.append(ring.tolist() if rng.random() < 0.5 else ring)
+    return rings
+
+
 def test_border_and_targets_on_canvas_edges_match_full_canvas_oracle():
+    rng = np.random.default_rng(17)
     for height, width in [(12, 17), (9, 9), (15, 8)]:
-        rings = edge_rings(height, width)
-        for iterations, side in [(2, 3), (1, 5), (0, 3)]:
+        for rings in (edge_rings(height, width), random_rings(rng, height, width, 6)):
             fills = [point_fill(r, height, width) for r in rings]
-            want = np.zeros((height, width), np.uint8)
-            for f in fills:
-                want |= f ^ window_erode(f, side, iterations)
-            assert np.array_equal(targets.make_border_mask(rings, height, width, iterations, side), want)
-            if side == 3:
+            for iterations in (2, 1, 0):
+                want = np.zeros((height, width), np.uint8)
+                for f in fills:
+                    want |= f ^ window_erode(f, 3, iterations)
+                assert np.array_equal(targets.make_border_mask(rings, height, width, iterations), want)
                 stack = targets.assemble_targets(rings, height, width, iterations)
                 assert np.array_equal(stack.border, want)
                 assert np.array_equal(stack.building, np.bitwise_or.reduce(fills))
+
+
+def test_a_ring_reaching_past_two_to_the_53_fills_as_on_the_full_canvas():
+    # y - r0 is no longer exact there, so such a ring's band starts at row 0;
+    # shifted by its first row (1), the first ring would cover 12 more pixels
+    rings = [np.array([(0.7456996589973837, 1.499999972992257),
+                       (3.1557202965651673e+22, 3.6028797018964216e+16), (7.766274138891001, 2.7)]),
+             [(0.5, 5.5), (11.0, 4.25), (3.0, 2 ** 53)]]
+    building = targets.assemble_targets(rings, 12, 12).building
+    assert building.any()
+    assert np.array_equal(building, point_fill(rings[0], 12, 12) | point_fill(rings[1], 12, 12))
+
+
+def test_a_ring_whose_closing_vertex_repeats_is_closed_once():
+    # validated once: the closing (1, 0) is dropped, leaving a zero-area ring
+    ring = [(1, 0), (1, 5), (1, 0), (1, 0)]
+    assert targets.make_border_mask([ring], 8, 8).sum() == 0
+    assert targets.assemble_targets([ring], 8, 8).building.sum() == 0
+
+
+def test_a_ring_fill_costs_its_own_rows_not_the_canvas():
+    height = width = 1024
+    rng = np.random.default_rng(4)
+    rings = [rect_ring(x, y, x + 12.5, y + 9.25) for x, y in rng.uniform(0, 1000, (60, 2))]
+    tracemalloc.start()
+    try:
+        border = targets.make_border_mask(rings, height, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert border.any()
+    assert peak < 2.5 * height * width  # the building and border canvases, and a band at a time
+
+
+def test_a_border_wider_than_any_ring_is_the_fill():
+    rings = edge_rings(12, 17) + [rect_ring(2, 2, 15, 10)]
+    building = targets.assemble_targets(rings, 12, 17).building
+    assert np.array_equal(targets.make_border_mask(rings, 12, 17, 10 ** 6), building)
+    assert np.array_equal(targets.assemble_targets(rings, 12, 17, 10 ** 6).border, building)
+
+
+def test_a_negative_border_width_is_refused():
+    with pytest.raises(ValueError, match="erosion_iterations must be >= 0"):
+        targets.make_border_mask([], 8, 8, -1)
 
 
 def test_border_bad_ring_reports_index():
