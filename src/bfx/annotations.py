@@ -14,12 +14,15 @@ Two annotation schemas are accepted:
 FeatureCollection walk behind annotations, `extract.polygon_set_from_geojson`
 and `targets.rasterize_polygon`. A ring's coordinates are JSON numbers (not
 strings or booleans) or a numeric array; a closing vertex equal to the first
-one is dropped, and at least 3 finite vertices must remain. Rings come back
-as (n, 2) float64 arrays of (x, y) vertices, implicitly closed. Annotation
-coordinates must also be non-negative.
+one is dropped, at least 3 finite vertices must remain, and the ring's x and
+y extents (max - min) must be finite floats, so that no edge's length
+overflows. Rings come back as (n, 2) float64 arrays of (x, y) vertices,
+implicitly closed. Annotation coordinates must also be non-negative.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,8 +59,14 @@ def _ring(points) -> np.ndarray:
         pts = pts[:-1]
     if len(pts) < 3:
         raise AnnotationError("ring has fewer than 3 vertices")
-    if not np.isfinite(pts).all():
-        raise AnnotationError("non-finite coordinate")
+    # below 2**1023 in magnitude, no two coordinates differ by an overflow;
+    # NaN fails the test too
+    if not np.abs(pts).max() < 2.0 ** 1023:
+        if not np.isfinite(pts).all():
+            raise AnnotationError("non-finite coordinate")
+        (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):  # Python floats overflow silently
+            raise AnnotationError("ring's x or y extent (max - min) is not a finite float")
     return pts
 
 

@@ -81,7 +81,7 @@ def make_seeds(building, border) -> np.ndarray:
     r = raster.as_mask(border)
     if b.shape != r.shape:
         raise ValueError(f"mask dimensions differ: {b.shape} vs {r.shape}")
-    return raster.connected_components(b & (1 - r), 8)
+    return raster.connected_components(b & (1 - r))
 
 
 def watershed_assign(seeds, region) -> np.ndarray:
@@ -152,7 +152,7 @@ def watershed_assign(seeds, region) -> np.ndarray:
     np.copyto(out, inner, where=reg == 1)
     if remaining:
         # seedless region components: one fresh label each, anchor order
-        extra = raster.connected_components(unassigned, 8)
+        extra = raster.connected_components(unassigned)
         if top + int(extra.max()) > int(LABEL_SENTINEL):
             raise ValueError("seedless components would push labels past uint32")
         out[unassigned] = extra[unassigned] + np.uint32(top)
@@ -329,7 +329,7 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
 
 def single_class_instances(building, min_area: int = 140) -> np.ndarray:
     """Instance map of every non-touching blob (no border separation)."""
-    comps = raster.connected_components(building, 8)
+    comps = raster.connected_components(building)
     return filter_small(comps, min_area)
 
 

@@ -1,11 +1,12 @@
-"""Exact raster primitives: square-kernel binary morphology and connected
+"""Exact raster primitives: square-kernel binary morphology and 8-connected
 components.
 
 Masks are 2-D uint8 arrays with values in {0, 1}. Instance maps are 2-D
 uint32 arrays whose nonzero labels are dense in 1..N, numbered by the
-topmost-then-leftmost pixel of each component. Pixels outside the canvas
-count as 0 for both erosion and dilation (a mask embedded in a sea of
-zeros), which keeps every operation total on valid inputs.
+topmost-then-leftmost pixel of each component; pixels touching only at a
+corner are connected, as in the paper's building instances. Pixels outside
+the canvas count as 0 for both erosion and dilation (a mask embedded in a
+sea of zeros), which keeps every operation total on valid inputs.
 
 All functions are pure: identical inputs give byte-identical outputs, so
 callers may fan work out across threads without affecting results.
@@ -121,8 +122,8 @@ def dilate(mask, kernel_side: int = 3) -> np.ndarray:
     return _morph(mask, kernel_side, np.maximum)
 
 
-def connected_components(mask, connectivity: int = 8) -> np.ndarray:
-    """Label maximal connected regions of 1-pixels with dense labels 1..N.
+def connected_components(mask) -> np.ndarray:
+    """Label maximal 8-connected regions of 1-pixels with dense labels 1..N.
 
     Labels are assigned by each component's anchor (topmost, then leftmost,
     pixel in row-major order), so the numbering is independent of how the
@@ -135,8 +136,6 @@ def connected_components(mask, connectivity: int = 8) -> np.ndarray:
     O(H*W); each merging pass is O(R) over the R runs, and 1024^2
     serpentines, spirals and speckle need at most six hooking passes.
     """
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     m = as_mask(mask)
     h, w = m.shape
     labels = np.zeros((h, w), np.uint32)
@@ -152,11 +151,10 @@ def connected_components(mask, connectivity: int = 8) -> np.ndarray:
     if n == 0:
         return labels
 
-    # runs a (row above) and b touch iff a.lo < b.hi + reach and b.lo < a.hi + reach;
-    # 8-connectivity lets runs touch diagonally, i.e. ranges expanded by 1
-    reach = 1 if connectivity == 8 else 0
-    first = np.searchsorted(ends, starts - stride - reach, side="right")
-    stop = np.searchsorted(starts, ends - stride + reach, side="left")
+    # runs a (row above) and b touch iff a.lo < b.hi + 1 and b.lo < a.hi + 1:
+    # 8-connected runs also touch diagonally, so each range is widened by 1
+    first = np.searchsorted(ends, starts - stride - 1, side="right")
+    stop = np.searchsorted(starts, ends - stride + 1, side="left")
     # one (above, below) pair per touching pair: runs first[b]..stop[b]-1 touch b
     count = stop - first
     below = np.repeat(np.arange(n), count)

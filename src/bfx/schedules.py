@@ -2,9 +2,9 @@
 nothing here may import numpy.
 
 `bfx lr` dumps a whole schedule from here without loading numpy. The
-literal polynomial recurrence is one running product (`lr_poly_recurrence`),
-so a table of E epochs costs O(E); the value at one epoch is the table's
-last term.
+literal polynomial recurrence is one running product (`lr_poly_recurrence`)
+that gives the whole table of epochs 0..total_epochs in O(total_epochs);
+the value at epoch t is the table's term t.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ def _check_epoch(epoch, params: ScheduleParams) -> None:
         raise ValueError(f"epoch {epoch} outside [0, {params.total_epochs}]")
 
 
-def lr_poly_recurrence(last_epoch, params: ScheduleParams = ScheduleParams()) -> list[float]:
-    """Learning rates of epochs 0..last_epoch under the literal recurrence
+def lr_poly_recurrence(params: ScheduleParams = ScheduleParams()) -> list[float]:
+    """Learning rates of epochs 0..total_epochs under the literal recurrence
     lr_t = lr_{t-1} * (1 - t/total)^power, lr_0 = poly_lr0, as one running
     product."""
-    _check_epoch(last_epoch, params)
     lr = params.poly_lr0
     out = [lr]
-    for t in range(1, int(last_epoch) + 1):
+    for t in range(1, params.total_epochs + 1):
         lr *= (1.0 - t / params.total_epochs) ** params.poly_power
         out.append(lr)
     return out

@@ -13,7 +13,7 @@ def run(cfg: dict):
     if cfg["schedule"] == "onecycle":
         lrs = [schedules.lr_one_cycle(epoch, sched) for epoch in epochs]
     elif cfg["poly_recursive"]:  # one running product, not one product per epoch
-        lrs = schedules.lr_poly_recurrence(cfg["total_epochs"], sched)
+        lrs = schedules.lr_poly_recurrence(sched)
     else:
         lrs = [schedules.lr_poly(epoch, sched) for epoch in epochs]
     lines = ["epoch,lr", *(f"{epoch},{lr!r}" for epoch, lr in zip(epochs, lrs))]

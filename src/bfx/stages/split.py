@@ -13,7 +13,7 @@ def run(cfg: dict):
     records = []
     for i, obj in enumerate(doc):  # named by index: a record's repr can be arbitrarily long
         try:
-            records.append(tiling.TileRecord.from_json(obj, size=0))
+            records.append(tiling.TileRecord.from_json(obj))
         except ValueError as exc:
             raise ValidationError(f"{cfg['index']}: entry {i}: {exc}") from None
     assigned = tiling.kfold_assign(records, cfg["k"])

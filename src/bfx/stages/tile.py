@@ -11,8 +11,8 @@ def run(cfg: dict):
     size = cfg["size"]
     nodata = cfg["nodata"]
 
-    def probe(rec):  # every tile lies inside the raster: the grid drops partial ones
-        r0, c0 = rec.origin
+    def probe(row, col):  # every tile lies inside the raster: the grid drops partial ones
+        r0, c0 = row * size, col * size
         return all(values.count(nodata, start, start + size) == size
                    for start in range(r0 * w + c0, (r0 + size) * w, w))
 

@@ -49,8 +49,7 @@ class TargetStack:
     """The three ground-truth channels, all the same size.
 
     Freshly generated stacks satisfy border <= building and
-    spacing & building == 0; stacks produced by augmentation mixing are not
-    required to.
+    spacing & building == 0.
     """
 
     building: np.ndarray
@@ -60,15 +59,8 @@ class TargetStack:
     def to_probmap(self) -> np.ndarray:
         return np.stack([self.building, self.border, self.spacing]).astype(np.float32)
 
-    @classmethod
-    def from_probmap(cls, pmap) -> "TargetStack":
-        arr = np.asarray(pmap)
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise ValueError(f"expected a (3, h, w) stack, got shape {arr.shape}")
-        return cls(*((arr[i] >= 0.5).astype(np.uint8) for i in range(3)))
 
-
-def _clamp(v: int, n: int) -> int:
+def _clamp(v: float, n: int) -> float:
     return min(max(v, 0), n)
 
 
@@ -84,8 +76,10 @@ def _ring_window(pts: np.ndarray, height: int, width: int) -> tuple[slice, slice
     xmin, ymin = pts.min(axis=0).tolist()
     xmax, ymax = pts.max(axis=0).tolist()
     pad = 1 + 4 * math.ulp(max(-xmin, xmax))
-    return (slice(_clamp(math.floor(ymin), height), _clamp(math.ceil(ymax), height)),
-            slice(_clamp(math.floor(xmin - pad), width), _clamp(math.ceil(xmax + pad), width)))
+    # clamped before rounding, which gives the same integers, so that a bound
+    # pushed past the float range by the pad rounds as the canvas edge
+    return (slice(math.floor(_clamp(ymin, height)), math.ceil(_clamp(ymax, height))),
+            slice(math.floor(_clamp(xmin - pad, width)), math.ceil(_clamp(xmax + pad, width))))
 
 
 def _spans(rings, height: int, width: int):
@@ -209,7 +203,7 @@ def make_spacing_mask(building) -> np.ndarray:
     no pixel and is not computed.
     """
     b = raster.as_mask(building)
-    seeds = raster.connected_components(b, 8)
+    seeds = raster.connected_components(b)
     if int(seeds.max(initial=0)) < 2:
         return np.zeros_like(b)  # no inter-label boundary can exist
     lines = _label_boundary(extract.watershed_assign(seeds, raster.dilate(b, SPACING_DILATE_SIDE)))

@@ -3,63 +3,50 @@ nothing here may import numpy.
 
 Tiles form a non-overlapping grid; partial tiles at the right/bottom edge
 are dropped so every training chip has the same size. Blankness is decided
-by a caller-supplied probe (all pixels equal to the declared nodata value
-in the CLI). Folds go round-robin over the non-blank tiles sorted by grid
-row then column, so fold sizes differ by at most one and the assignment
-depends only on grid coordinates, never on input order.
+by a caller-supplied probe of the tile's grid row and column (all pixels
+equal to the declared nodata value in the CLI). Folds go round-robin over
+the non-blank tiles sorted by grid row then column, so fold sizes differ by
+at most one and the assignment depends only on grid coordinates, never on
+input order. A `TileRecord` holds exactly what the tile-index file holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .fileio import _is_json_int
 
 
-@dataclass
-class TileRecord:
+class TileRecord(NamedTuple):
     tile_id: int
     row: int
     col: int
-    size: int
     blank: bool = False
     fold: Optional[int] = None
 
-    @property
-    def origin(self) -> tuple[int, int]:
-        """Pixel offset (row, col) of the tile in the source raster."""
-        return (self.row * self.size, self.col * self.size)
-
     def to_json(self) -> dict:
-        return {"tile_id": self.tile_id, "row": self.row, "col": self.col,
-                "blank": self.blank, "fold": self.fold}
+        return self._asdict()
 
     @classmethod
-    def from_json(cls, obj: dict, size: int) -> "TileRecord":
+    def from_json(cls, obj: dict) -> "TileRecord":
         if not (isinstance(obj, dict) and all(_is_json_int(obj.get(k)) for k in ("tile_id", "row", "col"))
                 and isinstance(obj.get("blank"), bool)
                 and (obj.get("fold") is None or _is_json_int(obj["fold"]))):
             raise ValueError("tile record is not an object with integer tile_id, row and col, "
                              "a boolean blank flag and an integer or null fold")
-        return cls(obj["tile_id"], obj["row"], obj["col"], size, obj["blank"], obj.get("fold"))
+        return cls(obj["tile_id"], obj["row"], obj["col"], obj["blank"], obj.get("fold"))
 
 
-def tile_index(height: int, width: int, tile_size: int = 1024,
-               probe: Callable[[TileRecord], bool] | None = None) -> list[TileRecord]:
-    """Grid the source extent into tiles; tile_id is the row-major grid index."""
+def tile_index(height: int, width: int, tile_size: int,
+               probe: Callable[[int, int], bool]) -> list[TileRecord]:
+    """Grid the source extent into tiles; tile_id is the row-major grid
+    index, and a tile is blank when `probe(row, col)` is true."""
     if tile_size < 1:
         raise ValueError("tile_size must be >= 1")
     rows = height // tile_size
     cols = width // tile_size
-    records = []
-    for r in range(rows):
-        for c in range(cols):
-            rec = TileRecord(r * cols + c, r, c, tile_size)
-            if probe is not None:
-                rec.blank = bool(probe(rec))
-            records.append(rec)
-    return records
+    return [TileRecord(r * cols + c, r, c, bool(probe(r, c)))
+            for r in range(rows) for c in range(cols)]
 
 
 def kfold_assign(tiles: list[TileRecord], k: int = 5) -> list[TileRecord]:
@@ -77,5 +64,4 @@ def kfold_assign(tiles: list[TileRecord], k: int = 5) -> list[TileRecord]:
     if len(usable) < k:
         raise ValueError(f"need at least {k} non-blank tiles, have {len(usable)}")
     fold_of = {t.tile_id: i % k for i, t in enumerate(usable)}
-    return [TileRecord(t.tile_id, t.row, t.col, t.size, t.blank,
-                       fold_of.get(t.tile_id)) for t in tiles]
+    return [t._replace(fold=fold_of.get(t.tile_id)) for t in tiles]

@@ -169,18 +169,14 @@ def loss_value(kind: str, pred, gt, params: LossParams = LossParams()) -> float:
     return _LOSS_CORES[kind](*_loss_inputs(pred, gt), params, with_grad=False)[0]
 
 
-def total_loss(losses, weights) -> float:
-    """Weight-normalized sum of per-channel losses: sum(w*L) / sum(w)."""
-    if isinstance(weights, ChannelWeights):
-        weights = weights.as_tuple()
-    weights = [float(w) for w in weights]
+def total_loss(losses, weights: ChannelWeights) -> float:
+    """Weight-normalized sum of the (building, border, spacing) losses:
+    sum(w*L) / sum(w); `ChannelWeights` guarantees a positive sum."""
+    weights = [float(w) for w in weights.as_tuple()]
     losses = [float(x) for x in losses]
     if len(losses) != len(weights):
         raise ValueError(f"{len(losses)} losses but {len(weights)} weights")
-    total_w = sum(weights)
-    if total_w <= 0:
-        raise ValueError("channel weights sum to zero")
-    return sum(w * x for w, x in zip(weights, losses)) / total_w
+    return sum(w * x for w, x in zip(weights, losses)) / sum(weights)
 
 
 def gradient_check(pred, gt, params: LossParams = LossParams(), step: float = 1e-5) -> float:
@@ -241,15 +237,14 @@ def _check_box(box, height: int, width: int) -> tuple[int, int, int, int]:
     return r0, c0, r1, c1
 
 
-def cutmix(image_a, targets_a: TargetStack, image_b, targets_b: TargetStack,
-           box) -> tuple[np.ndarray, TargetStack]:
+def cutmix(image_a, masks_a, image_b, masks_b, box) -> tuple[np.ndarray, np.ndarray]:
     """Paste the half-open box [r0:r1, c0:c1] of sample B over sample A.
 
-    The image and every mask channel are mixed identically; every output
-    pixel comes from exactly one input, decided solely by box membership.
+    The masks are arrays of any leading shape, such as a (3, h, w) target
+    stack, on the image's canvas. The image and every mask plane are mixed
+    identically; every output pixel comes from exactly one input, decided
+    solely by box membership. Returns (image, masks).
     """
-    from .targets import TargetStack  # here, so the loss stages never load target synthesis
-
     a = np.asarray(image_a)
     b = np.asarray(image_b)
     if a.shape != b.shape:
@@ -266,10 +261,7 @@ def cutmix(image_a, targets_a: TargetStack, image_b, targets_b: TargetStack,
         out[..., r0:r1, c0:c1] = y[..., r0:r1, c0:c1]
         return out
 
-    mixed = TargetStack(paste(targets_a.building, targets_b.building),
-                        paste(targets_a.border, targets_b.border),
-                        paste(targets_a.spacing, targets_b.spacing))
-    return paste(a, b), mixed
+    return paste(a, b), paste(masks_a, masks_b)
 
 
 def sample_cutmix_box(height: int, width: int, rng: np.random.Generator) -> tuple[int, int, int, int]:

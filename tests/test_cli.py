@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,9 @@ NUMPY_FREE_CALLS = {
     "usage-error": (["lr", "--schedule", "cosine", "--out", "{d}/x.csv"], 1),
     "io-error": (["split", "--index", "{d}/missing.json"], 2),
 }
+# `lr` builds a `ScheduleParams`, a dataclass; no other call above needs
+# `dataclasses`, which imports `inspect` and through it `ast`, `dis` and `tokenize`
+LOADS_DATACLASSES = {"lr-poly", "lr-onecycle"}
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE_CALLS)
@@ -112,10 +116,10 @@ def test_stages_without_arrays_load_no_numpy(name, tmp_path):
     argv, expected = NUMPY_FREE_CALLS[name]
     code = ("import sys\nfrom bfx.cli import main\n"
             "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as exc:\n    rc = exc.code\n"
-            "print('rc', rc, 'numpy' in sys.modules)")
+            "print('rc', rc, 'numpy' in sys.modules, 'dataclasses' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, *(a.format(d=tmp_path) for a in argv)],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == f"rc {expected} False"
+    assert proc.stdout.splitlines()[-1] == f"rc {expected} False {name in LOADS_DATACLASSES}"
 
 
 # the bfx library modules each stage loads, beyond the package, `bfx.cli`,
@@ -129,8 +133,7 @@ STAGE_MODULES = {
     "split": {"tiling"},
     "lossmath": {"formats", "raster", "schedules", "trainmath"},
     "lr": {"schedules"},
-    "cutmix": {"annotations", "extract", "formats", "fusion", "raster", "schedules", "targets",
-               "trainmath"},
+    "cutmix": {"formats", "raster", "schedules", "trainmath"},
 }
 
 
@@ -408,6 +411,35 @@ def test_targets_pmap_format(tmp_path):
                      "--height", "48", "--width", "48", "--format", "pmap"]) == 0
     pm = formats.read_pmap(out / "imgA.pmap")
     assert pm.shape == (3, 48, 48)
+
+
+def test_a_vertex_at_the_float_limit_fills_its_rows(tmp_path, capsys):
+    # the window's padded x bound passes the float range: clamped first, it is the canvas edge
+    big = 1.7976931348623157e308
+    (tmp_path / "ann.json").write_text(json.dumps({"a": [{"points": [[0, 0], [big, 0], [big, 4], [0, 4]]}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir",
+                         str(tmp_path / "t"), "--height", "8", "--width", "8", "--format", "pmap"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    building = formats.read_pmap(tmp_path / "t" / "a.pmap")[0]
+    assert building[:4].all() and not building[4:].any()
+
+
+def test_a_ring_whose_extent_overflows_is_refused(tmp_path, capsys):
+    # x2 - x1 of an edge would overflow to inf and the ring would fill nothing
+    doc = {"type": "FeatureCollection", "height": 8, "width": 8, "features": [
+        {"type": "Feature", "properties": {}, "geometry": {
+            "type": "Polygon", "coordinates": [[[-1.7e308, 0], [1.7e308, 8], [1.7e308, 0]]]}}]}
+    (tmp_path / "p.geojson").write_text(json.dumps(doc))
+    labels = np.zeros((8, 8), np.uint32)
+    labels[:4] = 1
+    formats.write_imap(tmp_path / "g.imap", labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = assert_rejected(capsys, tmp_path, ["eval", "--pred", str(tmp_path / "p.geojson"), "--gt",
+                                                 str(tmp_path / "g.imap"), "--report", str(tmp_path / "r.json")])
+    assert err.startswith("bfx: error: feature 0: ring's x or y extent (max - min) is not a finite float")
 
 
 def test_config_file_precedence(tmp_path):
@@ -1216,11 +1248,10 @@ def test_every_cli_default_is_the_library_default_it_feeds():
         ("extract", "min_area", default(extract.single_class_instances, "min_area")),
         ("extract", "no_spacing", not default(extract.multi_class_instances, "use_spacing")),
         ("eval", "iou", default(evaluate.match_instances, "iou_threshold")),
-        ("tile", "size", default(tiling.tile_index, "tile_size")),
         ("split", "k", default(tiling.kfold_assign, "k")),
     ]
     cli_defaults = {(stage, p.name): p.default for stage, (_, params) in cli.STAGES.items() for p in params}
-    assert len({(stage, name) for stage, name, _ in fed}) == 24
+    assert len({(stage, name) for stage, name, _ in fed}) == 23
     for stage, name, want in fed:
         got = cli_defaults[stage, name]
         assert type(got) is type(want) and got == want, (stage, name, got, want)

@@ -16,16 +16,19 @@ def rect_ring(x0, y0, x1, y1):
 # ---------------------------------------------------------------------------
 
 
+def never_blank(row, col):
+    return False
+
+
 def test_tile_grid_4096():
-    tiles = tile_index(4096, 4096, 1024)
+    tiles = tile_index(4096, 4096, 1024, never_blank)
     assert len(tiles) == 16
     assert [t.tile_id for t in tiles] == list(range(16))
-    assert tiles[5].row == 1 and tiles[5].col == 1
-    assert tiles[5].origin == (1024, 1024)
+    assert tiles[5] == TileRecord(5, 1, 1)
 
 
 def test_tile_partial_bottom_row_dropped():
-    tiles = tile_index(4500, 4096, 1024)
+    tiles = tile_index(4500, 4096, 1024, never_blank)
     assert len(tiles) == 16  # 4 rows fit, the 404-px remainder is dropped
 
 
@@ -33,32 +36,31 @@ def test_tile_probe_marks_blanks():
     values = np.zeros((64, 64), np.uint8)
     values[0:32, 0:32] = 7
 
-    def probe(rec):
-        r0, c0 = rec.origin
-        return bool((values[r0:r0 + rec.size, c0:c0 + rec.size] == 0).all())
+    def probe(row, col):
+        return (values[row * 32:(row + 1) * 32, col * 32:(col + 1) * 32] == 0).all()
 
-    tiles = tile_index(64, 64, 32, probe=probe)
+    tiles = tile_index(64, 64, 32, probe)
     assert [t.blank for t in tiles] == [False, True, True, True]
+    assert all(type(t.blank) is bool for t in tiles)  # a numpy bool would not be JSON
 
 
 def test_tile_all_nodata_source():
-    tiles = tile_index(64, 64, 32, probe=lambda rec: True)
+    tiles = tile_index(64, 64, 32, lambda row, col: True)
     assert all(t.blank for t in tiles)
     assert all(t.fold is None for t in tiles)
 
 
 def test_tiles_partition_without_overlap():
-    tiles = tile_index(96, 128, 32)
+    tiles = tile_index(96, 128, 32, never_blank)
     seen = np.zeros((96, 128), np.int32)
     for t in tiles:
-        r0, c0 = t.origin
-        seen[r0:r0 + t.size, c0:c0 + t.size] += 1
+        seen[t.row * 32:(t.row + 1) * 32, t.col * 32:(t.col + 1) * 32] += 1
     assert seen.max() == 1  # no overlap; union within the source extent
 
 
 def test_tile_size_validation():
     with pytest.raises(ValueError):
-        tile_index(100, 100, 0)
+        tile_index(100, 100, 0, never_blank)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def make_tiles(n_rows, n_cols, blank=()):
     for r in range(n_rows):
         for c in range(n_cols):
             tid = r * n_cols + c
-            tiles.append(TileRecord(tid, r, c, 1024, blank=tid in blank))
+            tiles.append(TileRecord(tid, r, c, blank=tid in blank))
     return tiles
 
 
@@ -164,7 +166,7 @@ def test_kfold_skips_blanks_and_errors_when_too_few():
 def test_kfold_rejects_a_repeated_tile_id():
     # keyed by tile_id, a repeat would give both records the later one's fold
     tiles = make_tiles(1, 6)
-    tiles[1].tile_id = 0
+    tiles[1] = tiles[1]._replace(tile_id=0)
     with pytest.raises(ValueError, match="tile_id 0 "):
         kfold_assign(tiles, 2)
 
@@ -179,8 +181,9 @@ def test_kfold_permutation_invariant():
 
 
 def test_tile_record_json_round_trip():
-    rec = TileRecord(7, 1, 3, 1024, blank=False, fold=2)
-    back = TileRecord.from_json(rec.to_json(), size=1024)
+    rec = TileRecord(7, 1, 3, blank=False, fold=2)
+    assert rec.to_json() == {"tile_id": 7, "row": 1, "col": 3, "blank": False, "fold": 2}
+    back = TileRecord.from_json(rec.to_json())
     assert back == rec
 
 
@@ -188,7 +191,7 @@ def test_tile_record_json_round_trip():
                                  {"tile_id": None, "row": 1, "col": 3, "blank": False}])
 def test_tile_record_from_json_rejects_malformed(obj):
     with pytest.raises(ValueError, match="tile record"):
-        TileRecord.from_json(obj, size=0)
+        TileRecord.from_json(obj)
 
 
 RECORD = {"tile_id": 3, "row": 1, "col": 2, "blank": False, "fold": None}
@@ -199,13 +202,13 @@ RECORD = {"tile_id": 3, "row": 1, "col": 2, "blank": False, "fold": None}
                                           ("col", True), ("fold", 1.5), ("fold", "2"), ("fold", False)])
 def test_tile_record_fields_must_be_json_integers_and_a_boolean(member, value):
     with pytest.raises(ValueError, match="tile record"):
-        TileRecord.from_json(dict(RECORD, **{member: value}), size=0)
+        TileRecord.from_json(dict(RECORD, **{member: value}))
 
 
 def test_tile_record_fold_may_be_null_or_absent():
-    assert TileRecord.from_json(RECORD, size=4) == TileRecord(3, 1, 2, 4, False, None)
-    assert TileRecord.from_json({k: v for k, v in RECORD.items() if k != "fold"}, size=4).fold is None
-    assert TileRecord.from_json(dict(RECORD, fold=0, blank=True), size=4) == TileRecord(3, 1, 2, 4, True, 0)
+    assert TileRecord.from_json(RECORD) == TileRecord(3, 1, 2, False, None)
+    assert TileRecord.from_json({k: v for k, v in RECORD.items() if k != "fold"}).fold is None
+    assert TileRecord.from_json(dict(RECORD, fold=0, blank=True)) == TileRecord(3, 1, 2, True, 0)
 
 
 # ---------------------------------------------------------------------------

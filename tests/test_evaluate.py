@@ -153,8 +153,8 @@ def test_color_map_checks_density_without_match_instances(kind):
 def test_color_map_core_colors_each_label_by_its_match():
     rng = np.random.default_rng(21)
     for _ in range(20):
-        pred = raster.connected_components((rng.random((24, 24)) < 0.3).astype(np.uint8), 8)
-        gt = raster.connected_components((rng.random((24, 24)) < 0.3).astype(np.uint8), 8)
+        pred = raster.connected_components((rng.random((24, 24)) < 0.3).astype(np.uint8))
+        gt = raster.connected_components((rng.random((24, 24)) < 0.3).astype(np.uint8))
         match = evaluate.match_instances(pred, gt, float(rng.uniform(0.1, 0.6)))
         want = np.stack([np.isin(pred, [pp for pp, _, _ in match.pairs]),
                          np.isin(pred, match.unmatched_pred),
@@ -262,8 +262,8 @@ def test_color_map_yellow_impossible_on_random_scenes():
     for _ in range(20):
         m1 = (rng.random((24, 24)) < 0.3).astype(np.uint8)
         m2 = (rng.random((24, 24)) < 0.3).astype(np.uint8)
-        pred = raster.connected_components(m1, 8)
-        gt = raster.connected_components(m2, 8)
+        pred = raster.connected_components(m1)
+        gt = raster.connected_components(m2)
         match = evaluate.match_instances(pred, gt)
         rgb = evaluate.color_map(pred, gt, match)
         assert ((rgb[..., 0] > 0) & (rgb[..., 1] > 0)).sum() == 0

@@ -7,8 +7,8 @@ import pytest
 from bfx import extract, raster, targets
 from bfx.annotations import ingest_annotations
 
-from _oracles import (disjoint_rectangles, filter_small_by_unique, geodesic_watershed, point_fill,
-                      serpentine, walk_polygonize)
+from _oracles import (disjoint_rectangles, filter_small_by_unique, flood_components, geodesic_watershed,
+                      point_fill, serpentine, walk_polygonize)
 
 
 def rect_ring(x0, y0, x1, y1):
@@ -51,7 +51,7 @@ def test_make_seeds_with_empty_border():
     b[1:4, 1:4] = 1
     b[6:9, 6:9] = 1
     seeds = extract.make_seeds(b, np.zeros_like(b))
-    assert np.array_equal(seeds, raster.connected_components(b, 8))
+    assert np.array_equal(seeds, raster.connected_components(b))
 
 
 def test_make_seeds_fully_bordered_building():
@@ -243,7 +243,7 @@ def random_label_maps(seed, count, max_side=13):
         h, w = (int(v) for v in rng.integers(1, max_side + 1, 2))
         if t % 3 < 2:
             mask = rng.random((h, w)) < rng.random()
-            yield raster.connected_components(mask, 8 if t % 3 == 0 else 4)
+            yield raster.connected_components(mask) if t % 3 == 0 else flood_components(mask, 4)
         else:
             raw = rng.integers(0, int(rng.integers(2, 7)), (h, w))
             used = np.unique(raw[raw > 0])
@@ -385,7 +385,7 @@ def test_polygonize_area_conservation_and_exterior_refills():
     rng = np.random.default_rng(4)
     for _ in range(6):
         m = (rng.random((24, 24)) < 0.35).astype(np.uint8)
-        lab = raster.connected_components(m, 8)
+        lab = raster.connected_components(m)
         ps = extract.polygonize(lab)
         # area_px counts raster support, so it conserves labeled pixels even
         # when the exterior ring encloses holes
@@ -461,7 +461,7 @@ def test_polygonize_diagonal_pinches():
 
 
 def test_polygonize_dtypes_and_layouts():
-    lab = raster.connected_components(np.random.default_rng(36).random((11, 13)) < 0.5, 8)
+    lab = raster.connected_components(np.random.default_rng(36).random((11, 13)) < 0.5)
     want = extract.polygon_set_to_geojson(extract.polygonize(lab))
     wide = np.zeros((22, 39), np.int64)
     wide[::2, ::3] = lab
@@ -684,6 +684,8 @@ MALFORMED_FEATURES = {
     "two-vertex-ring": ring_feature("[[0, 0], [2, 2], [0, 0]]"),
     "infinite": ring_feature("[[0, 0], [2, Infinity], [2, 2], [0, 2]]"),
     "integer-beyond-float64": ring_feature("[[0, 0], [1%s, 0], [2, 2]]" % ("0" * 400)),
+    "x-extent-overflows": ring_feature("[[-1.7e308, 0], [1.7e308, 8], [1.7e308, 0]]"),
+    "y-extent-overflows": ring_feature("[[0, -1e308], [2, 1e308], [0, 1e308]]"),
     "string-coordinate": ring_feature('[[0, 0], [2, "0"], [2, 2], [0, 2]]'),
     "boolean-coordinate": ring_feature("[[0, 0], [2, 0], [true, 2], [0, 2]]"),
     "null-coordinate": ring_feature("[[0, 0], [2, null], [2, 2], [0, 2]]"),

@@ -1,10 +1,13 @@
 import ast
 import importlib
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
 import bfx
+from bfx import dataprep, evaluate, extract, formats, fusion, raster, targets, trainmath
 
 # the names `bfx/__init__.py` re-exported before it resolved them lazily
 EXPORTS = {
@@ -125,3 +128,53 @@ def test_every_export_is_used_by_the_package_or_an_acceptance_criterion():
         elif isinstance(node, ast.alias):  # from bfx.evaluate import EvalCounts
             named.add(node.name)
     assert sorted(set(bfx._LAZY) - used - named) == []
+
+
+LABELS = np.array([[0, 1], [1, 1]], np.uint32)
+
+# library refusals: (a call given an empty directory, the message it raises)
+REFUSALS = {
+    "color-map-shapes": (lambda d: evaluate.color_map(LABELS, np.zeros((2, 3), np.uint32),
+                                                      evaluate.MatchResult()),
+                         "instance map dimensions differ: (2, 2) vs (2, 3)"),
+    "color-map-gt-unaccounted": (lambda d: evaluate.color_map(LABELS, LABELS, evaluate.MatchResult(
+        counts=evaluate.EvalCounts(0, 1, 0), unmatched_pred=[1])),
+        "match result inconsistent with the ground-truth map"),
+    "polygon-set-no-rows": (lambda d: evaluate.rasterize_polygon_set(extract.PolygonSet("a", 0, 4)),
+                            "canvas dimensions must be >= 1"),
+    "negative-counts": (lambda d: evaluate.EvalCounts(-1, 0, 0), "counts must be non-negative"),
+    "watershed-shapes": (lambda d: extract.watershed_assign(LABELS, np.ones((2, 3), np.uint8)),
+                         "seed/region dimensions differ: (2, 2) vs (2, 3)"),
+    "watershed-float-seeds": (lambda d: extract.watershed_assign(np.zeros((2, 2)), np.ones((2, 2))),
+                              "seed map must be integer labels"),
+    "filter-small-3d": (lambda d: extract.filter_small(LABELS[None]), "expected a 2-D integer instance map"),
+    "ppm-2d": (lambda d: formats.write_ppm(d / "x.ppm", np.zeros((2, 2), np.uint8)),
+               "PPM payload must be an (h, w, 3) uint8 array"),
+    "pmap-2d": (lambda d: formats.write_pmap(d / "x.pmap", np.zeros((2, 2), np.float32)),
+                "probability map must be (channels, h, w), got shape (2, 2)"),
+    "imap-3d": (lambda d: formats.write_imap(d / "x.imap", LABELS[None]),
+                "instance map must be 2-D, got shape (1, 2, 2)"),
+    "imap-negative": (lambda d: formats.write_imap(d / "x.imap", np.array([[0, -1]])),
+                      "instance labels must be non-negative integers"),
+    "view-1d": (lambda d: fusion.apply_view(np.zeros(4), "hflip"),
+                "expected a 2-D mask or (c, h, w) stack, got shape (4,)"),
+    "ensemble-2d": (lambda d: fusion.ensemble_average([np.zeros((2, 2))]),
+                    "expected (c, h, w) stacks, got shape (2, 2)"),
+    "binarize-2d": (lambda d: fusion.binarize(np.zeros((2, 2)), 0),
+                    "expected a (c, h, w) stack, got shape (2, 2)"),
+    "mask-1d": (lambda d: raster.as_mask(np.zeros(4)), "mask must be 2-D and non-empty, got shape (4,)"),
+    "ring-no-rows": (lambda d: targets.rasterize_polygon([[0, 0], [1, 0], [0, 1]], 0, 4),
+                     "canvas dimensions must be >= 1"),
+    "loss-eps-zero": (lambda d: trainmath.LossParams(eps=0), "eps must be > 0"),
+    "loss-clamp-half": (lambda d: trainmath.LossParams(clamp=0.5), "clamp must lie in (0, 0.5)"),
+    "crop-not-half": (lambda d: dataprep.subdivide_tile(None, [], 1024, 500),
+                      "crop_size must be half of tile_size"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusals_name_their_fault_and_write_nothing(tmp_path, name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []  # no file, and no `.tmp.*` left by a writer

@@ -60,7 +60,7 @@ def test_dilate_bridges_a_four_column_gap_with_side_15():
     m[9:21, 4:16] = 1
     m[9:21, 20:32] = 1
     grown = raster.dilate(m, 15)
-    assert int(raster.connected_components(grown, 8).max()) == 1
+    assert int(raster.connected_components(grown).max()) == 1
 
 
 @pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1), (5, 3)])
@@ -140,25 +140,33 @@ def test_components_two_blocks_one_column_apart():
     m = np.zeros((6, 9), np.uint8)
     m[1:5, 1:4] = 1
     m[1:5, 5:8] = 1
-    assert int(raster.connected_components(m, 8).max()) == 2
+    assert int(raster.connected_components(m).max()) == 2
 
 
 def test_components_diagonal_touch():
     m = np.zeros((4, 4), np.uint8)
     m[1, 1] = 1
     m[2, 2] = 1
-    assert int(raster.connected_components(m, 8).max()) == 1
-    assert int(raster.connected_components(m, 4).max()) == 2
+    assert int(raster.connected_components(m).max()) == 1
 
 
 def test_components_empty():
-    out = raster.connected_components(np.zeros((5, 5), np.uint8), 8)
+    out = raster.connected_components(np.zeros((5, 5), np.uint8))
     assert out.max() == 0
 
 
-def test_components_bad_connectivity():
-    with pytest.raises(ValueError):
-        raster.connected_components(np.zeros((3, 3), np.uint8), 6)
+def check_against_flood(labels, m, connectivity):
+    """The labels equal the 8-connected flood fill's; against the
+    4-connected one, they must coarsen it: every 4-connected component lies
+    inside one labelled component, since a corner touch only merges."""
+    flood = flood_components(m, connectivity)
+    if connectivity == 8:
+        assert np.array_equal(labels, flood)
+    else:
+        assert np.array_equal(labels > 0, flood > 0)
+        pairs = np.unique(np.stack([flood[flood > 0], labels[flood > 0]]), axis=1)
+        assert np.array_equal(pairs[0], np.arange(1, int(flood.max()) + 1))
+    return flood
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
@@ -166,8 +174,7 @@ def test_components_match_flood_oracle(connectivity):
     rng = np.random.default_rng(connectivity)
     for _ in range(8):
         m = (rng.random((24, 20)) < 0.45).astype(np.uint8)
-        assert np.array_equal(raster.connected_components(m, connectivity),
-                              flood_components(m, connectivity))
+        check_against_flood(raster.connected_components(m), m, connectivity)
 
 
 def spiral(n):
@@ -197,12 +204,12 @@ def spiral(n):
     ("Nx1", (np.random.default_rng(12).random((41, 1)) < 0.5).astype(np.uint8), None, None),
 ]])
 def test_components_match_flood_oracle_on_adversarial_masks(connectivity, m, count8, count4):
-    labels = raster.connected_components(m, connectivity)
+    labels = raster.connected_components(m)
     assert labels.dtype == np.uint32
-    assert np.array_equal(labels, flood_components(m, connectivity))
-    count = count8 if connectivity == 8 else count4
-    if count is not None:
-        assert int(labels.max()) == count
+    flood = check_against_flood(labels, m, connectivity)
+    if count8 is not None:
+        assert int(labels.max()) == count8
+        assert int(flood.max()) == (count8 if connectivity == 8 else count4)
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
@@ -210,16 +217,17 @@ def test_components_input_dtype_and_layout_independence(connectivity):
     rng = np.random.default_rng(13)
     big = (rng.random((40, 48)) < 0.45).astype(np.uint8)
     m = big[::2, ::3]  # strided view
-    expected = flood_components(np.ascontiguousarray(m), connectivity)
+    expected = raster.connected_components(np.ascontiguousarray(m))
+    check_against_flood(expected, np.ascontiguousarray(m), connectivity)
     for variant in (m, m.astype(bool), m.astype(np.int64) * 5, np.asfortranarray(m)):
-        out = raster.connected_components(variant, connectivity)
+        out = raster.connected_components(variant)
         assert out.tobytes() == expected.tobytes()
 
 
 def test_components_dense_and_anchor_ordered():
     rng = np.random.default_rng(42)
     m = (rng.random((30, 30)) < 0.4).astype(np.uint8)
-    labels = raster.connected_components(m, 8)
+    labels = raster.connected_components(m)
     n = int(labels.max())
     assert sorted(np.unique(labels[labels > 0])) == list(range(1, n + 1))
     anchors = [np.flatnonzero((labels == k).ravel())[0] for k in range(1, n + 1)]
@@ -229,8 +237,8 @@ def test_components_dense_and_anchor_ordered():
 def test_components_rotation_invariant_pixel_sets():
     rng = np.random.default_rng(5)
     m = (rng.random((18, 14)) < 0.45).astype(np.uint8)
-    base = raster.connected_components(m, 8)
-    rot = raster.connected_components(np.rot90(m), 8)
+    base = raster.connected_components(m)
+    rot = raster.connected_components(np.rot90(m))
     rot_back = np.rot90(rot, -1)
     # same partition up to relabeling
     sets_a = {frozenset(map(tuple, np.argwhere(base == k))) for k in range(1, int(base.max()) + 1)}

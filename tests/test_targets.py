@@ -378,5 +378,3 @@ def test_assemble_channel_order_in_probmap():
     assert np.array_equal(pm[0], stack.building.astype(np.float32))
     assert np.array_equal(pm[1], stack.border.astype(np.float32))
     assert np.array_equal(pm[2], stack.spacing.astype(np.float32))
-    back = targets.TargetStack.from_probmap(pm)
-    assert np.array_equal(back.building, stack.building)

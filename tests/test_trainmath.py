@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bfx import schedules, trainmath
-from bfx.targets import TargetStack
 from bfx.trainmath import ChannelWeights, LossParams, ScheduleParams
 
 from _oracles import brute_gradient_check, poly_recurrence_per_epoch
@@ -199,18 +198,17 @@ def test_total_weighted_example():
 
 
 def test_total_single_channel():
-    assert trainmath.total_loss([0.42], [3.0]) == pytest.approx(0.42)
+    # one channel weighted, the others at zero: the total is that channel's loss
+    assert trainmath.total_loss([0.9, 0.42, 0.1], ChannelWeights(0, 3, 0)) == pytest.approx(0.42)
 
 
 def test_total_scale_invariance_and_errors():
     losses = [0.1, 0.5, 0.9]
-    a = trainmath.total_loss(losses, [1, 2, 2])
-    b = trainmath.total_loss(losses, [10, 20, 20])
+    a = trainmath.total_loss(losses, ChannelWeights(1, 2, 2))
+    b = trainmath.total_loss(losses, ChannelWeights(10, 20, 20))
     assert a == pytest.approx(b)
-    with pytest.raises(ValueError):
-        trainmath.total_loss(losses, [0, 0, 0])
-    with pytest.raises(ValueError):
-        trainmath.total_loss(losses, [1, 2])
+    with pytest.raises(ValueError, match="2 losses but 3 weights"):
+        trainmath.total_loss(losses[:2], ChannelWeights(1, 2, 2))
     with pytest.raises(ValueError):
         ChannelWeights(0, 0, 0)
 
@@ -321,24 +319,19 @@ def test_poly_schedule_values():
 
 def test_poly_recursive_variant_decays_faster():
     closed = trainmath.lr_poly(10)
-    recursive = schedules.lr_poly_recurrence(10)[-1]
-    assert schedules.lr_poly_recurrence(0)[-1] == 0.001
-    assert recursive < closed
-    assert schedules.lr_poly_recurrence(100)[-1] == 0.0
+    table = schedules.lr_poly_recurrence()
+    assert len(table) == 101 and table[0] == 0.001
+    assert table[10] < closed
+    assert table[100] == 0.0
 
 
 @pytest.mark.parametrize("total, power", [(2, 0.9), (100, 0.9), (37, 1.7), (250, 0.35)])
 def test_poly_recurrence_is_the_per_epoch_product_bit_for_bit(total, power):
     params = ScheduleParams(total_epochs=total, up_epochs=1, poly_power=power, poly_lr0=0.003)
-    table = schedules.lr_poly_recurrence(total, params)
+    table = schedules.lr_poly_recurrence(params)
     assert len(table) == total + 1
     for epoch in range(total + 1):
-        expected = poly_recurrence_per_epoch(epoch, params).hex()
-        assert table[epoch].hex() == expected
-        assert schedules.lr_poly_recurrence(epoch, params)[-1].hex() == expected
-    assert schedules.lr_poly_recurrence(total // 2, params) == table[:total // 2 + 1]
-    with pytest.raises(ValueError, match="outside"):
-        schedules.lr_poly_recurrence(total + 1, params)
+        assert table[epoch].hex() == poly_recurrence_per_epoch(epoch, params).hex()
 
 
 def test_schedules_are_reexported_from_trainmath():
@@ -385,7 +378,7 @@ def test_schedule_epoch_range_errors():
 
 def sample(rng, h=8, w=8):
     image = rng.random((h, w))
-    masks = TargetStack(*((rng.random((h, w)) < 0.5).astype(np.uint8) for _ in range(3)))
+    masks = (rng.random((3, h, w)) < 0.5).astype(np.uint8)  # building, border, spacing
     return image, masks
 
 
@@ -395,8 +388,7 @@ def test_cutmix_full_box_returns_b():
     ib, mb = sample(rng)
     img, masks = trainmath.cutmix(ia, ma, ib, mb, (0, 0, 8, 8))
     assert np.array_equal(img, ib)
-    assert np.array_equal(masks.building, mb.building)
-    assert np.array_equal(masks.spacing, mb.spacing)
+    assert np.array_equal(masks, mb)
 
 
 def test_cutmix_empty_box_returns_a():
@@ -405,7 +397,7 @@ def test_cutmix_empty_box_returns_a():
     ib, mb = sample(rng)
     img, masks = trainmath.cutmix(ia, ma, ib, mb, (3, 3, 3, 3))
     assert np.array_equal(img, ia)
-    assert np.array_equal(masks.border, ma.border)
+    assert np.array_equal(masks, ma)
 
 
 def test_cutmix_piecewise_definition():
@@ -415,9 +407,7 @@ def test_cutmix_piecewise_definition():
     img, masks = trainmath.cutmix(ia, ma, ib, mb, (2, 2, 6, 6))  # rows/cols 2..5
     assert img[0, 0] == ia[0, 0]
     assert img[3, 3] == ib[3, 3]
-    for out_ch, a_ch, b_ch in [(masks.building, ma.building, mb.building),
-                               (masks.border, ma.border, mb.border),
-                               (masks.spacing, ma.spacing, mb.spacing)]:
+    for out_ch, a_ch, b_ch in zip(masks, ma, mb):
         assert out_ch[0, 0] == a_ch[0, 0]
         assert out_ch[3, 3] == b_ch[3, 3]
 
@@ -432,6 +422,19 @@ def test_cutmix_pixel_conservation():
     inside[1:5, 2:7] = True
     assert np.array_equal(img[inside], ib[inside])
     assert np.array_equal(img[~inside], ia[~inside])
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+def test_cutmix_masks_of_any_leading_shape(lead):
+    rng = np.random.default_rng(10)
+    ia, ib = rng.random((2, 8, 8))
+    ma, mb = (rng.random((*lead, 8, 8)) < 0.5 for _ in range(2))
+    img, masks = trainmath.cutmix(ia, ma, ib, mb, (1, 2, 5, 7))
+    inside = np.zeros((8, 8), bool)
+    inside[1:5, 2:7] = True
+    assert masks.shape == ma.shape and masks.dtype == ma.dtype
+    assert np.array_equal(masks, np.where(inside, mb, ma))
+    assert np.array_equal(img, np.where(inside, ib, ia))
 
 
 def test_cutmix_box_validation():
