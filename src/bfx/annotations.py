@@ -13,11 +13,12 @@ Two annotation schemas are accepted:
 `_ring` and `_polygon_features` are the one ring rule and the one
 FeatureCollection walk behind annotations, `extract.polygon_set_from_geojson`
 and `targets.rasterize_polygon`. A ring's coordinates are JSON numbers (not
-strings or booleans) or a numeric array; a closing vertex equal to the first
-one is dropped, at least 3 finite vertices must remain, and the ring's x and
-y extents (max - min) must be finite floats, so that no edge's length
-overflows. Rings come back as (n, 2) float64 arrays of (x, y) vertices,
-implicitly closed. Annotation coordinates must also be non-negative.
+strings or booleans) or a numeric array; a closing vertex, equal to the
+first one but not to the one before it, is dropped; at least 3 finite
+vertices must remain, and the ring's x and y extents (max - min) must be
+finite floats, so that no edge's length overflows. Rings come back as (n, 2)
+float64 arrays of (x, y) vertices, implicitly closed, and such a ring passes
+the rule unchanged. Annotation coordinates must also be non-negative.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ def _ring(points) -> np.ndarray:
         pts = pts.astype(np.float64, copy=False)
     except OverflowError:  # an integer beyond the float64 range
         raise AnnotationError("non-finite coordinate") from None
-    if len(pts) >= 2 and pts[0].tolist() == pts[-1].tolist():
+    # a last vertex that repeats the one before it is a zero-length edge (it
+    # crosses no scanline), kept as given: a checked ring checks to itself
+    if len(pts) >= 2 and pts[0].tolist() == pts[-1].tolist() != pts[-2].tolist():
         pts = pts[:-1]
     if len(pts) < 3:
         raise AnnotationError("ring has fewer than 3 vertices")

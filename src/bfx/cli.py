@@ -95,7 +95,9 @@ def _parse_box(value) -> list[int]:
 
 # shared by every stage; never echoed to sidecars or hashed
 THREADS = Param("threads", int, check=lambda v: v >= 1,
-                help="worker pool size (results never depend on it)")
+                help="worker threads for fuse --tta (folds), eval (image pairs) and "
+                     "lossmath total (channels); other stages make one item at a time; "
+                     "results never depend on it")
 
 # stage -> (help, parameters); None defaults mark "unset"
 STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {

@@ -3,7 +3,7 @@
 import os
 
 from .. import annotations, fileio, formats, targets
-from ..cli import ValidationError, _pool_map, _read_json
+from ..cli import ValidationError, _read_json
 
 
 def _safe_image_id(image_id: str) -> str:
@@ -19,16 +19,14 @@ def run(cfg: dict):
         _safe_image_id(image_id)
     out_dir = cfg["out_dir"]
     fileio.make_dirs(out_dir)
-
-    def work(item):
-        image_id, rings = item
-        return image_id, targets.assemble_targets(
-            rings, cfg["height"], cfg["width"], cfg["erosion_iterations"])
-
-    for image_id, stack in _pool_map(work, items, cfg["threads"]):
+    # one image at a time: its files are staged and its stack freed before
+    # the next image's stack is made, so the call holds one stack at a time
+    for image_id, rings in items:
+        stack = targets.assemble_targets(rings, cfg["height"], cfg["width"], cfg["erosion_iterations"])
         if cfg["format"] == "pmap":
             formats.write_pmap(os.path.join(out_dir, f"{image_id}.pmap"), stack.to_probmap())
         else:
-            for name, mask in zip(formats.CHANNEL_NAMES, (stack.building, stack.border, stack.spacing)):
-                formats.write_pgm(os.path.join(out_dir, f"{image_id}.{name}.pgm"), mask)
+            for name in formats.CHANNEL_NAMES:  # the stack's fields
+                formats.write_pgm(os.path.join(out_dir, f"{image_id}.{name}.pgm"), getattr(stack, name))
+        del stack
     return [cfg["annotations"]], os.path.join(out_dir, "targets")

@@ -153,14 +153,14 @@ def _fill_and_border(rings, height: int, width: int,
     border = np.zeros((height, width), np.uint8)
     for i, ring in enumerate(rings):
         try:
-            rows, cols = _ring_window(annotations._ring(ring), height, width)
+            pts = annotations._ring(ring)
         except ValueError as exc:
             raise ValueError(f"polygon {i}: {exc}") from exc
+        rows, cols = _ring_window(pts, height, width)
         if rows.start == rows.stop or cols.start == cols.stop:
             continue
-        band = np.array(ring, np.float64)  # not the validated copy: its closing vertex is gone
-        r0 = rows.start if band[:, 1].max() < 2.0 ** 53 else 0  # y - r0 is exact: no crossing moves
-        band[:, 1] -= r0
+        r0 = rows.start if pts[:, 1].max() < 2.0 ** 53 else 0  # y - r0 is exact: no crossing moves
+        band = pts - (0, r0)
         filled = rasterize_polygon(band, rows.stop - r0, width)[rows.start - r0:, cols]
         building[rows, cols] |= filled
         border[rows, cols] |= filled ^ raster.erode(filled, 2 * erosion_iterations + 1)

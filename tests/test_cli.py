@@ -12,10 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
-from bfx import cli, formats, fusion
+from bfx import cli, formats, fusion, targets
 from bfx.stages import fuse as fuse_stage
-from bfx.targets import assemble_targets
+from bfx.targets import assemble_targets, rasterize_polygon
 
+from _memory import traced_peak
 from _oracles import copy_tta_average
 
 
@@ -442,6 +443,44 @@ def test_a_ring_whose_extent_overflows_is_refused(tmp_path, capsys):
     assert err.startswith("bfx: error: feature 0: ring's x or y extent (max - min) is not a finite float")
 
 
+def polygon_feature(ring, **properties):
+    return {"type": "Feature", "properties": properties, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+
+
+# the last vertex repeats the one before it: a zero-area ring of 4 vertices,
+# which `rasterize_polygon` fills with nothing
+REPEATED_CLOSING = [[1, 0], [1, 5], [1, 0], [1, 0]]
+SQUARE = [[2, 2], [6, 2], [6, 6], [2, 6]]
+
+
+@pytest.mark.parametrize("schema", ["plain", "geojson"])
+def test_targets_takes_a_ring_as_the_library_does(tmp_path, capsys, schema):
+    if schema == "plain":
+        doc = {"a": [{"points": REPEATED_CLOSING}, {"points": SQUARE}]}
+    else:
+        doc = {"type": "FeatureCollection", "image_id": "a",
+               "features": [polygon_feature(REPEATED_CLOSING), polygon_feature(SQUARE)]}
+    (tmp_path / "ann.json").write_text(json.dumps(doc))
+    assert rasterize_polygon(REPEATED_CLOSING, 8, 8).sum() == 0
+    assert cli.main(["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir", str(tmp_path / "t"),
+                     "--height", "8", "--width", "8", "--format", "pmap"]) == 0
+    assert capsys.readouterr() == ("", "")
+    want = assemble_targets([REPEATED_CLOSING, SQUARE], 8, 8).to_probmap()
+    assert np.array_equal(formats.read_pmap(tmp_path / "t" / "a.pmap"), want)
+
+
+def test_eval_takes_a_predicted_ring_as_the_library_does(tmp_path, capsys):
+    doc = {"type": "FeatureCollection", "height": 8, "width": 8,
+           "features": [polygon_feature(REPEATED_CLOSING, id=1), polygon_feature(SQUARE, id=2)]}
+    (tmp_path / "p.geojson").write_text(json.dumps(doc))
+    formats.write_imap(tmp_path / "g.imap", rasterize_polygon(SQUARE, 8, 8).astype(np.uint32))
+    assert cli.main(["eval", "--pred", str(tmp_path / "p.geojson"), "--gt", str(tmp_path / "g.imap"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr() == ("", "")
+    # the zero-area ring paints no pixel, so it is no instance
+    assert read_json(tmp_path / "r.json")["global"] == {"tp": 1, "fp": 0, "fn": 0}
+
+
 def test_config_file_precedence(tmp_path):
     ann = tmp_path / "ann.json"
     write_annotations(ann)
@@ -532,6 +571,52 @@ def test_a_failed_targets_call_removes_the_out_dir_it_made(tmp_path):
     first = out / "imgA.pmap"
     assert proc.stderr == f"bfx: i/o error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{first}'\n"
     assert os.listdir(tmp_path) == ["ann.json"]
+
+
+def test_a_targets_call_that_fails_at_a_late_image_leaves_nothing(tmp_path, capsys, monkeypatch):
+    square = [[2, 2], [9, 2], [9, 9], [2, 9]]
+    (tmp_path / "ann.json").write_text(json.dumps({f"img{k}": [{"points": square}] for k in range(4)}))
+    out = tmp_path / "new" / "deep"
+    events = []
+    make, write = targets.assemble_targets, formats.write_pmap
+
+    def making(rings, *args):
+        events.append("make")
+        return make(rings, *args)
+
+    def writing(path, pmap):
+        events.append(os.path.basename(path))
+        if len(events) == 6:  # the third image's file
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write(path, pmap)
+
+    monkeypatch.setattr(targets, "assemble_targets", making)
+    monkeypatch.setattr(formats, "write_pmap", writing)
+    code = cli.main(["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir", str(out),
+                     "--height", "16", "--width", "16", "--format", "pmap"])
+    err = f"bfx: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out / 'img2.pmap'}'\n"
+    assert (code, capsys.readouterr()) == (2, ("", err))
+    # each image is written before the next is made; the fourth is never made
+    assert events == ["make", "img0.pmap", "make", "img1.pmap", "make", "img2.pmap"]
+    assert [p.name for p in tmp_path.rglob("*")] == ["ann.json"]  # no artifact, temp file or --out-dir
+
+
+def test_targets_memory_does_not_grow_with_the_corpus(tmp_path):
+    height = width = 512
+
+    def peak(images):
+        rings = [{"points": [[10, 10], [40, 10], [40, 30], [10, 30]]}]
+        ann = tmp_path / f"ann{images:02d}.json"
+        ann.write_text(json.dumps({f"img{k:02d}": rings for k in range(images)}))
+        argv = ["targets", "--annotations", str(ann), "--out-dir", str(tmp_path / f"t{images:02d}"),
+                "--height", str(height), "--width", str(width), "--threads", "2"]
+        code, traced = traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        return traced
+
+    peak(1)  # loads the stage's modules outside the calls compared
+    # 12 more images may add their parsed rings, not their stacks
+    assert peak(16) - peak(4) < 3 * height * width
 
 
 @pytest.mark.parametrize("stage, doc, param", [

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from bfx import extract, raster, targets
 from bfx.annotations import ingest_annotations
 
+from _memory import traced_peak
 from _oracles import (disjoint_rectangles, filter_small_by_unique, flood_components, geodesic_watershed,
                       point_fill, serpentine, walk_polygonize)
 
@@ -272,12 +272,7 @@ def test_filter_small_sizes_its_tables_by_the_pixel_count(dtype, top):
         ranked = rng.integers(low, 40, (64, 64))
         ranked[0, 0] = 39
         lab = values[ranked].astype(dtype)
-        tracemalloc.start()
-        try:
-            got = extract.filter_small(lab, 103)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: extract.filter_small(lab, 103))
         want = extract.filter_small(ranked.astype(np.uint32), 103)
         assert 0 < want.max() < 39 - low  # some instances kept, some dropped
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

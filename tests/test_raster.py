@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from bfx import raster
 
+from _memory import traced_peak
 from _oracles import bfs_chebyshev, flood_components, serpentine, shift, window_dilate, window_erode
 
 
@@ -89,13 +88,7 @@ def test_a_huge_window_is_one_clamped_pass():
     m[40, 70] = 1
     full = np.ones_like(m)
     side = 2 * 10 ** 6 + 1
-    tracemalloc.start()
-    try:
-        eroded = raster.erode(full, side)
-        dilated = raster.dilate(m, side)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (eroded, dilated), peak = traced_peak(lambda: (raster.erode(full, side), raster.dilate(m, side)))
     assert eroded.dtype == np.uint8 and not eroded.any()
     assert dilated.dtype == np.uint8 and dilated.all()
     assert peak < 8 * m.nbytes  # the reach is clamped to the axis length: no side pads past 2n

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from bfx import raster, targets
+from bfx import annotations, raster, targets
 
+from _memory import traced_peak
 from _oracles import (bfs_chebyshev, disjoint_rectangles, flood_components, geodesic_watershed,
                       point_fill, shift_boundary, window_dilate, window_erode, xor_fill)
 
@@ -219,22 +218,38 @@ def test_a_ring_reaching_past_two_to_the_53_fills_as_on_the_full_canvas():
 
 
 def test_a_ring_whose_closing_vertex_repeats_is_closed_once():
-    # validated once: the closing (1, 0) is dropped, leaving a zero-area ring
+    # the last (1, 0) repeats the one before it, so it stays as a zero-length
+    # edge: a zero-area ring of 4 vertices, however often it is validated
     ring = [(1, 0), (1, 5), (1, 0), (1, 0)]
+    assert annotations._ring(annotations._ring(ring)).tolist() == [[1, 0], [1, 5], [1, 0], [1, 0]]
+    assert targets.rasterize_polygon(ring, 8, 8).sum() == 0
     assert targets.make_border_mask([ring], 8, 8).sum() == 0
     assert targets.assemble_targets([ring], 8, 8).building.sum() == 0
+
+
+def test_checking_a_checked_ring_changes_nothing():
+    rng = np.random.default_rng(25)
+    repeated = 0
+    for _ in range(300):
+        base = rng.integers(0, 6, (int(rng.integers(1, 6)), 2)).astype(float)  # a small grid: repeats are common
+        ring = np.vstack([base, base[:1].repeat(rng.integers(0, 4), axis=0)])  # explicit closing vertices
+        try:
+            once = annotations._ring(ring)
+        except annotations.AnnotationError:  # fewer than 3 vertices
+            continue
+        assert annotations._ring(once).tolist() == once.tolist(), ring.tolist()
+        # a zero-length closing edge crosses no scanline: with any number of
+        # closing vertices, the fill is that of the ring without them
+        assert np.array_equal(targets.rasterize_polygon(once, 8, 8), point_fill(base, 8, 8))
+        repeated += len(ring) - len(base) > 1
+    assert repeated > 50  # rings checked with a repeated closing vertex
 
 
 def test_a_ring_fill_costs_its_own_rows_not_the_canvas():
     height = width = 1024
     rng = np.random.default_rng(4)
     rings = [rect_ring(x, y, x + 12.5, y + 9.25) for x, y in rng.uniform(0, 1000, (60, 2))]
-    tracemalloc.start()
-    try:
-        border = targets.make_border_mask(rings, height, width)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    border, peak = traced_peak(lambda: targets.make_border_mask(rings, height, width))
     assert border.any()
     assert peak < 2.5 * height * width  # the building and border canvases, and a band at a time
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from bfx import schedules, trainmath
 from bfx.trainmath import ChannelWeights, LossParams, ScheduleParams
 
+from _memory import traced_peak
 from _oracles import brute_gradient_check, poly_recurrence_per_epoch
 
 
@@ -158,12 +158,7 @@ def test_loss_value_holds_about_three_float64_planes():
     pred = np.random.default_rng(2).random((512, 512), dtype=np.float32)
     gt = (pred > 0.6).astype(np.uint8)
     for kind in ("dice", "bce", "channel"):
-        tracemalloc.start()
-        try:
-            trainmath.loss_value(kind, pred, gt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: trainmath.loss_value(kind, pred, gt))[1]
         assert peak < 3.25 * pred.size * 8, (kind, peak / (pred.size * 8))
 
 
