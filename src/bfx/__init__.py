@@ -30,8 +30,7 @@ _LAZY = {name: module for module, names in {
     "fusion": ("apply_view", "binarize", "ensemble_average"),
     "raster": ("connected_components", "dilate", "erode"),
     "schedules": ("ScheduleParams", "lr_one_cycle", "lr_poly"),
-    "targets": ("TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
-                "rasterize_polygon"),
+    "targets": ("assemble_targets", "make_border_mask", "make_spacing_mask", "rasterize_polygon"),
     "trainmath": ("ChannelWeights", "LossParams", "bce_loss", "channel_loss", "cutmix", "dice_loss",
                   "gradient_check", "sample_cutmix_box", "total_loss"),
 }.items() for name in names}

@@ -303,6 +303,9 @@ def _checked(stage: str, p: Param, value):
 
 def _validate(stage: str, cfg: dict) -> None:
     """Rules that span more than one parameter."""
+    if stage == "targets":  # before the annotations are read: no canvas is allocated
+        _require(cfg["height"] * cfg["width"] <= fileio.MAX_CANVAS_PIXELS,
+                 f"targets: canvas {cfg['height']}x{cfg['width']} is over {fileio.MAX_CANVAS_PIXELS} pixels")
     if stage == "cutmix":
         _require(cfg["seed"] is not None or cfg["box"] is not None,
                  "cutmix: --seed is mandatory when no explicit --box is given")

@@ -48,14 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fusion, raster
-from .fileio import _is_json_int
+from .fileio import MAX_CANVAS_PIXELS, _is_json_int
 
 LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
-
-# Largest canvas, in pixels, that a GeoJSON FeatureCollection may declare:
-# rebuilding its instance map allocates that canvas (2**28 uint32 labels are
-# 1 GiB), so a larger declared size is rejected as malformed input.
-MAX_GEOJSON_CANVAS_PIXELS = 2 ** 28
 
 @dataclass
 class PolygonInstance:
@@ -399,9 +394,9 @@ def polygon_set_from_geojson(doc: dict) -> PolygonSet:
     height, width = doc.get("height"), doc.get("width")
     if not (_is_json_int(height) and _is_json_int(width)):
         raise ValueError("FeatureCollection lacks integer 'height'/'width' members")
-    if height < 1 or width < 1 or height * width > MAX_GEOJSON_CANVAS_PIXELS:
+    if height < 1 or width < 1 or height * width > MAX_CANVAS_PIXELS:
         raise ValueError(f"FeatureCollection canvas {height}x{width} is outside "
-                         f"1..{MAX_GEOJSON_CANVAS_PIXELS} pixels")
+                         f"1..{MAX_CANVAS_PIXELS} pixels")
     image_id = doc.get("image_id", "")
     if not isinstance(image_id, str):
         raise ValueError("FeatureCollection 'image_id' must be a string")

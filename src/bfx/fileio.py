@@ -1,5 +1,5 @@
-"""Atomic file writes, the PGM/PPM reader and the JSON-integer rule;
-nothing here may import numpy.
+"""Atomic file writes, the PGM/PPM reader, the JSON-integer rule and the
+canvas bound; nothing here may import numpy.
 
 Every artifact goes through `atomic_write_bytes` (temp file + rename within
 the target directory), so interrupted runs never leave partial artifacts
@@ -40,11 +40,12 @@ def _unlink(tmp: str) -> None:
         pass
 
 
-def atomic_write_bytes(path, *parts) -> None:
-    """Write bytes-like objects (bytes, or C-contiguous arrays, whose
-    buffers are written as they are) one after another to `path` through
-    a temp file renamed over it; inside `staged_commit()`, the temp file
-    is left for the commit to rename. An OSError names `path`.
+def atomic_write_bytes(path, parts) -> None:
+    """Write the iterable `parts` of bytes-like objects (bytes, or
+    C-contiguous arrays, whose buffers are written as they are) to `path`
+    through a temp file renamed over it, consuming it as it writes, so a
+    generator of parts holds one at a time; inside `staged_commit()`, the
+    temp file is left for the commit to rename. An OSError names `path`.
 
     The temp file is created with mode 0666 less the process umask, as
     `open()` would create `path`, so artifacts get the usual permissions."""
@@ -62,8 +63,7 @@ def atomic_write_bytes(path, *parts) -> None:
     staged = _STAGED.get()
     try:
         with os.fdopen(fd, "wb") as f:
-            for part in parts:
-                f.write(part)
+            f.writelines(parts)  # releases each part once it is written
         if staged is None:
             os.replace(tmp, path)
         else:
@@ -140,7 +140,12 @@ def staged_commit():
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
+
+
+# Largest canvas, in pixels, of a `targets` call or a GeoJSON FeatureCollection:
+# 2**28 uint32 labels are 1 GiB, so a larger one is refused before it is made.
+MAX_CANVAS_PIXELS = 2 ** 28
 
 
 def _is_json_int(value) -> bool:

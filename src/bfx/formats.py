@@ -8,17 +8,19 @@ are little-endian; payloads are channel-major then row-major.
 The codec works on files only: one writer and one reader per format.
 Every writer is atomic (temp file + rename within the target directory,
 `bfx.fileio`), so interrupted runs never leave partial artifacts behind.
-A writer hands the header and the payload array over as two buffers, and
-the payload is copied only when its dtype or memory order differ from the
-file's. Every reader parses the header, then reads the payload into one
-preallocated buffer: the PGM/PPM header parse and payload read are
-`bfx.fileio.read_pnm`, stdlib only, whose bytearray the readers here view
-with `np.frombuffer`; the PMAP1/IMAP1 readers read into an array
-(`read_pmap` optionally into the caller's).
+A writer hands the header and the payload over as buffers, and the
+payload is copied only when its dtype or memory order differ from the
+file's, by `write_pmap` one float32 plane at a time. Every reader parses
+the header, then reads the payload into one preallocated buffer: the
+PGM/PPM header parse and payload read are `bfx.fileio.read_pnm`, stdlib
+only, whose bytearray the readers here view with `np.frombuffer`; the
+PMAP1/IMAP1 readers read into an array (`read_pmap` optionally into the
+caller's).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -35,13 +37,13 @@ IMAP_MAGIC = b"IMAP1\n"
 CHANNEL_NAMES = ("building", "border", "spacing")
 
 
-def _write(path, header: bytes, arr: np.ndarray, dtype) -> None:
-    """Write `header`, then `arr` as a C-order payload of `dtype`; `arr` is
-    copied only when its dtype or layout differ. An empty array is
-    refused, as every reader refuses a zero dimension."""
+def _write(path, header: bytes, arr: np.ndarray, payload) -> None:
+    """Write `header`, then the buffers of `payload`: `arr` in the file's
+    dtype and C order. An empty array is refused, as every reader refuses
+    a zero dimension."""
     if 0 in arr.shape:
         raise ValueError(f"cannot write an array with a zero dimension: {tuple(arr.shape)}")
-    atomic_write_bytes(path, header, np.ascontiguousarray(arr, dtype))
+    atomic_write_bytes(path, itertools.chain((header,), payload))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +61,7 @@ def _read_pnm(path, magic: bytes) -> np.ndarray:
 def write_pgm(path, mask) -> None:
     m = raster.as_mask(mask)
     h, w = m.shape
-    atomic_write_bytes(path, b"P5\n%d %d\n255\n" % (w, h), np.multiply(m, np.uint8(255), order="C"))
+    atomic_write_bytes(path, (b"P5\n%d %d\n255\n" % (w, h), np.multiply(m, np.uint8(255), order="C")))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -72,7 +74,7 @@ def write_ppm(path, rgb) -> None:
     if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
         raise ValueError("PPM payload must be an (h, w, 3) uint8 array")
     h, w, _ = arr.shape
-    _write(path, b"P6\n%d %d\n255\n" % (w, h), arr, np.uint8)
+    _write(path, b"P6\n%d %d\n255\n" % (w, h), arr, (np.ascontiguousarray(arr),))
 
 
 def read_ppm(path) -> np.ndarray:
@@ -130,13 +132,21 @@ def _read_binary(path, magic: bytes, bad_magic: str, ndim: int, dtype: str, out=
 # ---------------------------------------------------------------------------
 
 
+def _unit_plane(plane: np.ndarray) -> np.ndarray:
+    plane = np.ascontiguousarray(plane, "<f4")
+    if not raster._in_unit_interval(plane):
+        raise ValueError("probability values must lie in [0, 1]")
+    return plane
+
+
 def write_pmap(path, pmap) -> None:
-    arr = np.asarray(pmap, dtype=np.float32)
+    """Write a (channels, h, w) stack of any real dtype (bool, uint8,
+    float64, ...) as the bytes of its float32 cast, which must lie in
+    [0, 1]. Each plane is cast, checked and written before the next."""
+    arr = np.asarray(pmap)
     if arr.ndim != 3:
         raise ValueError(f"probability map must be (channels, h, w), got shape {arr.shape}")
-    if not raster._in_unit_interval(arr):
-        raise ValueError("probability values must lie in [0, 1]")
-    _write(path, PMAP_MAGIC + _FIELDS.pack(*arr.shape), arr, "<f4")
+    _write(path, PMAP_MAGIC + _FIELDS.pack(*arr.shape), arr, map(_unit_plane, arr))
 
 
 def read_pmap(path, out=None) -> np.ndarray:
@@ -159,8 +169,8 @@ def write_imap(path, labels) -> None:
         raise ValueError(f"instance map must be 2-D, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer) or (arr.size and arr.min() < 0):
         raise ValueError("instance labels must be non-negative integers")
-    arr = arr.astype(np.uint32, copy=False)
-    _write(path, IMAP_MAGIC + _FIELDS.pack(*arr.shape, int(arr.max(initial=0))), arr, "<u4")
+    arr = np.ascontiguousarray(arr, "<u4")
+    _write(path, IMAP_MAGIC + _FIELDS.pack(*arr.shape, int(arr.max(initial=0))), arr, (arr,))
 
 
 def read_imap(path) -> np.ndarray:

@@ -8,10 +8,10 @@ from .. import formats, trainmath
 from ..cli import _require
 
 
-def _read_masks(path: str) -> np.ndarray:  # a 3-channel target stack, binarized at 0.5
+def _read_masks(path: str) -> np.ndarray:  # a 3-channel target stack, binarized at 0.5 to {0,1} uint8
     stack = formats.read_pmap(path)
     _require(stack.shape[0] == 3, f"expected a (3, h, w) stack, got shape {stack.shape}")
-    return (stack >= 0.5).astype(np.float32)
+    return (stack >= 0.5).view(np.uint8)
 
 
 def run(cfg: dict):

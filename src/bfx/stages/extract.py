@@ -19,12 +19,8 @@ def run(cfg: dict):
             stack = formats.read_pmap(cfg["input"])
         default_id = os.path.splitext(os.path.basename(cfg["input"]))[0]
     else:
-        planes = [formats.read_pgm(cfg["building"]), formats.read_pgm(cfg["border"])]
-        inputs += [cfg["building"], cfg["border"]]
-        if cfg["spacing"]:
-            planes.append(formats.read_pgm(cfg["spacing"]))
-            inputs.append(cfg["spacing"])
-        stack = np.stack([p.astype(np.float32) for p in planes])
+        inputs += [cfg[k] for k in formats.CHANNEL_NAMES if cfg[k]]  # --spacing is optional
+        stack = np.stack([formats.read_pgm(path) for path in inputs])  # multi_class_instances casts it
         default_id = os.path.splitext(os.path.basename(cfg["building"]))[0]
     image_id = cfg["image_id"] if cfg["image_id"] is not None else default_id
 

@@ -12,21 +12,23 @@ def _safe_image_id(image_id: str) -> str:
     return image_id
 
 
+def _write_stack(stem: str, fmt: str, stack) -> None:  # its own frame: no name outlives the stack
+    if fmt == "pmap":
+        formats.write_pmap(stem + ".pmap", stack)
+    else:
+        for name, plane in zip(formats.CHANNEL_NAMES, stack):
+            formats.write_pgm(f"{stem}.{name}.pgm", plane)
+
+
 def run(cfg: dict):
     per_image = annotations.ingest_annotations(_read_json(cfg["annotations"]))
     items = sorted(per_image.items())
     for image_id, _ in items:  # before the output directory exists: a refused call makes none
         _safe_image_id(image_id)
-    out_dir = cfg["out_dir"]
-    fileio.make_dirs(out_dir)
+    fileio.make_dirs(cfg["out_dir"])
     # one image at a time: its files are staged and its stack freed before
     # the next image's stack is made, so the call holds one stack at a time
     for image_id, rings in items:
-        stack = targets.assemble_targets(rings, cfg["height"], cfg["width"], cfg["erosion_iterations"])
-        if cfg["format"] == "pmap":
-            formats.write_pmap(os.path.join(out_dir, f"{image_id}.pmap"), stack.to_probmap())
-        else:
-            for name in formats.CHANNEL_NAMES:  # the stack's fields
-                formats.write_pgm(os.path.join(out_dir, f"{image_id}.{name}.pgm"), getattr(stack, name))
-        del stack
-    return [cfg["annotations"]], os.path.join(out_dir, "targets")
+        _write_stack(os.path.join(cfg["out_dir"], image_id), cfg["format"], targets.assemble_targets(
+            rings, cfg["height"], cfg["width"], cfg["erosion_iterations"]))
+    return [cfg["annotations"]], os.path.join(cfg["out_dir"], "targets")

@@ -1,13 +1,14 @@
 """Ground-truth channel synthesis from polygon annotations.
 
-Three channels are generated per image: the filled building footprints,
-their 2-pixel inner borders (each polygon filled, eroded by a 5x5 square,
-i.e. twice by a 3x3 one, and XORed with its own fill, independently per
-polygon), and the spacing between close buildings (15x15 dilation,
-watershed division seeded by the original buildings, building pixels
-excluded). The separation lines lie inside the dilation, so within
-Chebyshev distance 7 of a building: the cut to a distance of at most 8 is
-implied, not computed.
+Three channels are generated per image, as the planes of one (3, h, w)
+uint8 array in `formats.CHANNEL_NAMES` order: the filled building
+footprints, their 2-pixel inner borders (each polygon filled, eroded by a
+5x5 square, i.e. twice by a 3x3 one, and XORed with its own fill,
+independently per polygon), and the spacing between close buildings
+(15x15 dilation, watershed division seeded by the original buildings,
+building pixels excluded). The separation lines lie inside the dilation,
+so within Chebyshev distance 7 of a building: the cut to a distance of at
+most 8 is implied, not computed.
 
 Rasterization is pixel-center even-odd: pixel (row i, col j) is covered
 when its center (j+0.5, i+0.5) is inside the ring, counting edge crossings
@@ -34,7 +35,6 @@ canvas as 0, the same value the fill has outside the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +42,6 @@ from . import annotations, extract, raster
 
 BORDER_EROSION_ITERATIONS = 2
 SPACING_DILATE_SIDE = 15
-
-
-@dataclass
-class TargetStack:
-    """The three ground-truth channels, all the same size.
-
-    Freshly generated stacks satisfy border <= building and
-    spacing & building == 0.
-    """
-
-    building: np.ndarray
-    border: np.ndarray
-    spacing: np.ndarray
-
-    def to_probmap(self) -> np.ndarray:
-        return np.stack([self.building, self.border, self.spacing]).astype(np.float32)
 
 
 def _clamp(v: float, n: int) -> float:
@@ -141,16 +125,16 @@ def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     return out
 
 
-def _fill_and_border(rings, height: int, width: int,
-                     erosion_iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """(union of the ring fills, union of their borders), where a ring's
-    border is its fill XOR its erosion by one (2k+1)^2 square, k the border
-    width. Each ring is validated, then filled by `rasterize_polygon` on its
-    own rows and bordered inside its window, unless that window is empty."""
+def _fill_and_border(rings, stack: np.ndarray, erosion_iterations: int) -> np.ndarray:
+    """`stack`, a zeroed uint8 (c, h, w) array, with the ring fills ORed
+    into plane 0 and their borders into plane 1, where a ring's border is
+    its fill XOR its erosion by one (2k+1)^2 square, k the border width.
+    Each ring is validated, then filled by `rasterize_polygon` on its own
+    rows and bordered inside its window, unless that window is empty."""
     if erosion_iterations < 0:
         raise ValueError(f"erosion_iterations must be >= 0, got {erosion_iterations}")
-    building = np.zeros((height, width), np.uint8)
-    border = np.zeros((height, width), np.uint8)
+    building, border = stack[:2]
+    height, width = building.shape
     for i, ring in enumerate(rings):
         try:
             pts = annotations._ring(ring)
@@ -164,13 +148,13 @@ def _fill_and_border(rings, height: int, width: int,
         filled = rasterize_polygon(band, rows.stop - r0, width)[rows.start - r0:, cols]
         building[rows, cols] |= filled
         border[rows, cols] |= filled ^ raster.erode(filled, 2 * erosion_iterations + 1)
-    return building, border
+    return stack
 
 
 def make_border_mask(rings, height: int, width: int,
                      erosion_iterations: int = BORDER_EROSION_ITERATIONS) -> np.ndarray:
     """Union of per-polygon borders: fill, erode, XOR, independently per ring."""
-    return _fill_and_border(rings, height, width, erosion_iterations)[1]
+    return _fill_and_border(rings, np.zeros((2, height, width), np.uint8), erosion_iterations)[1]
 
 
 def _label_boundary(labels: np.ndarray) -> np.ndarray:
@@ -211,12 +195,15 @@ def make_spacing_mask(building) -> np.ndarray:
 
 
 def assemble_targets(rings, height: int, width: int,
-                     erosion_iterations: int = BORDER_EROSION_ITERATIONS) -> TargetStack:
-    """Build the full (building, border, spacing) stack for one image.
+                     erosion_iterations: int = BORDER_EROSION_ITERATIONS) -> np.ndarray:
+    """The (3, height, width) uint8 {0,1} stack of one image's building,
+    border and spacing planes (see module doc), each made in its plane.
 
     The building channel is the union of the filled polygons, border
     included, so that seeds = building - border stays well defined
-    downstream. Overlapping polygons union in both channels.
+    downstream. Overlapping polygons union in both channels. A fresh stack
+    satisfies border <= building and spacing & building == 0.
     """
-    building, border = _fill_and_border(rings, height, width, erosion_iterations)
-    return TargetStack(building, border, make_spacing_mask(building))
+    stack = _fill_and_border(rings, np.zeros((3, height, width), np.uint8), erosion_iterations)
+    stack[2] = make_spacing_mask(stack[0])
+    return stack

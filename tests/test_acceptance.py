@@ -102,7 +102,7 @@ def test_criterion_4_round_trip():
     for _ in range(3):
         rings, h, w = synthetic_city(rng, 20)
         stack = targets.assemble_targets(rings, h, w)
-        ps = extract.extract_multi_class(stack.to_probmap())
+        ps = extract.extract_multi_class(stack)
         assert len(ps.instances) == 20
         gt = np.zeros((h, w), np.uint32)
         for k, ring in enumerate(rings, start=1):
@@ -120,8 +120,8 @@ def test_criterion_5_separation():
     stack = targets.assemble_targets(rings, 28, 48)
     runs = []
     for _ in range(2):
-        single = extract.extract_single_class(stack.building, min_area=140)
-        multi = extract.extract_multi_class(stack.to_probmap(), min_area=140)
+        single = extract.extract_single_class(stack[0], min_area=140)
+        multi = extract.extract_multi_class(stack, min_area=140)
         assert len(single.instances) == 1
         assert len(multi.instances) == 2
         runs.append(json.dumps(extract.polygon_set_to_geojson(multi), sort_keys=True))

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bfx import cli, formats, fusion, targets
+from bfx import cli, fileio, formats, fusion, targets
 from bfx.stages import fuse as fuse_stage
 from bfx.targets import assemble_targets, rasterize_polygon
 
@@ -341,7 +341,7 @@ def test_targets_stage_writes_masks_and_sidecars(tmp_path):
     # pgm content matches the library
     stack = assemble_targets([np.array([[2, 2], [20, 2], [20, 20], [2, 20]], float),
                               np.array([[25, 2], [43, 2], [43, 20], [25, 20]], float)], 48, 48)
-    assert np.array_equal(formats.read_pgm(out / "imgA.building.pgm"), stack.building)
+    assert np.array_equal(formats.read_pgm(out / "imgA.building.pgm"), stack[0])
 
 
 def test_targets_accepts_geojson_annotations(tmp_path):
@@ -465,7 +465,7 @@ def test_targets_takes_a_ring_as_the_library_does(tmp_path, capsys, schema):
     assert cli.main(["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir", str(tmp_path / "t"),
                      "--height", "8", "--width", "8", "--format", "pmap"]) == 0
     assert capsys.readouterr() == ("", "")
-    want = assemble_targets([REPEATED_CLOSING, SQUARE], 8, 8).to_probmap()
+    want = assemble_targets([REPEATED_CLOSING, SQUARE], 8, 8)
     assert np.array_equal(formats.read_pmap(tmp_path / "t" / "a.pmap"), want)
 
 
@@ -617,6 +617,25 @@ def test_targets_memory_does_not_grow_with_the_corpus(tmp_path):
     peak(1)  # loads the stage's modules outside the calls compared
     # 12 more images may add their parsed rings, not their stacks
     assert peak(16) - peak(4) < 3 * height * width
+
+
+def test_targets_writes_a_pmap_one_float32_plane_at_a_time(tmp_path):
+    height = width = 512
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps({f"img{k}": [{"points": [[10, 10], [40, 10], [40, 30], [10, 30]]}]
+                               for k in range(4)}))
+
+    def peak(fmt):
+        argv = ["targets", "--annotations", str(ann), "--out-dir", str(tmp_path / fmt),
+                "--height", str(height), "--width", str(width), "--format", fmt]
+        code, traced = traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        return traced
+
+    peak("pmap")  # loads the stage's modules outside the calls compared
+    # the uint8 stack is the same for both formats; a PMAP1 adds one float32
+    # plane at a time, not a float32 copy of the stack
+    assert peak("pmap") - peak("pgm") <= 4 * height * width
 
 
 @pytest.mark.parametrize("stage, doc, param", [
@@ -895,9 +914,9 @@ def test_extract_single_mode_from_pgm(tmp_path):
 def test_extract_multi_mode_from_pgm_planes(tmp_path):
     stack = assemble_targets([np.array([(5, 5), (25, 5), (25, 25), (5, 25)], float),
                               np.array([(25, 5), (45, 5), (45, 25), (25, 25)], float)], 40, 60)
-    formats.write_pgm(tmp_path / "b.pgm", stack.building)
-    formats.write_pgm(tmp_path / "r.pgm", stack.border)
-    formats.write_pgm(tmp_path / "s.pgm", stack.spacing)
+    formats.write_pgm(tmp_path / "b.pgm", stack[0])
+    formats.write_pgm(tmp_path / "r.pgm", stack[1])
+    formats.write_pgm(tmp_path / "s.pgm", stack[2])
     assert cli.main(["extract", "--mode", "multi",
                      "--building", str(tmp_path / "b.pgm"),
                      "--border", str(tmp_path / "r.pgm"),
@@ -1221,18 +1240,33 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
     pytest.param("bad.geojson", json.dumps({"type": "FeatureCollection", "height": 4, "width": 4, "features": [
         {"properties": {"id": 1}, "geometry": {"type": "Polygon", "coordinates": [[[x, 0], [x + 1, 0], [x + 1, 1], [x, 1]]]}}
         for x in (0, 2)]}).encode(), "eval", id="eval-feature-id-repeated"),
+    # a valid annotation, on a canvas whose stack numpy could not allocate
+    pytest.param("ann.json", b'{"img": [{"points": [[0, 0], [4, 0], [4, 4]]}]}',
+                 "targets --height 1000000 --width 1000000", id="targets-canvas-too-large"),
 ])
 def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, name, data, stage):
     bad = tmp_path / name
     bad.write_bytes(data)
     formats.write_imap(tmp_path / "ok.imap", np.zeros((4, 4), np.uint32))
     out = str(tmp_path / "out")
+    stage, *flags = stage.split()  # the stage, then any flags of its own
     argv = {"tile": ["--raster", str(bad), "--index", out + ".json"],
             "fuse": [str(bad), "--out", out + ".pmap"],
             "eval": ["--pred", str(bad), "--gt", str(tmp_path / "ok.imap"), "--report", out + ".json"],
             "split": ["--index", str(bad), "--out", out + ".json"],
             "targets": ["--annotations", str(bad), "--out-dir", out]}[stage]
-    assert_rejected(capsys, tmp_path, [stage, *argv])
+    assert_rejected(capsys, tmp_path, [stage, *argv, *flags])
+
+
+def test_a_targets_canvas_is_bounded_before_the_annotations_are_read(tmp_path, capsys):
+    side = math.isqrt(fileio.MAX_CANVAS_PIXELS)
+    assert side * side == fileio.MAX_CANVAS_PIXELS == 2 ** 28  # the bound eval puts on GeoJSON canvases
+    cli._validate("targets", {"height": side, "width": side})
+    cli._validate("targets", {"height": 1, "width": fileio.MAX_CANVAS_PIXELS})
+    argv = ["targets", "--annotations", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path / "o"),
+            "--height", str(side), "--width", str(side + 1)]
+    err = assert_rejected(capsys, tmp_path, argv)  # exit 1, not the exit 2 of the missing file
+    assert err == f"bfx: error: targets: canvas {side}x{side + 1} is over {2 ** 28} pixels\n"
 
 
 def test_a_bad_tile_record_is_named_by_its_index(tmp_path, capsys):

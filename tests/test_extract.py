@@ -41,7 +41,7 @@ def random_region_and_seeds(rng, h, w, max_seeds):
 
 def test_make_seeds_of_bordered_square():
     stack = targets.assemble_targets([rect_ring(2, 2, 12, 12)], 16, 16)
-    seeds = extract.make_seeds(stack.building, stack.border)
+    seeds = extract.make_seeds(stack[0], stack[1])
     assert int(seeds.max()) == 1
     assert (seeds > 0).sum() == 36  # the 6x6 interior that survives the 2-px border
 
@@ -543,8 +543,8 @@ def test_single_class_small_blobs_removed():
 def test_multi_class_splits_edge_sharing_rectangles():
     rings = [rect_ring(5, 5, 25, 25), rect_ring(25, 5, 45, 25)]
     stack = targets.assemble_targets(rings, 40, 60)
-    single = extract.extract_single_class(stack.building, min_area=140)
-    multi = extract.extract_multi_class(stack.to_probmap(), min_area=140)
+    single = extract.extract_single_class(stack[0], min_area=140)
+    multi = extract.extract_multi_class(stack, min_area=140)
     assert len(single.instances) == 1
     assert len(multi.instances) == 2
 
@@ -552,7 +552,7 @@ def test_multi_class_splits_edge_sharing_rectangles():
 def test_multi_class_round_trip_on_disjoint_squares():
     rings = [rect_ring(4, 4, 20, 20), rect_ring(28, 4, 44, 20), rect_ring(4, 28, 20, 44)]
     stack = targets.assemble_targets(rings, 48, 48)
-    ps = extract.extract_multi_class(stack.to_probmap())
+    ps = extract.extract_multi_class(stack)
     assert len(ps.instances) == 3
     gt_fills = [point_fill(r, 48, 48) for r in rings]
     for inst in ps.instances:
@@ -574,10 +574,10 @@ def test_multi_class_requires_two_channels():
 def test_multi_class_spacing_channel_is_optional_and_flagged():
     rings = [rect_ring(2, 2, 20, 20)]
     stack = targets.assemble_targets(rings, 24, 24)
-    pm2 = stack.to_probmap()[:2]
-    with_spacing = extract.extract_multi_class(stack.to_probmap())
+    pm2 = stack[:2]
+    with_spacing = extract.extract_multi_class(stack)
     without = extract.extract_multi_class(pm2)
-    ignored = extract.extract_multi_class(stack.to_probmap(), use_spacing=False)
+    ignored = extract.extract_multi_class(stack, use_spacing=False)
     assert len(with_spacing.instances) == len(without.instances) == len(ignored.instances) == 1
 
 
@@ -586,7 +586,7 @@ def test_extraction_count_matches_polygons_on_random_cities():
     for _ in range(5):
         rings, _ = disjoint_rectangles(rng, 96, 96, 6, min_side=16, max_side=24, gap=3)
         stack = targets.assemble_targets(rings, 96, 96)
-        ps = extract.extract_multi_class(stack.to_probmap())
+        ps = extract.extract_multi_class(stack)
         assert len(ps.instances) == len(rings)
 
 
@@ -598,7 +598,7 @@ def test_extraction_count_matches_polygons_on_random_cities():
 def test_geojson_round_trip():
     rings = [rect_ring(2, 2, 20, 20), rect_ring(24, 2, 44, 22)]
     stack = targets.assemble_targets(rings, 48, 48)
-    ps = extract.extract_multi_class(stack.to_probmap(), min_area=10, image_id="tile7")
+    ps = extract.extract_multi_class(stack, min_area=10, image_id="tile7")
     doc = extract.polygon_set_to_geojson(ps)
     assert doc["type"] == "FeatureCollection"
     assert doc["image_id"] == "tile7" and doc["height"] == 48 and doc["width"] == 48

@@ -117,8 +117,8 @@ def test_ppm_round_trip(tmp_path):
 
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "f.bin"
-    fileio.atomic_write_bytes(path, b"first")
-    fileio.atomic_write_bytes(path, b"second")
+    fileio.atomic_write_bytes(path, [b"first"])
+    fileio.atomic_write_bytes(path, (part for part in (b"sec", b"ond")))
     assert path.read_bytes() == b"second"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "f.bin"]
     assert leftovers == []  # no temp files left behind
@@ -266,10 +266,11 @@ def test_binary_header_errors_name_the_format(tmp_path, read, write, magic, name
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-38, 1.0000001])
 def test_pmap_non_finite_or_out_of_range_payload_is_rejected(tmp_path, bad):
     pmap = np.full((2, 2, 3), 0.5, np.float32)
-    pmap[1, 1, 2] = bad
-    with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
-        formats.write_pmap(tmp_path / "p.pmap", pmap)
-    assert list(tmp_path.iterdir()) == []
+    pmap[1, 1, 2] = bad  # in the last plane, cast and checked after the first is written
+    for stack in (pmap, pmap.astype(np.float64)):
+        with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
+            formats.write_pmap(tmp_path / "p.pmap", stack)
+        assert list(tmp_path.iterdir()) == []  # no file, and no `.tmp.*`
     data = formats.PMAP_MAGIC + struct.pack("<III", *pmap.shape) + pmap.astype("<f4").tobytes()
     with pytest.raises(ValueError, match=r"^PMAP1 values outside \[0, 1\]$"):
         formats.read_pmap(file_of(tmp_path, data))
@@ -284,9 +285,13 @@ def test_pmap_accepts_both_zeros_and_the_unit_interval_ends(tmp_path):
 def test_writers_emit_c_order_bytes_for_any_input_layout(tmp_path):
     rng = np.random.default_rng(11)
     values = rng.random((3, 5, 7))
+    # cast to float32, these read 0.0, 1.0, -0.0 and 1.0, so the stack is written
+    values[2, 4, 0:4] = [1e-50, 1 - 1e-12, -1e-50, 1 + 1e-12]
     big = np.zeros((3, 11, 21))
     big[:, 1::2, ::3] = values
-    for pmap in (values, np.asfortranarray(values), big[:, 1::2, ::3], values[:, ::-1, ::-1]):
+    binary = values < 0.5
+    for pmap in (values, np.asfortranarray(values), big[:, 1::2, ::3], values[:, ::-1, ::-1],
+                 binary, binary.astype(np.uint8)):
         data = written(tmp_path, formats.write_pmap, pmap)
         assert data == formats.PMAP_MAGIC + struct.pack("<III", 3, 5, 7) + np.ascontiguousarray(pmap, "<f4").tobytes()
         assert formats.read_pmap(tmp_path / "written").flags.c_contiguous
@@ -322,15 +327,20 @@ def test_read_pmap_into_a_buffer(tmp_path):
 
 def test_writers_pass_ready_payloads_through_without_a_copy(tmp_path, monkeypatch):
     payloads = []
-    monkeypatch.setattr(formats, "atomic_write_bytes", lambda path, header, payload: payloads.append(payload))
-    pmap = np.full((1, 2, 3), 0.5, np.float32)
+    monkeypatch.setattr(formats, "atomic_write_bytes", lambda path, parts: payloads.append(list(parts)[1:]))
     labels = np.arange(6, dtype=np.uint32).reshape(2, 3)
     rgb = np.zeros((2, 3, 3), np.uint8)
-    for write, arr in ((formats.write_pmap, pmap), (formats.write_imap, labels), (formats.write_ppm, rgb)):
+    for write, arr in ((formats.write_imap, labels), (formats.write_ppm, rgb)):
         write(tmp_path / "x", arr)
-        assert payloads.pop() is arr
+        (payload,) = payloads.pop()
+        assert payload is arr
+    # a PMAP1 stack is handed over plane by plane: views of a ready stack
+    pmap = np.full((2, 2, 3), 0.5, np.float32)
+    formats.write_pmap(tmp_path / "x", pmap)
+    planes = payloads.pop()
+    assert len(planes) == 2 and all(p.base is pmap for p in planes)
     formats.write_pmap(tmp_path / "x", np.asfortranarray(pmap))
-    assert not np.shares_memory(payloads.pop(), pmap)
+    assert not any(np.shares_memory(p, pmap) for p in payloads.pop())
 
 
 def test_pgm_truncated_payload_is_rejected(tmp_path):

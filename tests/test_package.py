@@ -19,8 +19,7 @@ EXPORTS = {
                 "polygonize", "watershed_assign"],
     "fusion": ["apply_view", "binarize", "ensemble_average"],
     "raster": ["connected_components", "dilate", "erode"],
-    "targets": ["TargetStack", "assemble_targets", "make_border_mask", "make_spacing_mask",
-                "rasterize_polygon"],
+    "targets": ["assemble_targets", "make_border_mask", "make_spacing_mask", "rasterize_polygon"],
     "trainmath": ["ChannelWeights", "LossParams", "ScheduleParams", "bce_loss", "channel_loss",
                   "cutmix", "dice_loss", "gradient_check", "lr_one_cycle", "lr_poly",
                   "sample_cutmix_box", "total_loss"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfx import annotations, raster, targets
+from bfx import annotations, formats, raster, targets
 
 from _memory import traced_peak
 from _oracles import (bfs_chebyshev, disjoint_rectangles, flood_components, geodesic_watershed,
@@ -202,8 +202,8 @@ def test_border_and_targets_on_canvas_edges_match_full_canvas_oracle():
                     want |= f ^ window_erode(f, 3, iterations)
                 assert np.array_equal(targets.make_border_mask(rings, height, width, iterations), want)
                 stack = targets.assemble_targets(rings, height, width, iterations)
-                assert np.array_equal(stack.border, want)
-                assert np.array_equal(stack.building, np.bitwise_or.reduce(fills))
+                assert np.array_equal(stack[1], want)
+                assert np.array_equal(stack[0], np.bitwise_or.reduce(fills))
 
 
 def test_a_ring_reaching_past_two_to_the_53_fills_as_on_the_full_canvas():
@@ -212,7 +212,7 @@ def test_a_ring_reaching_past_two_to_the_53_fills_as_on_the_full_canvas():
     rings = [np.array([(0.7456996589973837, 1.499999972992257),
                        (3.1557202965651673e+22, 3.6028797018964216e+16), (7.766274138891001, 2.7)]),
              [(0.5, 5.5), (11.0, 4.25), (3.0, 2 ** 53)]]
-    building = targets.assemble_targets(rings, 12, 12).building
+    building = targets.assemble_targets(rings, 12, 12)[0]
     assert building.any()
     assert np.array_equal(building, point_fill(rings[0], 12, 12) | point_fill(rings[1], 12, 12))
 
@@ -224,7 +224,7 @@ def test_a_ring_whose_closing_vertex_repeats_is_closed_once():
     assert annotations._ring(annotations._ring(ring)).tolist() == [[1, 0], [1, 5], [1, 0], [1, 0]]
     assert targets.rasterize_polygon(ring, 8, 8).sum() == 0
     assert targets.make_border_mask([ring], 8, 8).sum() == 0
-    assert targets.assemble_targets([ring], 8, 8).building.sum() == 0
+    assert targets.assemble_targets([ring], 8, 8)[0].sum() == 0
 
 
 def test_checking_a_checked_ring_changes_nothing():
@@ -256,9 +256,9 @@ def test_a_ring_fill_costs_its_own_rows_not_the_canvas():
 
 def test_a_border_wider_than_any_ring_is_the_fill():
     rings = edge_rings(12, 17) + [rect_ring(2, 2, 15, 10)]
-    building = targets.assemble_targets(rings, 12, 17).building
+    building = targets.assemble_targets(rings, 12, 17)[0]
     assert np.array_equal(targets.make_border_mask(rings, 12, 17, 10 ** 6), building)
-    assert np.array_equal(targets.assemble_targets(rings, 12, 17, 10 ** 6).border, building)
+    assert np.array_equal(targets.assemble_targets(rings, 12, 17, 10 ** 6)[1], building)
 
 
 def test_a_negative_border_width_is_refused():
@@ -353,43 +353,50 @@ def test_label_boundary_matches_eight_shift_oracle():
 
 
 def test_assemble_single_square():
-    stack = targets.assemble_targets([rect_ring(2, 2, 12, 12)], 16, 16)
-    assert stack.building.sum() == 100
-    assert stack.border.sum() == 64
-    assert stack.spacing.sum() == 0
+    building, border, spacing = targets.assemble_targets([rect_ring(2, 2, 12, 12)], 16, 16)
+    assert building.sum() == 100
+    assert border.sum() == 64
+    assert spacing.sum() == 0
 
 
 def test_assemble_empty_annotation():
     stack = targets.assemble_targets([], 8, 8)
-    assert stack.building.sum() == 0
-    assert stack.border.sum() == 0
-    assert stack.spacing.sum() == 0
+    assert stack.shape == (3, 8, 8) and stack.dtype == np.uint8
+    assert stack.sum() == 0
 
 
 def test_assemble_two_close_blocks():
     rings = [rect_ring(5, 10, 17, 22), rect_ring(21, 10, 33, 22)]
-    stack = targets.assemble_targets(rings, 40, 40)
-    assert stack.building.sum() == 288  # two 12x12 squares
-    assert stack.border.sum() == 2 * (144 - 64)  # each 12x12 erodes to 8x8
-    assert stack.spacing.sum() > 0
+    building, border, spacing = targets.assemble_targets(rings, 40, 40)
+    assert building.sum() == 288  # two 12x12 squares
+    assert border.sum() == 2 * (144 - 64)  # each 12x12 erodes to 8x8
+    assert spacing.sum() > 0
 
 
 def test_assemble_invariants_on_random_scenes():
     rng = np.random.default_rng(13)
     for _ in range(5):
         rings, _ = disjoint_rectangles(rng, 48, 48, 5, min_side=4, max_side=10)
-        stack = targets.assemble_targets(rings, 48, 48)
-        assert (stack.border <= stack.building).all()
-        assert (stack.spacing & stack.building).sum() == 0
-        if stack.spacing.any():
-            d = bfs_chebyshev(stack.building)[stack.spacing == 1]
+        building, border, spacing = targets.assemble_targets(rings, 48, 48)
+        assert (border <= building).all()
+        assert (spacing & building).sum() == 0
+        if spacing.any():
+            d = bfs_chebyshev(building)[spacing == 1]
             assert d.min() >= 1 and d.max() <= 8
 
 
-def test_assemble_channel_order_in_probmap():
-    stack = targets.assemble_targets([rect_ring(1, 1, 9, 9)], 12, 12)
-    pm = stack.to_probmap()
-    assert pm.shape == (3, 12, 12) and pm.dtype == np.float32
-    assert np.array_equal(pm[0], stack.building.astype(np.float32))
-    assert np.array_equal(pm[1], stack.border.astype(np.float32))
-    assert np.array_equal(pm[2], stack.spacing.astype(np.float32))
+def test_assemble_channel_order_in_probmap(tmp_path):
+    # the stack is one uint8 array in the PMAP1 plane order, which write_pmap
+    # writes as exactly its float32 cast
+    rings = [rect_ring(1, 1, 9, 9), rect_ring(11, 1, 19, 9)]
+    stack = targets.assemble_targets(rings, 12, 24)
+    assert stack.shape == (3, 12, 24) and stack.dtype == np.uint8 and stack.flags.c_contiguous
+    building = targets.rasterize_polygon(rings[0], 12, 24) | targets.rasterize_polygon(rings[1], 12, 24)
+    want = {"building": building, "border": targets.make_border_mask(rings, 12, 24),
+            "spacing": targets.make_spacing_mask(building)}
+    assert want["spacing"].any()
+    formats.write_pmap(tmp_path / "t.pmap", stack)
+    pm = formats.read_pmap(tmp_path / "t.pmap")
+    for k, name in enumerate(formats.CHANNEL_NAMES):
+        assert np.array_equal(stack[k], want[name]), name
+        assert pm[k].tobytes() == want[name].astype(np.float32).tobytes(), name
