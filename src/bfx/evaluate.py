@@ -6,8 +6,9 @@ descending IoU order (ties broken by smaller prediction id, then smaller
 ground-truth id), each instance matched at most once; matched pairs are
 true positives, leftover predictions false positives, leftover ground
 truths false negatives. IoU is computed on rasterized instance supports,
-not polygon geometry. F1 aggregates globally over summed counts, which is
-not the mean of per-image F1 scores.
+not polygon geometry. Both instance maps must keep the instance-map rule
+of `bfx.raster` and hold every label 1..N. F1 aggregates globally over
+summed counts, which is not the mean of per-image F1 scores.
 
 An empty scene predicted empty scores an F1 of 100 % (it is correct);
 this convention differs between toolkits, so it is pinned here.

@@ -38,7 +38,7 @@ length of its row runs, each from a left side to the next right side, so
 the edges give it without a count over the canvas. Ranking costs
 O(E log P) for E edges and a longest perimeter P, finding successors and
 anchors by binary search over the sorted keys O(E log E), and the rest
-O(H*W + E).
+O(H*W + E). Label maps, seeds included, keep the rule of `bfx.raster`.
 """
 
 from __future__ import annotations
@@ -80,16 +80,13 @@ def make_seeds(building, border) -> np.ndarray:
 
 
 def watershed_assign(seeds, region) -> np.ndarray:
-    """Expand seed labels over the region by geodesic BFS (see module doc)."""
-    s = np.asarray(seeds)
+    """Expand seed labels over the region by geodesic BFS (see module doc).
+    Seed labels, at most the pixel count, are below the sentinel on any
+    canvas of fewer than 2**32 - 1 pixels."""
+    s, top = raster._instance_map(seeds, "seed")
     reg = raster.as_mask(region)
     if s.shape != reg.shape:
         raise ValueError(f"seed/region dimensions differ: {s.shape} vs {reg.shape}")
-    if not np.issubdtype(s.dtype, np.integer):
-        raise ValueError("seed map must be integer labels")
-    top = int(s.max())
-    if int(s.min()) < 0 or top >= int(LABEL_SENTINEL):
-        raise ValueError(f"seed labels must lie in 0..{int(LABEL_SENTINEL) - 1}")
     seeded = s > 0
     if (seeded & (reg == 0)).any():
         raise ValueError("seed pixel outside region")
@@ -154,24 +151,12 @@ def watershed_assign(seeds, region) -> np.ndarray:
     return out
 
 
-def _instance_map(instances) -> np.ndarray:
-    lab = np.asarray(instances)
-    if lab.ndim != 2 or not np.issubdtype(lab.dtype, np.integer):
-        raise ValueError("expected a 2-D integer instance map")
-    return lab
-
-
 def filter_small(instances, min_area: int = 140) -> np.ndarray:
     """Clear labels whose support is below `min_area` pixels (strictly), then
     relabel survivors densely by their topmost-leftmost pixel."""
-    lab = _instance_map(instances)
-    n = raster._max_label(lab, "instance")
+    lab, n = raster._instance_map(instances, "instance")
     if n == 0:
         return lab.astype(np.uint32)
-    if n > lab.size:  # size the tables by the pixel count: rank the labels, 0 staying 0
-        ids, rank = np.unique(lab, return_inverse=True)
-        lab = rank.reshape(lab.shape) + (ids[0] != 0)
-        n = int(lab.max())
     counts = np.bincount(lab.ravel(), minlength=n + 1)
     keep = counts >= min_area
     keep[0] = False
@@ -197,13 +182,12 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
     Rings use pixel-corner coordinates and positive (counter-clockwise in
     x/y image axes) orientation; interior holes are ignored. area_px is the
     raster support size, so the sum over instances equals the number of
-    labeled pixels. Labels must be dense in 1..N: a negative label, or one
-    above the pixel count, is rejected before any table is sized from it.
+    labeled pixels. The map must keep the instance-map rule of `raster`,
+    checked before any table is sized from it, and hold every label 1..N.
     """
-    lab = _instance_map(instances)
+    lab, n = raster._instance_map(instances, "instance")
     h, w = lab.shape
     result = PolygonSet(image_id, h, w)
-    n = raster._label_bound(lab, "instance")
     if n == 0:
         return result
 
@@ -333,7 +317,7 @@ def multi_class_instances(fused, threshold: float = 0.3, min_area: int = 140,
     """Instance map from a fused (building, border[, spacing]) probability
     stack: threshold, carve seeds by border subtraction, grow them back by
     watershed, and drop debris below min_area."""
-    pmap = np.asarray(fused, np.float32)
+    pmap = np.asarray(fused)
     if pmap.ndim != 3 or pmap.shape[0] < 2:
         raise ValueError("fused map must have at least building and border channels")
     building = fusion.binarize(pmap, 0, threshold)

@@ -189,10 +189,10 @@ def _read_pnm_header(data: bytes, magic: bytes):
     return fields[0], fields[1], fields[2], pos + 1
 
 
-def read_pnm(path, magic: bytes) -> tuple[tuple[int, ...], bytearray]:
-    """The shape and 8-bit payload of a PGM (`magic` b"P5", shape (height,
-    width)) or PPM file (b"P6", shape (height, width, 3)): the payload's
-    bytes, row-major, in one bytearray; trailing bytes are ignored.
+def read_pnm(path, magic: bytes) -> tuple[tuple[int, ...], int, bytearray]:
+    """The shape, maxval and 8-bit payload of a PGM (`magic` b"P5", shape
+    (height, width)) or PPM file (b"P6", shape (height, width, 3)): the
+    payload's bytes, row-major, in one bytearray; trailing bytes are ignored.
 
     The header is parsed from a prefix of the file that doubles until the
     header ends inside it or it is the whole file, so the outcome is that
@@ -222,4 +222,4 @@ def read_pnm(path, magic: bytes) -> tuple[tuple[int, ...], bytearray]:
         f.seek(offset)
         if f.readinto(payload) != nbytes:  # the file shrank after its size was taken
             raise ValueError(f"truncated {name} payload")
-        return shape, payload
+        return shape, maxval, payload

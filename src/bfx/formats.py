@@ -1,9 +1,10 @@
 """Binary file formats carried between pipeline stages.
 
-PGM "P5" stores binary masks (0 <-> 0, 1 <-> 255; values above 127 load as
-1). PMAP1 stores float32 probability stacks, IMAP1 stores uint32 instance
-maps, and PPM "P6" stores the evaluation color maps. All multi-byte fields
-are little-endian; payloads are channel-major then row-major.
+PGM "P5" stores binary masks (0 <-> 0, 1 <-> 255; a value v loads as 1
+when 2v exceeds the file's maxval, so above 127 at maxval 255). PMAP1
+stores float32 probability stacks, IMAP1 stores uint32 instance maps, and
+PPM "P6" stores the evaluation color maps. All multi-byte fields are
+little-endian; payloads are channel-major then row-major.
 
 The codec works on files only: one writer and one reader per format.
 Every writer is atomic (temp file + rename within the target directory,
@@ -51,13 +52,6 @@ def _write(path, header: bytes, arr: np.ndarray, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_pnm(path, magic: bytes) -> np.ndarray:
-    """The uint8 payload of a PGM or PPM file (see `fileio.read_pnm`),
-    viewed as a writable array of its shape."""
-    shape, payload = read_pnm(path, magic)
-    return np.frombuffer(payload, np.uint8).reshape(shape)
-
-
 def write_pgm(path, mask) -> None:
     m = raster.as_mask(mask)
     h, w = m.shape
@@ -65,8 +59,9 @@ def write_pgm(path, mask) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """A P5 file as a {0,1} mask; values above 127 map to 1."""
-    return np.greater(_read_pnm(path, b"P5"), 127).view(np.uint8)
+    """A P5 file as a {0,1} mask: a value v maps to 1 when 2v > maxval."""
+    shape, maxval, payload = read_pnm(path, b"P5")
+    return np.greater(np.frombuffer(payload, np.uint8).reshape(shape), maxval // 2).view(np.uint8)
 
 
 def write_ppm(path, rgb) -> None:
@@ -78,7 +73,8 @@ def write_ppm(path, rgb) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    return _read_pnm(path, b"P6")
+    shape, _, payload = read_pnm(path, b"P6")
+    return np.frombuffer(payload, np.uint8).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ not four views.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -104,10 +105,23 @@ def ensemble_average(maps: Sequence[np.ndarray]) -> np.ndarray:
 
 def binarize(pmap, channel: int, threshold: float = 0.3) -> np.ndarray:
     """Threshold one channel of a probability stack; the comparison is
-    inclusive, so a pixel exactly at the threshold maps to 1."""
+    inclusive, so a pixel exactly at the threshold maps to 1. It is made in
+    the plane's dtype against that dtype's least value >= the threshold."""
     arr = np.asarray(pmap)
     if arr.ndim != 3:
         raise ValueError(f"expected a (c, h, w) stack, got shape {arr.shape}")
     if not 0 <= channel < arr.shape[0]:
         raise ValueError(f"channel {channel} out of range for {arr.shape[0]} channels")
-    return (arr[channel] >= threshold).astype(np.uint8)
+    plane = arr[channel]
+    if plane.dtype.kind == "f":
+        with np.errstate(over="ignore"):  # past the dtype's range: +-inf, which stays exact
+            least = plane.dtype.type(threshold)
+        if float(least) < threshold:
+            least = np.nextafter(least, plane.dtype.type(np.inf))
+    else:
+        plane = plane.view(np.uint8) if plane.dtype == bool else plane
+        info = np.iinfo(plane.dtype)
+        if not threshold <= info.max:  # NaN too
+            return np.zeros(plane.shape, np.uint8)
+        least = plane.dtype.type(math.ceil(max(threshold, info.min)))
+    return np.greater_equal(plane, least).view(np.uint8)

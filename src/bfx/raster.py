@@ -1,12 +1,21 @@
 """Exact raster primitives: square-kernel binary morphology and 8-connected
 components.
 
-Masks are 2-D uint8 arrays with values in {0, 1}. Instance maps are 2-D
-uint32 arrays whose nonzero labels are dense in 1..N, numbered by the
-topmost-then-leftmost pixel of each component; pixels touching only at a
-corner are connected, as in the paper's building instances. Pixels outside
-the canvas count as 0 for both erosion and dilation (a mask embedded in a
-sea of zeros), which keeps every operation total on valid inputs.
+Masks are 2-D uint8 arrays with values in {0, 1}. `connected_components`
+makes uint32 instance maps whose nonzero labels are dense in 1..N,
+numbered by the topmost-then-leftmost pixel of each component; pixels
+touching only at a corner are connected, as in the paper's building
+instances. Pixels outside the canvas count as 0 for both erosion and
+dilation (a mask embedded in a sea of zeros), which keeps every operation
+total on valid inputs.
+
+Every call that takes an instance map checks it by one rule,
+`_instance_map`: the map is 2-D, of an integer dtype other than bool, and
+each label lies in 0..N with N at most the pixel count, so that a table
+indexed by label can be sized from N. `extract.filter_small` and the seeds
+of `extract.watershed_assign` may leave gaps below N; the calls that index
+per-label results (`extract.polygonize`, `evaluate.match_instances` and
+`evaluate.color_map`) also need every label 1..N present (`_label_areas`).
 
 All functions are pure: identical inputs give byte-identical outputs, so
 callers may fan work out across threads without affecting results.
@@ -34,24 +43,23 @@ def _in_unit_interval(arr) -> bool:
     return arr.size == 0 or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
 
 
-def _max_label(labels: np.ndarray, what: str) -> int:
-    """Largest label of an instance map, whose labels must not be negative."""
-    if labels.dtype.kind not in "ub" and labels.size:
-        low = int(labels.min())
+def _instance_map(labels, what: str) -> tuple[np.ndarray, int]:
+    """`labels` as an array of a dtype `np.bincount` takes, and its largest
+    label N, once the map keeps the instance-map rule (see module doc)."""
+    lab = np.asarray(labels)
+    if lab.ndim != 2 or lab.dtype.kind not in "iu":
+        raise ValueError(f"expected a 2-D integer {what} map")
+    if lab.dtype.kind == "i" and lab.size:
+        low = int(lab.min())
         if low < 0:
             raise ValueError(f"{what} map holds a negative label {low}")
-    return int(labels.max(initial=0))
-
-
-def _label_bound(labels: np.ndarray, what: str) -> int:
-    """Largest label N of an instance map whose nonzero labels must be
-    dense in 1..N, checked against the pixel count so that a table can be
-    sized from it; negative labels are rejected."""
-    n = _max_label(labels, what)
-    if n > labels.size:
+    n = int(lab.max(initial=0))
+    if n > lab.size:
         raise ValueError(f"{what} map labels are not dense: largest label {n} "
-                         f"exceeds the pixel count {labels.size}")
-    return n
+                         f"exceeds the pixel count {lab.size}")
+    if not np.can_cast(lab.dtype, np.intp):  # uint64: every label is now <= the size
+        lab = lab.astype(np.intp)
+    return lab, n
 
 
 def _dense_areas(area: np.ndarray, what: str) -> np.ndarray:
@@ -63,14 +71,11 @@ def _dense_areas(area: np.ndarray, what: str) -> np.ndarray:
     return area
 
 
-def _label_areas(labels: np.ndarray, what: str) -> np.ndarray:
-    """Pixel count of each label 0..N of an instance map whose nonzero
-    labels must be dense in 1..N (see `_label_bound`)."""
-    n = _label_bound(labels, what)
-    flat = labels.ravel()
-    if not np.can_cast(flat.dtype, np.intp):  # uint64: every label is now <= the size
-        flat = flat.astype(np.intp)
-    return _dense_areas(np.bincount(flat, minlength=n + 1), what)
+def _label_areas(labels, what: str) -> np.ndarray:
+    """Pixel count of each label 0..N of an instance map that keeps the
+    rule and holds every label 1..N."""
+    lab, n = _instance_map(labels, what)
+    return _dense_areas(np.bincount(lab.ravel(), minlength=n + 1), what)
 
 
 def check_kernel_side(side: int) -> int:

@@ -14,13 +14,13 @@ def run(cfg: dict):
         inputs.append(cfg["input"])
         if cfg["input"].endswith(".pgm"):
             _require(cfg["mode"] == "single", "extract: PGM input is only valid in single mode")
-            stack = formats.read_pgm(cfg["input"]).astype(np.float32)[None]
+            stack = formats.read_pgm(cfg["input"])[None]
         else:
             stack = formats.read_pmap(cfg["input"])
         default_id = os.path.splitext(os.path.basename(cfg["input"]))[0]
     else:
         inputs += [cfg[k] for k in formats.CHANNEL_NAMES if cfg[k]]  # --spacing is optional
-        stack = np.stack([formats.read_pgm(path) for path in inputs])  # multi_class_instances casts it
+        stack = np.stack([formats.read_pgm(path) for path in inputs])
         default_id = os.path.splitext(os.path.basename(cfg["building"]))[0]
     image_id = cfg["image_id"] if cfg["image_id"] is not None else default_id
 

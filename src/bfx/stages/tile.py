@@ -7,7 +7,7 @@ from ..cli import _canonical_json
 
 
 def run(cfg: dict):
-    (h, w), values = fileio.read_pnm(cfg["raster"], b"P5")
+    (h, w), _, values = fileio.read_pnm(cfg["raster"], b"P5")
     size = cfg["size"]
     nodata = cfg["nodata"]
 

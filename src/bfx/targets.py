@@ -27,9 +27,9 @@ O(edges + crossings + covered pixels), not O(canvas), so
 pass. `rasterize_polygon` is the one-ring case; the ground-truth channels
 call it once per ring on the ring's own rows, and erode (once, by a
 (2k+1)^2 square for border width k) and paint each border inside the
-ring's window (`_ring_window`), the canvas rows and columns outside which
-its fill is 0. That is exact because erosion counts pixels outside the
-canvas as 0, the same value the fill has outside the window.
+window of those rows and of the columns the fill covers. That is exact
+because erosion counts pixels outside the canvas as 0, the same value the
+fill has outside the window.
 """
 
 from __future__ import annotations
@@ -42,28 +42,6 @@ from . import annotations, extract, raster
 
 BORDER_EROSION_ITERATIONS = 2
 SPACING_DILATE_SIDE = 15
-
-
-def _clamp(v: float, n: int) -> float:
-    return min(max(v, 0), n)
-
-
-def _ring_window(pts: np.ndarray, height: int, width: int) -> tuple[slice, slice]:
-    """Canvas rows and columns outside which the ring's fill is 0.
-
-    Row r has crossings only if some edge spans its center r + 0.5, so the
-    rows lie in [floor(ymin), ceil(ymax)). A crossing x1 + t*(x2 - x1),
-    with t in [0, 1], rounds to within 3 ulps of max|x| outside its edge's
-    x extent, and pixel j is set only between two crossings, so the x
-    extent padded by one pixel and 4 ulps holds every set column.
-    """
-    xmin, ymin = pts.min(axis=0).tolist()
-    xmax, ymax = pts.max(axis=0).tolist()
-    pad = 1 + 4 * math.ulp(max(-xmin, xmax))
-    # clamped before rounding, which gives the same integers, so that a bound
-    # pushed past the float range by the pad rounds as the canvas edge
-    return (slice(math.floor(_clamp(ymin, height)), math.ceil(_clamp(ymax, height))),
-            slice(math.floor(_clamp(xmin - pad, width)), math.ceil(_clamp(xmax + pad, width))))
 
 
 def _spans(rings, height: int, width: int):
@@ -130,7 +108,8 @@ def _fill_and_border(rings, stack: np.ndarray, erosion_iterations: int) -> np.nd
     into plane 0 and their borders into plane 1, where a ring's border is
     its fill XOR its erosion by one (2k+1)^2 square, k the border width.
     Each ring is validated, then filled by `rasterize_polygon` on its own
-    rows and bordered inside its window, unless that window is empty."""
+    rows and bordered inside the columns its fill covers, unless it covers
+    none."""
     if erosion_iterations < 0:
         raise ValueError(f"erosion_iterations must be >= 0, got {erosion_iterations}")
     building, border = stack[:2]
@@ -140,12 +119,19 @@ def _fill_and_border(rings, stack: np.ndarray, erosion_iterations: int) -> np.nd
             pts = annotations._ring(ring)
         except ValueError as exc:
             raise ValueError(f"polygon {i}: {exc}") from exc
-        rows, cols = _ring_window(pts, height, width)
-        if rows.start == rows.stop or cols.start == cols.stop:
+        # row r has crossings only if an edge spans its center r + 0.5, so the
+        # fill's rows lie in [floor(ymin), ceil(ymax)), clamped to the canvas
+        ymin, ymax = pts[:, 1].min(), pts[:, 1].max()
+        rows = slice(math.floor(min(max(ymin, 0), height)), math.ceil(min(max(ymax, 0), height)))
+        if rows.start == rows.stop:
             continue
-        r0 = rows.start if pts[:, 1].max() < 2.0 ** 53 else 0  # y - r0 is exact: no crossing moves
-        band = pts - (0, r0)
-        filled = rasterize_polygon(band, rows.stop - r0, width)[rows.start - r0:, cols]
+        r0 = rows.start if ymax < 2.0 ** 53 else 0  # y - r0 is exact: no crossing moves
+        band = rasterize_polygon(pts - (0, r0), rows.stop - r0, width)[rows.start - r0:]
+        cols = np.flatnonzero(band.any(axis=0))
+        if cols.size == 0:
+            continue
+        cols = slice(cols[0], cols[-1] + 1)
+        filled = band[:, cols]
         building[rows, cols] |= filled
         border[rows, cols] |= filled ^ raster.erode(filled, 2 * erosion_iterations + 1)
     return stack

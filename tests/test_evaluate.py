@@ -140,6 +140,17 @@ def test_match_and_color_map_check_labels_before_the_uint32_cast(bad, reason):
             evaluate.color_map(pred, gt, match)
 
 
+@pytest.mark.parametrize("bad", [np.array([[0, 0], [0, 1.5]]), np.array([[0, 0], [0, 1]], bool)])
+def test_match_and_color_map_refuse_a_fractional_or_bool_map_on_either_side(bad):
+    dense = np.array([[0, 0], [0, 1]], np.uint32)
+    match = evaluate.match_instances(dense, dense)
+    for pred, gt, what in [(bad, dense, "prediction"), (dense, bad, "ground-truth")]:
+        with pytest.raises(ValueError, match=f"^expected a 2-D integer {what} map$"):
+            evaluate.match_instances(pred, gt)
+        with pytest.raises(ValueError, match=f"^expected a 2-D integer {what} map$"):
+            evaluate.color_map(pred, gt, match)
+
+
 @pytest.mark.parametrize("kind", ["far", "gap"])
 def test_color_map_checks_density_without_match_instances(kind):
     # a hand-made match that accounts for every label the sparse map holds

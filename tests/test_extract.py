@@ -177,15 +177,22 @@ def test_watershed_seeded_and_seedless_components_mixed():
 def test_watershed_seed_label_out_of_range_rejected(bad):
     seeds = np.zeros((3, 3), np.int64)
     seeds[1, 1] = bad
-    with pytest.raises(ValueError, match="seed labels"):
+    with pytest.raises(ValueError, match=r"^seed map (holds a negative label -1|labels are not "
+                                         r"dense: largest label \d+ exceeds the pixel count 9)$"):
         extract.watershed_assign(seeds, np.ones((3, 3), np.uint8))
 
 
-def test_watershed_seedless_labels_past_uint32_rejected():
+def test_watershed_seedless_labels_past_uint32_rejected(monkeypatch):
+    # seed labels are at most the pixel count, so fresh labels pass uint32
+    # only on canvases of 2**31 pixels or more; a component labelling that
+    # numbers from 2**32 - 3 reaches the guard on a small one
+    real = raster.connected_components
+    monkeypatch.setattr(raster, "connected_components",
+                        lambda mask: np.where(real(mask) > 0, real(mask) + np.uint32(2 ** 32 - 4), 0))
     region = np.zeros((1, 7), np.uint8)
     region[0, [0, 2, 4]] = 1
     seeds = np.zeros((1, 7), np.int64)
-    seeds[0, 4] = 2 ** 32 - 2
+    seeds[0, 4] = 2
     assert extract.watershed_assign(seeds[:, 1:], region[:, 1:])[0, 1] == 2 ** 32 - 1
     with pytest.raises(ValueError, match="uint32"):
         extract.watershed_assign(seeds, region)  # the second fresh label would wrap to 0
@@ -255,7 +262,9 @@ def random_label_maps(seed, count, max_side=13):
 def test_filter_small_matches_unique_over_every_pixel():
     rng = np.random.default_rng(33)
     for lab in random_label_maps(31, 300):
-        lab = lab * np.uint32(rng.integers(1, 4))  # sparse labels too
+        # sparse labels too: gaps anywhere below the pixel count
+        ids = rng.choice(np.arange(1, lab.size + 1), int(lab.max(initial=0)), replace=False)
+        lab = np.concatenate(([0], np.sort(ids))).astype(np.uint32)[lab]
         min_area = int(rng.integers(0, 6))
         got = extract.filter_small(lab, min_area)
         want = filter_small_by_unique(lab, min_area)
@@ -263,20 +272,14 @@ def test_filter_small_matches_unique_over_every_pixel():
 
 
 @pytest.mark.parametrize("dtype,top", [(np.uint32, 2 ** 31), (np.int64, 2 ** 40)])
-def test_filter_small_sizes_its_tables_by_the_pixel_count(dtype, top):
+def test_filter_small_refuses_labels_above_the_pixel_count(dtype, top):
     # a table sized by the largest label would ask for 16 GiB or 8 TiB
-    rng = np.random.default_rng(41)
-    values = np.arange(40, dtype=np.int64) * (top // 39)
-    values[-1] = top
-    for low in (0, 1):  # with and without background
-        ranked = rng.integers(low, 40, (64, 64))
-        ranked[0, 0] = 39
-        lab = values[ranked].astype(dtype)
-        got, peak = traced_peak(lambda: extract.filter_small(lab, 103))
-        want = extract.filter_small(ranked.astype(np.uint32), 103)
-        assert 0 < want.max() < 39 - low  # some instances kept, some dropped
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert peak < 64 * lab.size
+    lab = np.zeros((64, 64), dtype)
+    lab[5, 7] = top
+    got, peak = traced_peak(lambda: pytest.raises(ValueError, extract.filter_small, lab, 103))
+    assert str(got.value) == (f"instance map labels are not dense: largest label {top} "
+                              "exceeds the pixel count 4096")
+    assert peak < 64 * lab.size
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])

@@ -28,8 +28,8 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "m.pgm"
     formats.write_pgm(path, mask)
     assert np.array_equal(formats.read_pgm(path), mask)
-    shape, raw = fileio.read_pnm(path, b"P5")
-    assert shape == mask.shape and set(raw) <= {0, 255}
+    shape, maxval, raw = fileio.read_pnm(path, b"P5")
+    assert shape == mask.shape and maxval == 255 and set(raw) <= {0, 255}
 
 
 def test_pgm_header_and_encoding(tmp_path):
@@ -43,6 +43,16 @@ def test_pgm_loader_threshold_at_127(tmp_path):
     header = b"P5\n4 1\n255\n"
     payload = bytes([0, 127, 128, 255])
     assert formats.read_pgm(file_of(tmp_path, header + payload)).tolist() == [[0, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("maxval,payload,want", [
+    (1, [0, 1, 1, 0], [0, 1, 1, 0]),
+    (2, [0, 1, 2, 2], [0, 0, 1, 1]),  # 2v > maxval: the midpoint loads as 0
+    (3, [0, 1, 2, 3], [0, 0, 1, 1]),
+    (254, [0, 127, 128, 254], [0, 0, 1, 1])])
+def test_pgm_loader_threshold_is_half_the_maxval(tmp_path, maxval, payload, want):
+    data = b"P5\n4 1\n%d\n" % maxval + bytes(payload)
+    assert formats.read_pgm(file_of(tmp_path, data)).tolist() == [want]
 
 
 def test_pgm_comments_in_header(tmp_path):
@@ -351,7 +361,7 @@ def test_pgm_truncated_payload_is_rejected(tmp_path):
             with pytest.raises(ValueError, match="^truncated PGM payload$"):
                 read(path)
     full = header + bytes(range(12)) + b"trailing"
-    assert fileio.read_pnm(file_of(tmp_path, full), b"P5") == ((3, 4), bytes(range(12)))
+    assert fileio.read_pnm(file_of(tmp_path, full), b"P5") == ((3, 4), 255, bytes(range(12)))
 
 
 def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
@@ -388,7 +398,7 @@ def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
                 fileio.read_pnm(file_of(tmp_path, data), b"P5")
             assert str(got.value) == str(exc)
         else:
-            assert fileio.read_pnm(file_of(tmp_path, data), b"P5") == ((h, w), want.tobytes())
+            assert fileio.read_pnm(file_of(tmp_path, data), b"P5") == ((h, w), maxval, want.tobytes())
 
 
 def test_ppm_round_trip_and_truncation(tmp_path):

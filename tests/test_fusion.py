@@ -342,6 +342,26 @@ def test_binarize_replicated_ensemble_equals_binarize():
     assert np.array_equal(fusion.binarize(fused, 0, 0.3), fusion.binarize(m, 0, 0.3))
 
 
+def test_binarize_is_exact_where_the_threshold_rounds_in_the_planes_dtype():
+    # float32(0.7) < 0.7, and 1e-50 rounds to float32 0.0: neither may pass
+    below = np.float32(0.7)
+    m = np.array([[[0.0, 1e-45, below, np.nextafter(below, np.float32(1)), 1.0]]], np.float32)
+    assert fusion.binarize(m, 0, 0.7).tolist() == [[0, 0, 0, 1, 1]]
+    assert fusion.binarize(m, 0, 1e-50).tolist() == [[0, 1, 1, 1, 1]]
+    assert fusion.binarize(m, 0, float(below)).tolist() == [[0, 0, 1, 1, 1]]
+    assert fusion.binarize(m.astype(np.float64), 0, 0.7).tolist() == [[0, 0, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("threshold,want", [
+    (0.0, [1, 1, 1, 1]), (0.3, [0, 1, 1, 1]), (1.0, [0, 1, 1, 1]), (1.0 + 2 ** -52, [0, 0, 1, 1]),
+    (254.5, [0, 0, 0, 1]), (255.5, [0, 0, 0, 0]), (1e-50, [0, 1, 1, 1]), (-3.0, [1, 1, 1, 1])])
+def test_binarize_of_a_uint8_stack_compares_against_the_thresholds_ceiling(threshold, want):
+    m = np.array([[[0, 1, 2, 255]]], np.uint8)
+    out = fusion.binarize(m, 0, threshold)
+    assert out.dtype == np.uint8 and out.tolist() == [want]
+    assert fusion.binarize(m.astype(np.float64), 0, threshold).tolist() == [want]
+
+
 def test_binarize_channel_out_of_range():
     with pytest.raises(ValueError):
         fusion.binarize(np.zeros((2, 2, 2), np.float32), 2, 0.3)

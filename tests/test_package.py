@@ -145,7 +145,7 @@ REFUSALS = {
     "watershed-shapes": (lambda d: extract.watershed_assign(LABELS, np.ones((2, 3), np.uint8)),
                          "seed/region dimensions differ: (2, 2) vs (2, 3)"),
     "watershed-float-seeds": (lambda d: extract.watershed_assign(np.zeros((2, 2)), np.ones((2, 2))),
-                              "seed map must be integer labels"),
+                              "expected a 2-D integer seed map"),
     "filter-small-3d": (lambda d: extract.filter_small(LABELS[None]), "expected a 2-D integer instance map"),
     "ppm-2d": (lambda d: formats.write_ppm(d / "x.ppm", np.zeros((2, 2), np.uint8)),
                "PPM payload must be an (h, w, 3) uint8 array"),

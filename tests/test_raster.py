@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfx import raster
+from bfx import evaluate, extract, raster
 
 from _memory import traced_peak
 from _oracles import bfs_chebyshev, flood_components, serpentine, shift, window_dilate, window_erode
@@ -299,3 +299,49 @@ def test_purity_and_determinism():
     b = raster.erode(m, 5)
     assert np.array_equal(m, before)  # inputs untouched
     assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the instance-map rule
+# ---------------------------------------------------------------------------
+
+# maps outside the rule, and the refusal each gets, given the map's name
+MALFORMED = {
+    "fractional": (np.array([[0, 1.5], [1.2, 1.9]]), "expected a 2-D integer {} map"),
+    "bool": (np.array([[0, 1], [1, 1]], bool), "expected a 2-D integer {} map"),
+    "3-d": (np.array([[[0, 1], [1, 1]]], np.uint32), "expected a 2-D integer {} map"),
+    "negative": (np.array([[0, 1], [1, -1]], np.int64), "{} map holds a negative label -1"),
+    "above-count": (np.array([[0, 1], [1, 5]], np.int64),
+                    "{} map labels are not dense: largest label 5 exceeds the pixel count 4"),
+}
+
+# every call that takes instance maps, given `m` for each of them, and the
+# name its refusal gives the first
+LABEL_CALLS = {
+    "filter_small": (lambda m: extract.filter_small(m, 0), "instance"),
+    "watershed_assign": (lambda m: extract.watershed_assign(m, np.ones(m.shape, np.uint8)), "seed"),
+    "polygonize": (extract.polygonize, "instance"),
+    "match_instances": (lambda m: evaluate.match_instances(m, m), "prediction"),
+    "color_map": (lambda m: evaluate.color_map(m, m, evaluate.MatchResult()), "prediction"),
+}
+
+
+@pytest.mark.parametrize("call", LABEL_CALLS)
+@pytest.mark.parametrize("fault", MALFORMED)
+def test_every_label_taking_call_refuses_a_map_outside_the_rule(call, fault):
+    fn, what = LABEL_CALLS[call]
+    m, message = MALFORMED[fault]
+    with pytest.raises(ValueError) as got:
+        fn(m)
+    assert str(got.value) == message.format(what)
+
+
+def test_gaps_below_the_bound_pass_only_where_no_result_is_indexed_by_label():
+    m = np.array([[0, 3], [3, 0]], np.int64)  # labels 1 and 2 absent
+    assert extract.filter_small(m, 0).tolist() == [[0, 1], [1, 0]]
+    assert extract.watershed_assign(m, m > 0).tolist() == [[0, 3], [3, 0]]
+    for call in ("polygonize", "match_instances", "color_map"):
+        fn, what = LABEL_CALLS[call]
+        with pytest.raises(ValueError) as got:
+            fn(m)
+        assert str(got.value) == f"{what} map labels are not dense in 1..3: label 1 is absent"
