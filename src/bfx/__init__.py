@@ -13,9 +13,45 @@ exports to the submodule defining it, and the module `__getattr__`
 is `bfx.targets.rasterize_polygon`. Names are looked up on every access,
 not cached here, so rebinding a submodule's attribute is seen through the
 package too.
+
+The paper's parameters are written here, once each: the defaults of
+`cli.STAGES`, of the library signatures and of the parameter records
+(`trainmath.LossParams` and `ChannelWeights`, `schedules.ScheduleParams`)
+are these names. They are plain numbers, so reading them loads nothing.
 """
 
 from importlib import import_module as _import_module
+
+# fuse, extract: a probability at or above it is foreground
+THRESHOLD = 0.3
+# extract: an instance of fewer pixels is debris
+MIN_AREA = 140
+# targets: border width k in pixels, a ring's fill minus its (2k+1)^2 erosion
+BORDER_WIDTH = 2
+# eval: a prediction and a ground-truth instance match at IoU >= it
+IOU_THRESHOLD = 0.5
+# split: folds over the non-blank tiles
+FOLDS = 5
+# lossmath: soft Dice's beta and smoothing, the Dice and BCE mix, BCE's clamp
+LOSS_BETA = 1.0
+LOSS_EPS = 1e-4
+LOSS_GAMMA1 = 0.5
+LOSS_GAMMA2 = 0.5
+LOSS_CLAMP = 1e-7
+# lossmath total: the building, border and spacing channels' weights
+W_BUILDING = 1.0
+W_BORDER = 2.0
+W_SPACING = 2.0
+# lossmath gradcheck: the central difference's step
+GRADCHECK_STEP = 1e-5
+# lr: the one-cycle schedule and polynomial decay
+TOTAL_EPOCHS = 100
+UP_EPOCHS = 40
+LR_MAX = 0.0001
+LR_INIT = LR_MAX / 20
+LR_FINAL = LR_INIT / 1000
+POLY_POWER = 0.9
+POLY_LR0 = 0.001
 
 _SUBMODULES = ("annotations", "cli", "dataprep", "evaluate", "extract", "fileio", "formats",
                "fusion", "raster", "schedules", "targets", "tiling", "trainmath")

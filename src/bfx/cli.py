@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import hashlib
 import json
 import math
 import os
@@ -40,7 +39,9 @@ from typing import Callable, NamedTuple
 # A call compiles and loads only its own stage's runner and library modules,
 # numpy among them: parsing, configs, sidecars and the stages without arrays
 # (`tile`, `split`, `lr`) run on the stdlib alone.
-from . import fileio
+from . import (BORDER_WIDTH, FOLDS, GRADCHECK_STEP, IOU_THRESHOLD, LOSS_BETA, LOSS_CLAMP, LOSS_EPS,
+               LOSS_GAMMA1, LOSS_GAMMA2, LR_FINAL, LR_INIT, LR_MAX, MIN_AREA, POLY_LR0, POLY_POWER,
+               THRESHOLD, TOTAL_EPOCHS, UP_EPOCHS, W_BORDER, W_BUILDING, W_SPACING, fileio)
 
 class ValidationError(ValueError):
     pass
@@ -99,7 +100,8 @@ THREADS = Param("threads", int, check=lambda v: v >= 1,
                      "lossmath total (channels); other stages make one item at a time; "
                      "results never depend on it")
 
-# stage -> (help, parameters); None defaults mark "unset"
+# stage -> (help, parameters); None defaults mark "unset", and a default the
+# library shares is the package's constant (see `bfx`)
 STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
     "targets": ("generate ground-truth channels from annotations", (
         Param("annotations", required=True, path=True, help="annotation JSON or GeoJSON"),
@@ -107,7 +109,7 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
         Param("height", int, 512, check=lambda v: v >= 1),
         Param("width", int, 512, check=lambda v: v >= 1),
         Param("format", str, "pgm", choices=("pgm", "pmap")),
-        Param("erosion_iterations", int, 2, check=lambda v: v >= 0,
+        Param("erosion_iterations", int, BORDER_WIDTH, check=lambda v: v >= 0,
               help="border width k in pixels: a ring's border is its fill minus that fill "
                    "eroded by a (2k+1)-pixel square"),
     )),
@@ -115,7 +117,7 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
         Param("inputs", list, required=True, path=True, flag="inputs",
               help="PMAP1 files (or fold prefixes with --tta)"),
         Param("out", required=True, path=True, help="fused PMAP1 path"),
-        Param("threshold", float, 0.3, check=lambda v: 0.0 <= v <= 1.0),
+        Param("threshold", float, THRESHOLD, check=lambda v: 0.0 <= v <= 1.0),
         Param("tta", bool, False,
               help="expect 4 views per fold: .id/.hf/.vf/.r180 before the extension"),
     )),
@@ -125,8 +127,8 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
         Param("building", path=True, help="building PGM (multi mode without a PMAP)"),
         Param("border", path=True, help="border PGM"),
         Param("spacing", path=True, help="spacing PGM"),
-        Param("threshold", float, 0.3, check=lambda v: 0.0 <= v <= 1.0),
-        Param("min_area", int, 140, check=lambda v: v >= 0),
+        Param("threshold", float, THRESHOLD, check=lambda v: 0.0 <= v <= 1.0),
+        Param("min_area", int, MIN_AREA, check=lambda v: v >= 0),
         Param("no_spacing", bool, False, help="ignore the spacing channel during extraction"),
         Param("image_id"),
         Param("out_geojson", required=True, path=True),
@@ -135,7 +137,7 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
     "eval": ("object-level scoring of predictions against ground truth", (
         Param("pred", required=True, path=True, help="GeoJSON or IMAP1 file, or a directory of them"),
         Param("gt", required=True, path=True, help="GeoJSON or IMAP1 file, or a directory of them"),
-        Param("iou", float, 0.5, check=lambda v: 0.0 <= v <= 1.0),
+        Param("iou", float, IOU_THRESHOLD, check=lambda v: 0.0 <= v <= 1.0),
         Param("colormap", path=True, help="output PPM (directory inputs: a directory)"),
         Param("csv", path=True, help="per-image counts CSV"),
         Param("report", path=True, help="JSON report"),
@@ -148,7 +150,7 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
     )),
     "split": ("assign k folds to a tile index", (
         Param("index", required=True, path=True, help="tile-index JSON to read"),
-        Param("k", int, 5, check=lambda v: v >= 2),
+        Param("k", int, FOLDS, check=lambda v: v >= 2),
         Param("out", path=True, help="output path (default: rewrite --index)"),
     )),
     "lossmath": ("loss values and gradient checks on file pairs", (
@@ -158,15 +160,15 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
         Param("gt", list, required=True, path=True,
               help="ground-truth PGM(s), one per channel for 'total'"),
         Param("channel", int, 0, check=lambda v: v >= 0),
-        Param("beta", float, 1.0, check=lambda v: v >= 0),
-        Param("eps", float, 1e-4, check=lambda v: v > 0),
-        Param("gamma1", float, 0.5),
-        Param("gamma2", float, 0.5),
-        Param("clamp", float, 1e-7, check=lambda v: 0.0 < v < 0.5),
-        Param("w_building", float, 1.0),
-        Param("w_border", float, 2.0),
-        Param("w_spacing", float, 2.0),
-        Param("step", float, 1e-5, check=lambda v: v > 0,
+        Param("beta", float, LOSS_BETA, check=lambda v: v >= 0),
+        Param("eps", float, LOSS_EPS, check=lambda v: v > 0),
+        Param("gamma1", float, LOSS_GAMMA1),
+        Param("gamma2", float, LOSS_GAMMA2),
+        Param("clamp", float, LOSS_CLAMP, check=lambda v: 0.0 < v < 0.5),
+        Param("w_building", float, W_BUILDING),
+        Param("w_border", float, W_BORDER),
+        Param("w_spacing", float, W_SPACING),
+        Param("step", float, GRADCHECK_STEP, check=lambda v: v > 0,
               help="finite-difference step for gradcheck. A pixel whose prediction lies d from "
                    "the wrong end (p = d on a target pixel, 1 - d off it) reads about "
                    "step^2 / (3 d^2): at 1e-5, d below 6e-4 reads above 1e-4, and uniform "
@@ -176,13 +178,13 @@ STAGES: dict[str, tuple[str, tuple[Param, ...]]] = {
         Param("schedule", required=True, choices=("poly", "onecycle")),
         Param("out", required=True, path=True),
         # the schedule is built in memory, ~100 bytes an epoch
-        Param("total_epochs", int, 100, check=lambda v: 2 <= v <= 10 ** 6),
-        Param("up_epochs", int, 40, check=lambda v: v >= 1),
-        Param("lr_init", float, 0.0001 / 20),
-        Param("lr_max", float, 0.0001),
-        Param("lr_final", float, (0.0001 / 20) / 1000),
-        Param("poly_power", float, 0.9),
-        Param("poly_lr0", float, 0.001, check=lambda v: v > 0),
+        Param("total_epochs", int, TOTAL_EPOCHS, check=lambda v: 2 <= v <= 10 ** 6),
+        Param("up_epochs", int, UP_EPOCHS, check=lambda v: v >= 1),
+        Param("lr_init", float, LR_INIT),
+        Param("lr_max", float, LR_MAX),
+        Param("lr_final", float, LR_FINAL),
+        Param("poly_power", float, POLY_POWER),
+        Param("poly_lr0", float, POLY_LR0, check=lambda v: v > 0),
         Param("poly_recursive", bool, False,
               help="use the literal per-epoch recurrence instead of the closed form"),
     )),
@@ -377,6 +379,8 @@ def _canonical_json(obj) -> str:
 
 def _finish_run(stage: str, cfg: dict, inputs: list[str], outputs: list[str], stem: str) -> None:
     """Write the effective-config sidecar and the run manifest at `stem`."""
+    import hashlib  # here, not at the top: a call that writes no sidecar loads no OpenSSL
+
     base_dir = os.path.dirname(os.path.abspath(stem)) or "."
 
     def rel(p: str) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import annotations, raster, targets
+from . import IOU_THRESHOLD, annotations, raster, targets
 from .extract import PolygonSet
 
 
@@ -57,7 +57,7 @@ def _overlap_table(pred: np.ndarray, gt: np.ndarray):
     return pairs // (n_gt + 1), pairs % (n_gt + 1), inter
 
 
-def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
+def match_instances(pred, gt, iou_threshold: float = IOU_THRESHOLD) -> MatchResult:
     """Greedy one-to-one matching of instance maps (see module doc)."""
     p = np.asarray(pred)
     g = np.asarray(gt)

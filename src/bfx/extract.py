@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fusion, raster
+from . import MIN_AREA, THRESHOLD, fusion, raster
 from .fileio import MAX_CANVAS_PIXELS, _is_json_int
 
 LABEL_SENTINEL = np.uint32(0xFFFFFFFF)
@@ -151,29 +151,25 @@ def watershed_assign(seeds, region) -> np.ndarray:
     return out
 
 
-def filter_small(instances, min_area: int = 140) -> np.ndarray:
+def filter_small(instances, min_area: int = MIN_AREA) -> np.ndarray:
     """Clear labels whose support is below `min_area` pixels (strictly), then
     relabel survivors densely by their topmost-leftmost pixel."""
     lab, n = raster._instance_map(instances, "instance")
-    if n == 0:
-        return lab.astype(np.uint32)
     counts = np.bincount(lab.ravel(), minlength=n + 1)
     keep = counts >= min_area
     keep[0] = False
-    cleared = np.where(keep[lab], lab, 0).astype(np.uint32)
 
-    # a label's first pixel in row-major order starts a run of its row, so
-    # ranking the run starts ranks the labels
-    head = cleared != 0
-    head[:, 1:] &= cleared[:, 1:] != cleared[:, :-1]
+    # a kept label's first pixel in row-major order starts a run of its row,
+    # so ranking the kept run starts ranks the survivors; dropped labels
+    # remap to 0
+    head = keep[lab]
+    head[:, 1:] &= lab[:, 1:] != lab[:, :-1]
     starts = np.flatnonzero(head)
-    if starts.size == 0:
-        return cleared
-    survivors, first = np.unique(cleared.ravel()[starts], return_index=True)
+    survivors, first = np.unique(lab.ravel()[starts], return_index=True)
     order = survivors[np.argsort(starts[first], kind="stable")]
     remap = np.zeros(n + 1, np.uint32)
     remap[order] = np.arange(1, len(order) + 1, dtype=np.uint32)
-    return remap[cleared]
+    return remap[lab]
 
 
 def polygonize(instances, image_id: str = "") -> PolygonSet:
@@ -306,13 +302,13 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
     return result
 
 
-def single_class_instances(building, min_area: int = 140) -> np.ndarray:
+def single_class_instances(building, min_area: int = MIN_AREA) -> np.ndarray:
     """Instance map of every non-touching blob (no border separation)."""
     comps = raster.connected_components(building)
     return filter_small(comps, min_area)
 
 
-def multi_class_instances(fused, threshold: float = 0.3, min_area: int = 140,
+def multi_class_instances(fused, threshold: float = THRESHOLD, min_area: int = MIN_AREA,
                           use_spacing: bool = True) -> np.ndarray:
     """Instance map from a fused (building, border[, spacing]) probability
     stack: threshold, carve seeds by border subtraction, grow them back by
@@ -329,11 +325,11 @@ def multi_class_instances(fused, threshold: float = 0.3, min_area: int = 140,
     return filter_small(grown, min_area)
 
 
-def extract_single_class(building, min_area: int = 140, image_id: str = "") -> PolygonSet:
+def extract_single_class(building, min_area: int = MIN_AREA, image_id: str = "") -> PolygonSet:
     return polygonize(single_class_instances(building, min_area), image_id)
 
 
-def extract_multi_class(fused, threshold: float = 0.3, min_area: int = 140,
+def extract_multi_class(fused, threshold: float = THRESHOLD, min_area: int = MIN_AREA,
                         use_spacing: bool = True, image_id: str = "") -> PolygonSet:
     return polygonize(multi_class_instances(fused, threshold, min_area, use_spacing), image_id)
 

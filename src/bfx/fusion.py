@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import THRESHOLD
+
 VIEWS = ("identity", "hflip", "vflip", "rot180")
 
 _FLIP = slice(None, None, -1)
@@ -103,7 +105,7 @@ def ensemble_average(maps: Sequence[np.ndarray]) -> np.ndarray:
     return np.divide(total, k, out=np.empty(shape, np.float32))
 
 
-def binarize(pmap, channel: int, threshold: float = 0.3) -> np.ndarray:
+def binarize(pmap, channel: int, threshold: float = THRESHOLD) -> np.ndarray:
     """Threshold one channel of a probability stack; the comparison is
     inclusive, so a pixel exactly at the threshold maps to 1. It is made in
     the plane's dtype against that dtype's least value >= the threshold."""

@@ -12,16 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import LR_FINAL, LR_INIT, LR_MAX, POLY_LR0, POLY_POWER, TOTAL_EPOCHS, UP_EPOCHS
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    total_epochs: int = 100
-    up_epochs: int = 40
-    lr_init: float = 0.0001 / 20
-    lr_max: float = 0.0001
-    lr_final: float = (0.0001 / 20) / 1000
-    poly_power: float = 0.9
-    poly_lr0: float = 0.001
+    total_epochs: int = TOTAL_EPOCHS
+    up_epochs: int = UP_EPOCHS
+    lr_init: float = LR_INIT
+    lr_max: float = LR_MAX
+    lr_final: float = LR_FINAL
+    poly_power: float = POLY_POWER
+    poly_lr0: float = POLY_LR0
 
     def __post_init__(self):
         if not 0 < self.up_epochs < self.total_epochs:

@@ -2,9 +2,10 @@
 
 Three channels are generated per image, as the planes of one (3, h, w)
 uint8 array in `formats.CHANNEL_NAMES` order: the filled building
-footprints, their 2-pixel inner borders (each polygon filled, eroded by a
-5x5 square, i.e. twice by a 3x3 one, and XORed with its own fill,
-independently per polygon), and the spacing between close buildings
+footprints, their k-pixel inner borders (each polygon filled, eroded by a
+(2k+1)^2 square, i.e. k times by a 3x3 one, and XORed with its own fill,
+independently per polygon; k is `bfx.BORDER_WIDTH`, 2, unless the caller
+passes another), and the spacing between close buildings
 (15x15 dilation, watershed division seeded by the original buildings,
 building pixels excluded). The separation lines lie inside the dilation,
 so within Chebyshev distance 7 of a building: the cut to a distance of at
@@ -38,9 +39,8 @@ import math
 
 import numpy as np
 
-from . import annotations, extract, raster
+from . import BORDER_WIDTH, annotations, extract, raster
 
-BORDER_EROSION_ITERATIONS = 2
 SPACING_DILATE_SIDE = 15
 
 
@@ -138,7 +138,7 @@ def _fill_and_border(rings, stack: np.ndarray, erosion_iterations: int) -> np.nd
 
 
 def make_border_mask(rings, height: int, width: int,
-                     erosion_iterations: int = BORDER_EROSION_ITERATIONS) -> np.ndarray:
+                     erosion_iterations: int = BORDER_WIDTH) -> np.ndarray:
     """Union of per-polygon borders: fill, erode, XOR, independently per ring."""
     return _fill_and_border(rings, np.zeros((2, height, width), np.uint8), erosion_iterations)[1]
 
@@ -181,7 +181,7 @@ def make_spacing_mask(building) -> np.ndarray:
 
 
 def assemble_targets(rings, height: int, width: int,
-                     erosion_iterations: int = BORDER_EROSION_ITERATIONS) -> np.ndarray:
+                     erosion_iterations: int = BORDER_WIDTH) -> np.ndarray:
     """The (3, height, width) uint8 {0,1} stack of one image's building,
     border and spacing planes (see module doc), each made in its plane.
 

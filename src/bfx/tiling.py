@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
+from . import FOLDS
 from .fileio import _is_json_int
 
 
@@ -49,7 +50,7 @@ def tile_index(height: int, width: int, tile_size: int,
             for r in range(rows) for c in range(cols)]
 
 
-def kfold_assign(tiles: list[TileRecord], k: int = 5) -> list[TileRecord]:
+def kfold_assign(tiles: list[TileRecord], k: int = FOLDS) -> list[TileRecord]:
     """Round-robin folds over non-blank tiles sorted by (row, col).
 
     Folds are keyed by `tile_id`, so a repeated id is an error."""

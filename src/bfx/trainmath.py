@@ -1,6 +1,8 @@
 """Training-side numerics: losses with analytic gradients, the loss values
 alone, and rectangle-paste sample mixing. The learning-rate schedules live
-in `bfx.schedules`, which needs no numpy, and are re-exported here.
+in `bfx.schedules` alone, which needs no numpy. The defaults of
+`LossParams`, `ChannelWeights` and the gradient check's step are the
+paper's, written once in `bfx` (`bfx.LOSS_BETA`, `bfx.W_BORDER`, ...).
 
 Losses take a float prediction raster in [0, 1] and a binary target of the
 same shape, and return both the scalar and the per-pixel derivative with
@@ -15,17 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import raster
-from .schedules import ScheduleParams, lr_one_cycle, lr_poly  # noqa: F401  (the schedule surface)
+from . import (GRADCHECK_STEP, LOSS_BETA, LOSS_CLAMP, LOSS_EPS, LOSS_GAMMA1, LOSS_GAMMA2, W_BORDER,
+               W_BUILDING, W_SPACING, raster)
 
 
 @dataclass(frozen=True)
 class LossParams:
-    beta: float = 1.0
-    eps: float = 1e-4
-    gamma1: float = 0.5
-    gamma2: float = 0.5
-    clamp: float = 1e-7
+    beta: float = LOSS_BETA
+    eps: float = LOSS_EPS
+    gamma1: float = LOSS_GAMMA1
+    gamma2: float = LOSS_GAMMA2
+    clamp: float = LOSS_CLAMP
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -38,9 +40,9 @@ class LossParams:
 
 @dataclass(frozen=True)
 class ChannelWeights:
-    building: float = 1.0
-    border: float = 2.0
-    spacing: float = 2.0
+    building: float = W_BUILDING
+    border: float = W_BORDER
+    spacing: float = W_SPACING
 
     def __post_init__(self):
         w = self.as_tuple()
@@ -179,7 +181,7 @@ def total_loss(losses, weights: ChannelWeights) -> float:
     return sum(w * x for w, x in zip(weights, losses)) / sum(weights)
 
 
-def gradient_check(pred, gt, params: LossParams = LossParams(), step: float = 1e-5) -> float:
+def gradient_check(pred, gt, params: LossParams = LossParams(), step: float = GRADCHECK_STEP) -> float:
     """Max relative error between the analytic gradients and central finite
     differences over the dice, BCE, and mixed losses.
 

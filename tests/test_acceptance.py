@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from bfx import cli, evaluate, extract, formats, fusion, targets, trainmath
+from bfx import cli, evaluate, extract, formats, fusion, schedules, targets, trainmath
 from bfx.evaluate import EvalCounts
 
 from _oracles import disjoint_rectangles, geodesic_watershed
@@ -161,14 +161,14 @@ def test_criterion_6_loss_numerics():
 
 @criterion(7, "learning-rate schedule endpoints and continuity")
 def test_criterion_7_schedules():
-    assert trainmath.lr_one_cycle(0) == 5e-6
-    assert trainmath.lr_one_cycle(40) == 1e-4
-    assert trainmath.lr_one_cycle(100) == 5e-9
-    params = trainmath.ScheduleParams()
+    assert schedules.lr_one_cycle(0) == 5e-6
+    assert schedules.lr_one_cycle(40) == 1e-4
+    assert schedules.lr_one_cycle(100) == 5e-9
+    params = schedules.ScheduleParams()
     w = (1 + math.cos(0.0)) / 2  # down-phase weight at the junction
-    assert params.lr_final * (1 - w) + params.lr_max * w == trainmath.lr_one_cycle(40)
-    assert trainmath.lr_poly(0) == 1e-3
-    assert trainmath.lr_poly(100) == 0.0
+    assert params.lr_final * (1 - w) + params.lr_max * w == schedules.lr_one_cycle(40)
+    assert schedules.lr_poly(0) == 1e-3
+    assert schedules.lr_poly(100) == 0.0
 
 
 @criterion(8, "fusion involutions, order independence, inclusive threshold")

@@ -19,10 +19,10 @@ EXPORTS = {
                 "polygonize", "watershed_assign"],
     "fusion": ["apply_view", "binarize", "ensemble_average"],
     "raster": ["connected_components", "dilate", "erode"],
+    "schedules": ["ScheduleParams", "lr_one_cycle", "lr_poly"],
     "targets": ["assemble_targets", "make_border_mask", "make_spacing_mask", "rasterize_polygon"],
-    "trainmath": ["ChannelWeights", "LossParams", "ScheduleParams", "bce_loss", "channel_loss",
-                  "cutmix", "dice_loss", "gradient_check", "lr_one_cycle", "lr_poly",
-                  "sample_cutmix_box", "total_loss"],
+    "trainmath": ["ChannelWeights", "LossParams", "bce_loss", "channel_loss", "cutmix", "dice_loss",
+                  "gradient_check", "sample_cutmix_box", "total_loss"],
 }
 
 
@@ -54,10 +54,6 @@ def test_unknown_attribute_raises():
         bfx.no_such_name
 
 
-# names a module imports from a sibling only to offer them under its own name
-REEXPORTS = {("trainmath", "ScheduleParams"), ("trainmath", "lr_one_cycle"), ("trainmath", "lr_poly")}
-
-
 def test_no_module_imports_a_sibling_name_it_does_not_use():
     unused = []
     root = pathlib.Path(bfx.__file__).parent
@@ -70,7 +66,7 @@ def test_no_module_imports_a_sibling_name_it_does_not_use():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bfx")):
                 for alias in node.names:
                     name = alias.asname or alias.name
-                    if name not in used and (path.stem, name) not in REEXPORTS:
+                    if name not in used:
                         unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert unused == []
 

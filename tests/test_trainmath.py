@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bfx import schedules, trainmath
-from bfx.trainmath import ChannelWeights, LossParams, ScheduleParams
+from bfx.schedules import ScheduleParams
+from bfx.trainmath import ChannelWeights, LossParams
 
 from _memory import traced_peak
 from _oracles import brute_gradient_check, poly_recurrence_per_epoch
@@ -306,14 +307,14 @@ def test_gradient_check_needs_an_eligible_pixel():
 
 
 def test_poly_schedule_values():
-    assert trainmath.lr_poly(0) == 0.001
-    assert trainmath.lr_poly(100) == 0.0
-    assert trainmath.lr_poly(50) == pytest.approx(0.001 * 0.5 ** 0.9, rel=1e-12)
-    assert abs(trainmath.lr_poly(50) - 5.3589e-4) < 1e-7
+    assert schedules.lr_poly(0) == 0.001
+    assert schedules.lr_poly(100) == 0.0
+    assert schedules.lr_poly(50) == pytest.approx(0.001 * 0.5 ** 0.9, rel=1e-12)
+    assert abs(schedules.lr_poly(50) - 5.3589e-4) < 1e-7
 
 
 def test_poly_recursive_variant_decays_faster():
-    closed = trainmath.lr_poly(10)
+    closed = schedules.lr_poly(10)
     table = schedules.lr_poly_recurrence()
     assert len(table) == 101 and table[0] == 0.001
     assert table[10] < closed
@@ -329,39 +330,34 @@ def test_poly_recurrence_is_the_per_epoch_product_bit_for_bit(total, power):
         assert table[epoch].hex() == poly_recurrence_per_epoch(epoch, params).hex()
 
 
-def test_schedules_are_reexported_from_trainmath():
-    for name in ("ScheduleParams", "lr_poly", "lr_one_cycle"):
-        assert getattr(trainmath, name) is getattr(schedules, name)
-
-
 def test_one_cycle_endpoints_exact():
-    assert trainmath.lr_one_cycle(0) == 5e-6
-    assert trainmath.lr_one_cycle(40) == 1e-4
-    assert trainmath.lr_one_cycle(100) == 5e-9
+    assert schedules.lr_one_cycle(0) == 5e-6
+    assert schedules.lr_one_cycle(40) == 1e-4
+    assert schedules.lr_one_cycle(100) == 5e-9
 
 
 def test_one_cycle_midpoint_of_ramp():
-    assert trainmath.lr_one_cycle(20) == pytest.approx(5.25e-5, rel=1e-12)
+    assert schedules.lr_one_cycle(20) == pytest.approx(5.25e-5, rel=1e-12)
 
 
 def test_one_cycle_continuity_and_monotone_phases():
     params = ScheduleParams()
-    up = [trainmath.lr_one_cycle(e, params) for e in range(0, 41)]
-    down = [trainmath.lr_one_cycle(e, params) for e in range(40, 101)]
+    up = [schedules.lr_one_cycle(e, params) for e in range(0, 41)]
+    down = [schedules.lr_one_cycle(e, params) for e in range(40, 101)]
     assert all(b > a for a, b in zip(up, up[1:]))
     assert all(b < a for a, b in zip(down, down[1:]))
     # both phase formulas agree at the junction
     w_up = (1 - math.cos(math.pi)) / 2
-    assert params.lr_init * (1 - w_up) + params.lr_max * w_up == trainmath.lr_one_cycle(40)
+    assert params.lr_init * (1 - w_up) + params.lr_max * w_up == schedules.lr_one_cycle(40)
 
 
 def test_schedule_epoch_range_errors():
     with pytest.raises(ValueError):
-        trainmath.lr_poly(-1)
+        schedules.lr_poly(-1)
     with pytest.raises(ValueError):
-        trainmath.lr_poly(101)
+        schedules.lr_poly(101)
     with pytest.raises(ValueError):
-        trainmath.lr_one_cycle(100.5)
+        schedules.lr_one_cycle(100.5)
     with pytest.raises(ValueError):
         ScheduleParams(total_epochs=10, up_epochs=10)
 
