@@ -37,39 +37,41 @@ class AnnotationError(ValueError):
     index, or by feature index."""
 
 
-def _ring(points) -> np.ndarray:
-    """Validate one ring into an (n, 2) float64 array (see module doc)."""
+def _ring(points, where: str = "") -> np.ndarray:
+    """Validate one ring into an (n, 2) float64 array (see module doc); a
+    refusal's message starts with `where: ` when `where` is given."""
+    at = f"{where}: " if where else ""
     try:
         pts = np.asarray(points)
     except (TypeError, ValueError):  # ragged nesting
         pts = None
     if pts is None or pts.ndim != 2 or pts.shape[1] != 2:
-        raise AnnotationError("ring must be an array of [x, y] pairs")
+        raise AnnotationError(at + "ring must be an array of [x, y] pairs")
     if isinstance(points, np.ndarray):
         numeric = pts.dtype.kind in "iuf"
     else:  # numpy would read "2" as 2.0 and, next to numbers, True as 1
         numeric = all(isinstance(v, _NUMBER_TYPES) and not isinstance(v, bool)
                       for xy in points for v in xy)
     if not numeric:
-        raise AnnotationError("ring coordinates must be numbers")
+        raise AnnotationError(at + "ring coordinates must be numbers")
     try:
         pts = pts.astype(np.float64, copy=False)
     except OverflowError:  # an integer beyond the float64 range
-        raise AnnotationError("non-finite coordinate") from None
+        raise AnnotationError(at + "non-finite coordinate") from None
     # a last vertex that repeats the one before it is a zero-length edge (it
     # crosses no scanline), kept as given: a checked ring checks to itself
     if len(pts) >= 2 and pts[0].tolist() == pts[-1].tolist() != pts[-2].tolist():
         pts = pts[:-1]
     if len(pts) < 3:
-        raise AnnotationError("ring has fewer than 3 vertices")
+        raise AnnotationError(at + "ring has fewer than 3 vertices")
     # below 2**1023 in magnitude, no two coordinates differ by an overflow;
     # NaN fails the test too
     if not np.abs(pts).max() < 2.0 ** 1023:
         if not np.isfinite(pts).all():
-            raise AnnotationError("non-finite coordinate")
+            raise AnnotationError(at + "non-finite coordinate")
         (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
         if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):  # Python floats overflow silently
-            raise AnnotationError("ring's x or y extent (max - min) is not a finite float")
+            raise AnnotationError(at + "ring's x or y extent (max - min) is not a finite float")
     return pts
 
 
@@ -91,12 +93,8 @@ def _polygon_features(doc: dict):
         coords = geom.get("coordinates")
         if not coords or not isinstance(coords, list):
             raise AnnotationError(f"feature {k}: Polygon without a list of coordinates")
-        try:
-            # exterior ring only; interior rings (holes) are out of scope
-            ring = _ring(coords[0])
-        except AnnotationError as exc:
-            raise AnnotationError(f"feature {k}: {exc}") from None
-        yield k, props, ring
+        # exterior ring only; interior rings (holes) are out of scope
+        yield k, props, _ring(coords[0], f"feature {k}")
 
 
 def _non_negative(ring: np.ndarray, where: str) -> np.ndarray:
@@ -115,11 +113,7 @@ def _ingest_plain(doc: dict) -> dict[str, list[np.ndarray]]:
             where = f"image {image_id!r} polygon {i}"
             if not isinstance(poly, dict) or "points" not in poly:
                 raise AnnotationError(f"{where}: missing 'points'")
-            try:
-                ring = _ring(poly["points"])
-            except AnnotationError as exc:
-                raise AnnotationError(f"{where}: {exc}") from None
-            rings.append(_non_negative(ring, where))
+            rings.append(_non_negative(_ring(poly["points"], where), where))
         out[str(image_id)] = rings
     return out
 

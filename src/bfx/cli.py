@@ -43,13 +43,10 @@ from . import (BORDER_WIDTH, FOLDS, GRADCHECK_STEP, IOU_THRESHOLD, LOSS_BETA, LO
                LOSS_GAMMA1, LOSS_GAMMA2, LR_FINAL, LR_INIT, LR_MAX, MIN_AREA, POLY_LR0, POLY_POWER,
                THRESHOLD, TOTAL_EPOCHS, UP_EPOCHS, W_BORDER, W_BUILDING, W_SPACING, fileio)
 
-class ValidationError(ValueError):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems become exit status 1
-        raise ValidationError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +80,15 @@ def _parse_box(value) -> list[int]:
         parts = list(value)
         # config-file lists: exact ints only, as for int parameters (no bool, no float)
         if not all(type(p) is int for p in parts):
-            raise ValidationError(f"box must hold integers, got {value!r}")
+            raise ValueError(f"box must hold integers, got {value!r}")
     else:
         parts = str(value).split(",")
     if len(parts) != 4:
-        raise ValidationError(f"box must be r0,c0,r1,c1, got {value!r}")
+        raise ValueError(f"box must be r0,c0,r1,c1, got {value!r}")
     try:
         return [int(p) for p in parts]
     except (TypeError, ValueError):
-        raise ValidationError(f"box must hold integers, got {value!r}") from None
+        raise ValueError(f"box must hold integers, got {value!r}") from None
 
 
 # shared by every stage; never echoed to sidecars or hashed
@@ -240,7 +237,7 @@ def _read_json(path: str):
         try:
             return json.load(f)
         except RecursionError:
-            raise ValidationError(f"{path}: JSON nested too deeply") from None
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def effective_config(stage: str, args: argparse.Namespace) -> dict:
@@ -250,11 +247,11 @@ def effective_config(stage: str, args: argparse.Namespace) -> dict:
     if args.config is not None:
         doc = _read_json(args.config)
         if not isinstance(doc, dict):
-            raise ValidationError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         for key, value in doc.items():
             k = key.replace("-", "_")
             if k not in params:
-                raise ValidationError(f"unknown config key {key!r} for stage {stage!r}")
+                raise ValueError(f"unknown config key {key!r} for stage {stage!r}")
             cfg[k] = value
     for name in params:
         value = getattr(args, name)
@@ -268,7 +265,7 @@ def effective_config(stage: str, args: argparse.Namespace) -> dict:
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise ValidationError(message)
+        raise ValueError(message)
 
 
 def _checked(stage: str, p: Param, value):
@@ -288,7 +285,7 @@ def _checked(stage: str, p: Param, value):
         try:
             value = p.type(value)
         except OverflowError:  # a config-file integer past the float range
-            raise ValidationError(f"{stage}: parameter {p.name} must be finite") from None
+            raise ValueError(f"{stage}: parameter {p.name} must be finite") from None
         # NaN passes every range check, and neither NaN nor inf is valid JSON in a sidecar
         _require(p.type is not float or math.isfinite(value),
                  f"{stage}: parameter {p.name} must be finite, got {value!r}")
@@ -417,7 +414,7 @@ def _run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.stage is None:
-            raise ValidationError("no stage given (see --help)")
+            raise ValueError("no stage given (see --help)")
         cfg = effective_config(args.stage, args)
         with fileio.staged_commit() as writes:  # no artifact appears unless the call succeeds
             inputs, stem = import_module(f"bfx.stages.{args.stage}").run(cfg)

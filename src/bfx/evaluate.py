@@ -183,12 +183,7 @@ def rasterize_polygon_set(ps: PolygonSet) -> np.ndarray:
     ids = np.array([inst.id for inst in ps.instances], np.int64)
     distinct, rank = np.unique(ids, return_inverse=True)
     order = np.argsort(ids, kind="stable")
-    rings = []
-    for j, k in enumerate(order):
-        try:
-            rings.append(annotations._ring(ps.instances[k].exterior))
-        except ValueError as exc:
-            raise ValueError(f"polygon {j}: {exc}") from exc
+    rings = [annotations._ring(ps.instances[k].exterior, f"polygon {j}") for j, k in enumerate(order)]
     ring, start, length = targets._spans(rings, ps.height, ps.width)
     labels = np.zeros((ps.height, ps.width), np.uint32)
     flat = labels.ravel()

@@ -8,15 +8,17 @@ the renames wait until the whole call has succeeded, so a call that fails
 after some of its writes leaves none of them, nor a directory it made
 through `make_dirs`. The commit's log of writes is the one record of
 what a call writes: `bfx.cli` takes the manifest's outputs from it.
-`read_pnm` parses a PGM or PPM header and reads the payload into one
-`bytearray`; `bfx.formats` views that buffer as an array, and `bfx tile`
-tests it for nodata as it is. The stages that do no array work (`tile`,
-`split`, `lr`) and the CLI's sidecars use this module without loading
-numpy.
+`open_pnm` reads a PGM or PPM header front to back and hands out the
+payload in pieces the caller sizes: `bfx tile` reads one tile row at a
+time into one reused `bytearray`, and `read_pnm` reads the whole payload
+into one, which `bfx.formats` views as an array. The stages that do no
+array work (`tile`, `split`, `lr`) and the CLI's sidecars use this module
+without loading numpy.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -159,67 +161,64 @@ def _is_json_int(value) -> bool:
 
 # magic -> (format name, smallest accepted maxval, bytes per pixel)
 _PNM = {b"P5": ("PGM", 1, 1), b"P6": ("PPM", 255, 3)}
-_PNM_PREFIX = 4096  # bytes read for a PNM header at first
 
 
-def _read_pnm_header(data: bytes, magic: bytes):
-    """Parse a PNM header, returning (width, height, maxval, payload offset)."""
-    if not data.startswith(magic):
+def _pnm_header(f, magic: bytes) -> tuple[int, int, int]:
+    """(width, height, maxval) of the PNM header at the start of the open
+    file `f`, which is left just past the header's one separator byte (at
+    its end when the maxval runs to the end of the file)."""
+    if f.read(len(magic)) != magic:
         raise ValueError(f"not a {magic.decode().strip()} file")
-    pos = len(magic)
     fields = []
+    c = f.read(1)
     while len(fields) < 3:
-        if pos >= len(data):
+        if not c:
             raise ValueError("truncated PNM header")
-        c = data[pos:pos + 1]
         if c == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
+            f.readline()  # a comment runs to the end of its line
+            c = f.read(1)
         elif c.isspace():
-            pos += 1
+            c = f.read(1)
         else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            fields.append(int(data[pos:end]))
-            pos = end
+            token = bytearray(c)
+            while (c := f.read(1)) and not c.isspace():  # the token's end reads its separator
+                token += c
+            fields.append(int(token))
     if fields[0] < 1 or fields[1] < 1:
         raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
-    # exactly one whitespace byte separates the header from the payload
-    return fields[0], fields[1], fields[2], pos + 1
+    return fields[0], fields[1], fields[2]
+
+
+@contextmanager
+def open_pnm(path, magic: bytes):
+    """Open a PGM (`magic` b"P5", shape (height, width)) or PPM file (b"P6",
+    shape (height, width, 3)) and yield its shape, its maxval and `fill`,
+    which reads the next len(buf) bytes of the 8-bit row-major payload into
+    the writable buffer `buf`; trailing bytes are ignored.
+
+    The header is read front to back. Its maxval must be at most 255, and
+    255 for a PPM. The payload size is checked against the file size
+    before anything is read, and `fill` refuses a short read (the file
+    shrank since)."""
+    name, min_maxval, depth = _PNM[magic]
+    with open(path, "rb") as f:
+        w, h, maxval = _pnm_header(f, magic)
+        if not min_maxval <= maxval < 256:
+            raise ValueError(f"unsupported {name} maxval {maxval}")
+        if os.fstat(f.fileno()).st_size - f.tell() < h * w * depth:
+            raise ValueError(f"truncated {name} payload")
+
+        def fill(buf) -> None:
+            if f.readinto(buf) != len(buf):
+                raise ValueError(f"truncated {name} payload")
+
+        yield ((h, w) if depth == 1 else (h, w, depth)), maxval, fill
 
 
 def read_pnm(path, magic: bytes) -> tuple[tuple[int, ...], int, bytearray]:
-    """The shape, maxval and 8-bit payload of a PGM (`magic` b"P5", shape
-    (height, width)) or PPM file (b"P6", shape (height, width, 3)): the
-    payload's bytes, row-major, in one bytearray; trailing bytes are ignored.
-
-    The header is parsed from a prefix of the file that doubles until the
-    header ends inside it or it is the whole file, so the outcome is that
-    of parsing the whole file. Its maxval must be at most 255, and 255
-    for a PPM. The payload size is checked against the file size before
-    anything is allocated."""
-    name, min_maxval, depth = _PNM[magic]
-    with open(path, "rb") as f:
-        n = _PNM_PREFIX
-        head = f.read(n)
-        while len(head) == n:  # not the whole file: the header may run past it
-            try:
-                if _read_pnm_header(head, magic)[3] <= n:  # the separator byte lies inside
-                    break
-            except ValueError:  # perhaps only cut short by the prefix
-                pass
-            head += f.read(n)
-            n *= 2
-        w, h, maxval, offset = _read_pnm_header(head, magic)
-        if not min_maxval <= maxval < 256:
-            raise ValueError(f"unsupported {name} maxval {maxval}")
-        shape = (h, w) if depth == 1 else (h, w, depth)
-        nbytes = h * w * depth
-        if os.fstat(f.fileno()).st_size - offset < nbytes:
-            raise ValueError(f"truncated {name} payload")
-        payload = bytearray(nbytes)
-        f.seek(offset)
-        if f.readinto(payload) != nbytes:  # the file shrank after its size was taken
-            raise ValueError(f"truncated {name} payload")
-        return shape, maxval, payload
+    """The shape, maxval and whole payload, in one bytearray, of a PGM or
+    PPM file (see `open_pnm`)."""
+    with open_pnm(path, magic) as (shape, maxval, fill):
+        payload = bytearray(math.prod(shape))
+        fill(payload)
+    return shape, maxval, payload

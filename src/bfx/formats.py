@@ -165,8 +165,11 @@ def write_imap(path, labels) -> None:
         raise ValueError(f"instance map must be 2-D, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer) or (arr.size and arr.min() < 0):
         raise ValueError("instance labels must be non-negative integers")
+    max_label = int(arr.max(initial=0))
+    if max_label > 0xFFFFFFFF:  # the cast to uint32 would wrap it
+        raise ValueError(f"instance label {max_label} does not fit IMAP1's uint32")
     arr = np.ascontiguousarray(arr, "<u4")
-    _write(path, IMAP_MAGIC + _FIELDS.pack(*arr.shape, int(arr.max(initial=0))), arr, (arr,))
+    _write(path, IMAP_MAGIC + _FIELDS.pack(*arr.shape, max_label), arr, (arr,))
 
 
 def read_imap(path) -> np.ndarray:

@@ -30,6 +30,8 @@ class ScheduleParams:
             raise ValueError("need 0 < up_epochs < total_epochs")
         if not self.lr_final < self.lr_init < self.lr_max:
             raise ValueError("need lr_final < lr_init < lr_max")
+        if not self.poly_power >= 0:  # 0.0 ** power at the last epoch
+            raise ValueError("need poly_power >= 0")
 
 
 def _check_epoch(epoch, params: ScheduleParams) -> None:

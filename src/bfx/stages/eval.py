@@ -3,7 +3,7 @@
 import os
 
 from .. import evaluate, extract, fileio, formats
-from ..cli import ValidationError, _canonical_json, _pool_map, _read_json
+from ..cli import _canonical_json, _pool_map, _read_json
 
 
 def _load_instance_map(path: str):
@@ -14,7 +14,7 @@ def _load_instance_map(path: str):
 
 def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
     if os.path.isdir(pred) != os.path.isdir(gt):
-        raise ValidationError("eval: --pred and --gt must both be files or both directories")
+        raise ValueError("eval: --pred and --gt must both be files or both directories")
     if not os.path.isdir(pred):
         image_id = os.path.splitext(os.path.basename(pred))[0]
         return [(image_id, pred, gt)]
@@ -28,8 +28,7 @@ def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
             stem, ext = os.path.splitext(name)
             if ext in known:
                 if stem in out:  # listdir order would pick the winner
-                    raise ValidationError(
-                        f"eval: image id {stem!r} has both an IMAP and a GeoJSON file in {d}")
+                    raise ValueError(f"eval: image id {stem!r} has both an IMAP and a GeoJSON file in {d}")
                 out[stem] = os.path.join(d, name)
         return out
 
@@ -37,9 +36,9 @@ def _eval_pairs(pred: str, gt: str) -> list[tuple[str, str, str]]:
     gt_stems = stems(gt)
     if set(pred_stems) != set(gt_stems):
         missing = set(pred_stems) ^ set(gt_stems)
-        raise ValidationError(f"eval: unpaired image ids across directories: {sorted(missing)}")
+        raise ValueError(f"eval: unpaired image ids across directories: {sorted(missing)}")
     if not pred_stems:
-        raise ValidationError("eval: no evaluable files found")
+        raise ValueError("eval: no evaluable files found")
     return [(s, pred_stems[s], gt_stems[s]) for s in sorted(pred_stems)]
 
 

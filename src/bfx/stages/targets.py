@@ -3,12 +3,12 @@
 import os
 
 from .. import annotations, fileio, formats, targets
-from ..cli import ValidationError, _read_json
+from ..cli import _read_json
 
 
 def _safe_image_id(image_id: str) -> str:
     if not image_id or any(c in image_id for c in ("/", "\\", "\x00")) or image_id.startswith("."):
-        raise ValidationError(f"image id {image_id!r} is not usable as a file stem")
+        raise ValueError(f"image id {image_id!r} is not usable as a file stem")
     return image_id
 
 

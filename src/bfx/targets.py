@@ -115,10 +115,7 @@ def _fill_and_border(rings, stack: np.ndarray, erosion_iterations: int) -> np.nd
     building, border = stack[:2]
     height, width = building.shape
     for i, ring in enumerate(rings):
-        try:
-            pts = annotations._ring(ring)
-        except ValueError as exc:
-            raise ValueError(f"polygon {i}: {exc}") from exc
+        pts = annotations._ring(ring, f"polygon {i}")
         # row r has crossings only if an edge spans its center r + 0.5, so the
         # fill's rows lie in [floor(ymin), ceil(ymax)), clamped to the canvas
         ymin, ymax = pts[:, 1].min(), pts[:, 1].max()

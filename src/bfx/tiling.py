@@ -41,7 +41,8 @@ class TileRecord(NamedTuple):
 def tile_index(height: int, width: int, tile_size: int,
                probe: Callable[[int, int], bool]) -> list[TileRecord]:
     """Grid the source extent into tiles; tile_id is the row-major grid
-    index, and a tile is blank when `probe(row, col)` is true."""
+    index, and a tile is blank when `probe(row, col)`, called once per tile
+    in row-major order, is true."""
     if tile_size < 1:
         raise ValueError("tile_size must be >= 1")
     rows = height // tile_size

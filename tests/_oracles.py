@@ -439,3 +439,31 @@ def walk_polygonize(instances):
         assert idx.size, f"label {lbl} unused"
         out.append((lbl, trace_exterior(idx // w, idx % w), int(idx.size)))
     return out
+
+
+def pnm_header(data: bytes, magic: bytes):
+    """A PNM header parsed from the whole file's bytes at once:
+    (width, height, maxval, payload offset)."""
+    if not data.startswith(magic):
+        raise ValueError(f"not a {magic.decode().strip()} file")
+    pos = len(magic)
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(data):
+            raise ValueError("truncated PNM header")
+        c = data[pos:pos + 1]
+        if c == b"#":
+            eol = data.find(b"\n", pos)
+            pos = len(data) if eol < 0 else eol + 1
+        elif c.isspace():
+            pos += 1
+        else:
+            end = pos
+            while end < len(data) and not data[end:end + 1].isspace():
+                end += 1
+            fields.append(int(data[pos:end]))
+            pos = end
+    if fields[0] < 1 or fields[1] < 1:
+        raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
+    # exactly one whitespace byte separates the header from the payload
+    return fields[0], fields[1], fields[2], pos + 1

@@ -71,7 +71,7 @@ def test_stage_parser_reads_like_the_full_parser(argv, capsys, monkeypatch):
 def test_stage_parser_has_only_its_stage_arguments():
     parser = cli.build_parser("lr")
     assert parser.parse_args(["lr", "--schedule", "poly", "--out", "x"]).schedule == "poly"
-    with pytest.raises(cli.ValidationError, match=r"invalid choice: 'fuse' \(choose from 'lr'\)"):
+    with pytest.raises(ValueError, match=r"invalid choice: 'fuse' \(choose from 'lr'\)"):
         parser.parse_args(["fuse", "--out", "x"])
 
 
@@ -102,11 +102,12 @@ NUMPY_FREE_CALLS = {
     "help": (["--help"], 0),
     "lr-help": (["lr", "--help"], 0),
     "usage-error": (["lr", "--schedule", "cosine", "--out", "{d}/x.csv"], 1),
+    "lr-negative-power": (["lr", "--schedule", "poly", "--poly-power", "-1", "--out", "{d}/x.csv"], 1),
     "io-error": (["split", "--index", "{d}/missing.json"], 2),
 }
 # `lr` builds a `ScheduleParams`, a dataclass; no other call above needs
 # `dataclasses`, which imports `inspect` and through it `ast`, `dis` and `tokenize`
-LOADS_DATACLASSES = {"lr-poly", "lr-onecycle"}
+LOADS_DATACLASSES = {"lr-poly", "lr-onecycle", "lr-negative-power"}
 # the calls that write sidecars hash their config; OpenSSL's `_hashlib` is
 # loaded for that alone
 LOADS_HASHLIB = {"tile", "split", "lr-poly", "lr-onecycle"}
@@ -959,6 +960,18 @@ def test_tile_blank_flags_match_a_full_tile_compare(tmp_path, size, nodata):
             for r in range(23 // size) for c in range(17 // size)]
     assert [rec["blank"] for rec in records] == want
     assert True in want and False in want
+
+
+@pytest.mark.parametrize("size, bound", [(256, 2 ** 20), (4096, 2 ** 16)])
+def test_tile_holds_one_tile_row_of_the_raster(tmp_path, size, bound):
+    # the 2048^2 raster is 4 MiB; a call holds one band of size x 2048 bytes
+    # (two fit under 1 MiB at 256), and none when no tile row fits
+    raster = tmp_path / "r.pgm"
+    raster.write_bytes(b"P5\n# a comment\n2048 2048\n255\n" + bytes(range(256)) * (2048 * 8))
+    argv = ["tile", "--raster", str(raster), "--size", str(size), "--index", str(tmp_path / "i.json")]
+    assert cli.main(argv) == 0  # the stage's modules load before the traced call
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0 and peak < bound
 
 
 def test_lossmath_prints_nine_significant_digits(tmp_path, capsys):

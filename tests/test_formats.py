@@ -8,6 +8,8 @@ import pytest
 
 from bfx import fileio, formats
 
+from _oracles import pnm_header
+
 
 def written(tmp_path, write, arr) -> bytes:
     """The bytes of the file `write` makes of `arr`."""
@@ -365,17 +367,18 @@ def test_pgm_truncated_payload_is_rejected(tmp_path):
 
 
 def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
-    """`head`, filler, then `tail` starting one byte before the end of the
-    first 4096-byte prefix a PNM reader parses."""
+    """`head`, filler, then `tail` starting one byte before the 4096th: a
+    header whose tokens cross the 4096-byte boundary, where file reads are
+    commonly cut."""
     return head + filler * (4095 - len(head)) + tail
 
 
 @pytest.mark.parametrize("header", [
-    b"P5\n# " + b"c" * 5000 + b"\n2 1\n255\n",  # a comment longer than the first prefix read
-    straddle(b"P5", b"12 1\n255\n"),  # the width straddles the prefix boundary
+    b"P5\n# " + b"c" * 5000 + b"\n2 1\n255\n",  # a comment longer than 4096 bytes
+    straddle(b"P5", b"12 1\n255\n"),  # the width straddles the boundary
     straddle(b"P5\n2 1", b"255\n", b"\n"),  # so does the maxval
-    b"P5\n2 1" + b"\n" * 4086 + b"255\n",  # the separator byte is the prefix's last
-    straddle(b"P5", b"-5 1\n255\n"),  # an invalid size whose prefix is a bad token
+    b"P5\n2 1" + b"\n" * 4086 + b"255\n",  # the separator byte is the 4096th
+    straddle(b"P5", b"-5 1\n255\n"),  # an invalid size split after its sign
     b"P5\n2 1\n255",  # no separator at all
     b"P5\n2 1\n25",
     b"P5\n2 1\n300\n",
@@ -387,7 +390,7 @@ def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
 def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
     for data in (header, header + bytes(range(12)), header + bytes(5000)):
         try:  # the whole file's bytes parsed at once
-            w, h, maxval, offset = fileio._read_pnm_header(data, b"P5")
+            w, h, maxval, offset = pnm_header(data, b"P5")
             if not 0 < maxval < 256:
                 raise ValueError(f"unsupported PGM maxval {maxval}")
             if len(data) - offset < w * h:

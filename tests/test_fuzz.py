@@ -221,6 +221,8 @@ CONFIGS = [
                   "clamp": 1e-7, "w_building": 1.0, "w_border": 2.0, "w_spacing": 2.0, "step": 1e-5}),
     ("lr", {"schedule": "onecycle", "total_epochs": 10, "up_epochs": 4, "lr_init": 1e-5, "lr_max": 1e-4,
             "lr_final": 1e-8, "poly_power": 0.9, "poly_lr0": 1e-3, "poly_recursive": False}),
+    ("lr", {"schedule": "poly", "total_epochs": 10, "up_epochs": 4, "lr_init": 1e-5, "lr_max": 1e-4,
+            "lr_final": 1e-8, "poly_power": 0.9, "poly_lr0": 1e-3, "poly_recursive": True}),
     ("cutmix", {"seed": 3, "box": [0, 0, 4, 4]}),
 ]
 # each stage's paths, for its config's mutants; outputs go to the working directory

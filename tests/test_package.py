@@ -151,6 +151,12 @@ REFUSALS = {
                 "instance map must be 2-D, got shape (1, 2, 2)"),
     "imap-negative": (lambda d: formats.write_imap(d / "x.imap", np.array([[0, -1]])),
                       "instance labels must be non-negative integers"),
+    "imap-int64-above-uint32": (
+        lambda d: formats.write_imap(d / "x.imap", np.array([[0, 2 ** 32 + 1]], np.int64)),
+        "instance label 4294967297 does not fit IMAP1's uint32"),
+    "imap-uint64-above-uint32": (
+        lambda d: formats.write_imap(d / "x.imap", np.array([[2 ** 64 - 1]], np.uint64)),
+        "instance label 18446744073709551615 does not fit IMAP1's uint32"),
     "view-1d": (lambda d: fusion.apply_view(np.zeros(4), "hflip"),
                 "expected a 2-D mask or (c, h, w) stack, got shape (4,)"),
     "ensemble-2d": (lambda d: fusion.ensemble_average([np.zeros((2, 2))]),
