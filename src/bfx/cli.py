@@ -427,6 +427,10 @@ def _run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"bfx: i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a limit of the machine, not a fault of the input
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"bfx: i/o error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -6,9 +6,13 @@ descending IoU order (ties broken by smaller prediction id, then smaller
 ground-truth id), each instance matched at most once; matched pairs are
 true positives, leftover predictions false positives, leftover ground
 truths false negatives. IoU is computed on rasterized instance supports,
-not polygon geometry. Both instance maps must keep the instance-map rule
-of `bfx.raster` and hold every label 1..N. F1 aggregates globally over
-summed counts, which is not the mean of per-image F1 scores.
+not polygon geometry, as one float64 division of exact pixel counts,
+which equals Python's int / int below 2**53 pixels. Both instance maps
+must keep the instance-map rule of `bfx.raster` and hold every label 1..N.
+`color_map` refuses a match that does not name each label of each map
+once, as matched or unmatched, or whose counts differ from its lists. F1
+aggregates globally over summed counts, which is not the mean of
+per-image F1 scores.
 
 An empty scene predicted empty scores an F1 of 100 % (it is correct);
 this convention differs between toolkits, so it is pinned here.
@@ -48,10 +52,9 @@ class MatchResult:
     unmatched_gt: list[int] = field(default_factory=list)
 
 
-def _overlap_table(pred: np.ndarray, gt: np.ndarray):
-    """Sparse intersection counts between nonzero pred and gt labels."""
+def _overlap_table(pred: np.ndarray, gt: np.ndarray, n_gt: int):
+    """Sparse intersection counts of nonzero pred and gt labels; gt's largest label is n_gt."""
     both = (pred > 0) & (gt > 0)
-    n_gt = int(gt.max(initial=0))
     codes = pred[both].astype(np.int64) * (n_gt + 1) + gt[both].astype(np.int64)
     pairs, inter = np.unique(codes, return_counts=True)
     return pairs // (n_gt + 1), pairs % (n_gt + 1), inter
@@ -66,31 +69,23 @@ def match_instances(pred, gt, iou_threshold: float = IOU_THRESHOLD) -> MatchResu
     # checked before the uint32 cast, which would wrap a negative or huge label
     area_p = raster._label_areas(p, "prediction")
     area_g = raster._label_areas(g, "ground-truth")
-    p = p.astype(np.uint32, copy=False)
-    g = g.astype(np.uint32, copy=False)
-    pid, gid, inter = _overlap_table(p, g)
+    pid, gid, inter = _overlap_table(p.astype(np.uint32, copy=False), g.astype(np.uint32, copy=False),
+                                     area_g.size - 1)
+    iou = inter / (area_p[pid] + area_g[gid] - inter)
+    keep = np.flatnonzero(iou >= iou_threshold)
+    keep = keep[np.lexsort((gid[keep], pid[keep], -iou[keep]))]
 
-    candidates = []
-    for pp, gg, ii in zip(pid, gid, inter):
-        iou = int(ii) / int(area_p[pp] + area_g[gg] - ii)
-        if iou >= iou_threshold:
-            candidates.append((iou, int(pp), int(gg)))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-
-    used_p: set[int] = set()
-    used_g: set[int] = set()
+    used_p = np.zeros(area_p.size, bool)
+    used_g = np.zeros(area_g.size, bool)
+    used_p[0] = used_g[0] = True  # the background is never an instance
     pairs: list[tuple[int, int, float]] = []
-    for iou, pp, gg in candidates:
-        if pp in used_p or gg in used_g:
-            continue
-        used_p.add(pp)
-        used_g.add(gg)
-        pairs.append((pp, gg, iou))
+    for pp, gg, v in zip(pid[keep].tolist(), gid[keep].tolist(), iou[keep].tolist()):
+        if not (used_p[pp] or used_g[gg]):
+            used_p[pp] = used_g[gg] = True
+            pairs.append((pp, gg, v))
 
-    all_p = range(1, area_p.size)
-    all_g = range(1, area_g.size)
-    unmatched_p = [i for i in all_p if i not in used_p]
-    unmatched_g = [i for i in all_g if i not in used_g]
+    unmatched_p = np.flatnonzero(~used_p).tolist()
+    unmatched_g = np.flatnonzero(~used_g).tolist()
     counts = EvalCounts(len(pairs), len(unmatched_p), len(unmatched_g))
     return MatchResult(pairs, counts, unmatched_p, unmatched_g)
 
@@ -123,18 +118,14 @@ def color_map(pred, gt, match: MatchResult) -> np.ndarray:
         raise ValueError(f"instance map dimensions differ: {p.shape} vs {g.shape}")
     n_p = raster._label_areas(p, "prediction").size - 1
     n_g = raster._label_areas(g, "ground-truth").size - 1
-    p = p.astype(np.uint32, copy=False)
-    g = g.astype(np.uint32, copy=False)
-
-    matched_p = {pp for pp, _, _ in match.pairs}
-    matched_g = {gg for _, gg, _ in match.pairs}
-    pred_ids = set(range(1, n_p + 1))
-    gt_ids = set(range(1, n_g + 1))
-    if matched_p | set(match.unmatched_pred) != pred_ids or matched_p & set(match.unmatched_pred):
-        raise ValueError("match result inconsistent with the prediction map")
-    if matched_g | set(match.unmatched_gt) != gt_ids or matched_g & set(match.unmatched_gt):
-        raise ValueError("match result inconsistent with the ground-truth map")
-    return _color_map(p, g, match)
+    if match.counts != EvalCounts(len(match.pairs), len(match.unmatched_pred), len(match.unmatched_gt)):
+        raise ValueError("match result counts disagree with its pairs and unmatched ids")
+    # on each side the ids, matched or not, are 1..N once each
+    for what, n, ids in [("prediction", n_p, [pp for pp, _, _ in match.pairs] + list(match.unmatched_pred)),
+                         ("ground-truth", n_g, [gg for _, gg, _ in match.pairs] + list(match.unmatched_gt))]:
+        if sorted(ids) != list(range(1, n + 1)):
+            raise ValueError(f"match result inconsistent with the {what} map")
+    return _color_map(p.astype(np.uint32, copy=False), g.astype(np.uint32, copy=False), match)
 
 
 def _color_map(p: np.ndarray, g: np.ndarray, match: MatchResult) -> np.ndarray:
@@ -187,7 +178,7 @@ def rasterize_polygon_set(ps: PolygonSet) -> np.ndarray:
     ring, start, length = targets._spans(rings, ps.height, ps.width)
     labels = np.zeros((ps.height, ps.width), np.uint32)
     flat = labels.ravel()
-    pixels = targets._span_pixels(start, length)
+    pixels = raster._ranges(start, length)
     value = (rank[order] + 1).astype(np.uint32)
     np.maximum.at(flat, pixels, value[ring].repeat(length))
     used = np.zeros(distinct.size + 1, bool)

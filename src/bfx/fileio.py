@@ -174,8 +174,9 @@ def _pnm_header(f, magic: bytes) -> tuple[int, int, int]:
     while len(fields) < 3:
         if not c:
             raise ValueError("truncated PNM header")
-        if c == b"#":
-            f.readline()  # a comment runs to the end of its line
+        if c == b"#":  # a comment runs to the end of its line, read in bounded pieces
+            while (piece := f.readline(4096)) and not piece.endswith(b"\n"):
+                pass
             c = f.read(1)
         elif c.isspace():
             c = f.read(1)

@@ -127,6 +127,12 @@ def dilate(mask, kernel_side: int = 3) -> np.ndarray:
     return _morph(mask, kernel_side, np.maximum)
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index ranges [first, first + count) laid end to end, in order."""
+    ends = np.add.accumulate(count)
+    return np.arange(ends[-1] if ends.size else 0) + (first - ends + count).repeat(count)
+
+
 def connected_components(mask) -> np.ndarray:
     """Label maximal 8-connected regions of 1-pixels with dense labels 1..N.
 
@@ -163,7 +169,7 @@ def connected_components(mask) -> np.ndarray:
     # one (above, below) pair per touching pair: runs first[b]..stop[b]-1 touch b
     count = stop - first
     below = np.repeat(np.arange(n), count)
-    above = np.arange(below.size) - np.repeat(np.cumsum(count) - count - first, count)
+    above = _ranges(first, count)
 
     # hook the larger root onto the smaller until no touching pair differs;
     # the root of a component is then its earliest run, i.e. its anchor

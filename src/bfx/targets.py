@@ -66,7 +66,7 @@ def _spans(rings, height: int, width: int):
     first = yc.searchsorted(np.minimum(y1, y2), side="left")
     count = yc.searchsorted(np.maximum(y1, y2), side="left") - first
     edge = np.arange(len(pts)).repeat(count)
-    row = np.arange(edge.size) - (np.add.accumulate(count) - count - first).repeat(count)
+    row = raster._ranges(first, count)
     t = (yc[row] - y1[edge]) / dy[edge]
     x = x1[edge] + t * dx[edge]
 
@@ -87,19 +87,13 @@ def _spans(rings, height: int, width: int):
     return ring, within - within // stride, length[keep]
 
 
-def _span_pixels(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Flat indices of every pixel of the spans, span by span."""
-    ends = np.add.accumulate(length)
-    return np.arange(ends[-1] if ends.size else 0) + (start - ends + length).repeat(length)
-
-
 def rasterize_polygon(ring, height: int, width: int) -> np.ndarray:
     """Scanline even-odd fill of one ring at pixel centers (see module doc)."""
     if height < 1 or width < 1:
         raise ValueError("canvas dimensions must be >= 1")
     _, start, length = _spans([annotations._ring(ring)], height, width)
     out = np.zeros((height, width), np.uint8)
-    out.ravel()[_span_pixels(start, length)] = 1  # one ring's spans are disjoint
+    out.ravel()[raster._ranges(start, length)] = 1  # one ring's spans are disjoint
     return out
 
 

@@ -467,3 +467,43 @@ def pnm_header(data: bytes, magic: bytes):
         raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
     # exactly one whitespace byte separates the header from the payload
     return fields[0], fields[1], fields[2], pos + 1
+
+
+def overlap_ious(pred, gt):
+    """{(prediction id, ground-truth id): IoU} of every overlapping pair,
+    counted pixel by pixel, each IoU a Python int / int."""
+    area_p, area_g, inter = {}, {}, {}
+    for pp, gg in zip(np.asarray(pred).ravel().tolist(), np.asarray(gt).ravel().tolist()):
+        area_p[pp] = area_p.get(pp, 0) + 1
+        area_g[gg] = area_g.get(gg, 0) + 1
+        if pp and gg:
+            inter[pp, gg] = inter.get((pp, gg), 0) + 1
+    return {(pp, gg): ii / (area_p[pp] + area_g[gg] - ii) for (pp, gg), ii in inter.items()}
+
+
+def greedy_match(ious, n_pred, n_gt, iou_threshold):
+    """The sequential greedy of the SpaceNet convention over `ious` (as
+    `overlap_ious` gives them): (pairs, unmatched prediction ids, unmatched
+    ground-truth ids)."""
+    candidates = [(iou, pp, gg) for (pp, gg), iou in ious.items() if iou >= iou_threshold]
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    used_p, used_g = set(), set()
+    pairs = []
+    for iou, pp, gg in candidates:
+        if pp in used_p or gg in used_g:
+            continue
+        used_p.add(pp)
+        used_g.add(gg)
+        pairs.append((pp, gg, iou))
+    return (pairs, [i for i in range(1, n_pred + 1) if i not in used_p],
+            [i for i in range(1, n_gt + 1) if i not in used_g])
+
+
+def paint_matches(pred, gt, pairs, unmatched_pred, unmatched_gt):
+    """The colour map of a match, pixel by pixel: red for a matched
+    prediction, green for an unmatched one, blue for an unmatched ground
+    truth."""
+    tp, fp, fn = {pp for pp, _, _ in pairs}, set(unmatched_pred), set(unmatched_gt)
+    rgb = [(255 * (pp in tp), 255 * (pp in fp), 255 * (gg in fn))
+           for pp, gg in zip(np.asarray(pred).ravel().tolist(), np.asarray(gt).ravel().tolist())]
+    return np.array(rgb, np.uint8).reshape(np.shape(pred) + (3,))

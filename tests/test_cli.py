@@ -3,14 +3,21 @@ import errno
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from bfx import cli, fileio, formats, fusion, targets
 from bfx.stages import fuse as fuse_stage
@@ -576,6 +583,75 @@ def test_a_failed_targets_call_removes_the_out_dir_it_made(tmp_path):
     first = out / "imgA.pmap"
     assert proc.stderr == f"bfx: i/o error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{first}'\n"
     assert os.listdir(tmp_path) == ["ann.json"]
+
+
+ADDRESS_SPACE = 1536 << 20  # room for the interpreter and numpy, not for a 16384^2 canvas
+EXHAUSTED = r"bfx: i/o error: out of memory \(Unable to allocate [^\n]+\)\n"
+
+
+def limit_address_space():
+    """In the child, before exec: cap its own address space."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE if hard == resource.RLIM_INFINITY
+                                            else min(ADDRESS_SPACE, hard), hard))
+
+
+@pytest.mark.skipif(resource is None or sys.platform != "linux", reason="needs RLIMIT_AS as Linux applies it")
+@pytest.mark.parametrize("stage", ["targets", "eval"])
+def test_running_out_of_memory_is_one_io_error_line_and_leaves_no_file(tmp_path, stage):
+    if stage == "targets":
+        write_annotations(tmp_path / "ann.json")
+        argv = ["targets", "--annotations", str(tmp_path / "ann.json"), "--out-dir", str(tmp_path / "gt"),
+                "--height", "16384", "--width", "16384"]
+    else:  # a valid GeoJSON canvas, within MAX_CANVAS_PIXELS
+        square = [[0, 0], [9, 0], [9, 9], [0, 9], [0, 0]]
+        (tmp_path / "p.geojson").write_text(json.dumps({
+            "type": "FeatureCollection", "height": 16384, "width": 16384,
+            "features": [{"type": "Feature", "properties": {"id": 1},
+                          "geometry": {"type": "Polygon", "coordinates": [square]}}]}))
+        argv = ["eval", "--pred", str(tmp_path / "p.geojson"), "--gt", str(tmp_path / "p.geojson"),
+                "--report", str(tmp_path / "r.json"), "--colormap", str(tmp_path / "maps")]
+    before = sorted(tmp_path.rglob("*"))
+    proc = subprocess.run([sys.executable, "-m", "bfx.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(EXHAUSTED, proc.stderr), proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_of_memory_in_extract_is_one_io_error_line_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    formats.write_pmap(tmp_path / "p.pmap", np.full((3, 8, 8), 0.5, np.float32))
+
+    def exhausted(*args):  # once the GeoJSON is staged
+        raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (16384, 16384) "
+                          "and data type uint32")
+
+    monkeypatch.setattr(formats, "write_imap", exhausted)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["extract", "--in", str(tmp_path / "p.pmap"), "--out-geojson", str(tmp_path / "x.geojson"),
+                     "--out-imap", str(tmp_path / "x.imap")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(EXHAUSTED, err), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_of_memory_in_a_fuse_tta_worker_is_one_io_error_line_and_leaves_no_file(tmp_path, monkeypatch,
+                                                                                   capsys):
+    prefixes = write_tta_folds(tmp_path, 3)
+    read_pmap, failed_in = formats.read_pmap, []
+
+    def read(path, **kwargs):
+        if "fold1." in str(path):
+            failed_in.append(threading.current_thread() is threading.main_thread())
+            raise MemoryError  # no message, as Python's own allocator raises it
+        return read_pmap(path, **kwargs)
+
+    monkeypatch.setattr(formats, "read_pmap", read)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["fuse", "--tta", *prefixes, "--out", str(tmp_path / "fused.pmap"), "--threads", "2"]) == 2
+    assert capsys.readouterr() == ("", "bfx: i/o error: out of memory\n")
+    assert failed_in == [False]  # in a pool worker
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_targets_call_that_fails_at_a_late_image_leaves_nothing(tmp_path, capsys, monkeypatch):

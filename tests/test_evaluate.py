@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bfx import evaluate, extract, raster
 from bfx.evaluate import EvalCounts
 
-from _oracles import paint_polygon_set, point_fill
+from _oracles import greedy_match, overlap_ious, paint_matches, paint_polygon_set, point_fill
 
 
 def inst_map(h, w, boxes):
@@ -172,6 +173,40 @@ def test_color_map_core_colors_each_label_by_its_match():
                          np.isin(gt, match.unmatched_gt)], axis=-1).astype(np.uint8) * 255
         assert np.array_equal(evaluate._color_map(pred, gt, match), want)
         assert np.array_equal(evaluate.color_map(pred, gt, match), want)
+
+
+def random_instance_map(rng, shape):
+    """Dense labels 1..N on `shape`, drawn per pixel or per 2- or 3-pixel
+    block: instances overlap many to many, and small areas tie exactly."""
+    block = int(rng.integers(1, 4))
+    coarse = rng.integers(0, int(rng.integers(2, 8)), (-(-shape[0] // block), -(-shape[1] // block)))
+    raw = coarse.repeat(block, 0).repeat(block, 1)[:shape[0], :shape[1]]
+    ids, dense = np.unique(raw, return_inverse=True)
+    return (dense.reshape(shape) + (ids[0] != 0)).astype(np.uint32)
+
+
+def test_match_and_color_map_equal_the_sequential_greedy():
+    rng = np.random.default_rng(31)
+    ties = many_to_many = 0
+    for _ in range(3000):
+        shape = (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+        pred, gt = random_instance_map(rng, shape), random_instance_map(rng, shape)
+        ious = overlap_ious(pred, gt)
+        # two pairs at exactly 0.5 that share an instance
+        halves = Counter(x for (pp, gg), iou in ious.items() if iou == 0.5 for x in [("p", pp), ("g", gg)])
+        ties += any(k > 1 for k in halves.values())
+        fan_p, fan_g = Counter(pp for pp, _ in ious), Counter(gg for _, gg in ious)
+        many_to_many += max(fan_p.values(), default=0) > 1 and max(fan_g.values(), default=0) > 1
+        for threshold in (0, 0.1, 0.3, 0.5, 0.7, 1):
+            pairs, unmatched_p, unmatched_g = greedy_match(ious, int(pred.max()), int(gt.max()), threshold)
+            m = evaluate.match_instances(pred, gt, threshold)
+            assert (m.pairs, m.unmatched_pred, m.unmatched_gt) == (pairs, unmatched_p, unmatched_g)
+            assert m.counts == EvalCounts(len(pairs), len(unmatched_p), len(unmatched_g))
+            ids = [x for pp, gg, _ in m.pairs for x in (pp, gg)] + m.unmatched_pred + m.unmatched_gt
+            assert {type(x) for x in ids} <= {int} and {type(iou) for _, _, iou in m.pairs} <= {float}
+            want = paint_matches(pred, gt, pairs, unmatched_p, unmatched_g)
+            assert np.array_equal(evaluate.color_map(pred, gt, m), want)
+    assert ties >= 40 and many_to_many >= 1500, (ties, many_to_many)  # 47 and 1560 at this seed
 
 
 def test_match_dimension_mismatch():

@@ -8,6 +8,7 @@ import pytest
 
 from bfx import fileio, formats
 
+from _memory import traced_peak
 from _oracles import pnm_header
 
 
@@ -402,6 +403,17 @@ def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
             assert str(got.value) == str(exc)
         else:
             assert fileio.read_pnm(file_of(tmp_path, data), b"P5") == ((h, w), maxval, want.tobytes())
+
+
+def test_an_unterminated_header_comment_is_read_in_bounded_pieces(tmp_path):
+    path = file_of(tmp_path, b"P5\n#" + b"c" * (8 << 20))  # 8 MiB of comment, no newline
+
+    def read():
+        with pytest.raises(ValueError, match="^truncated PNM header$"):
+            fileio.read_pnm(path, b"P5")
+
+    _, peak = traced_peak(read)
+    assert peak < 1 << 20
 
 
 def test_ppm_round_trip_and_truncation(tmp_path):

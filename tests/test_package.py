@@ -126,6 +126,7 @@ def test_every_export_is_used_by_the_package_or_an_acceptance_criterion():
 
 
 LABELS = np.array([[0, 1], [1, 1]], np.uint32)
+TWO_LABELS = np.array([[0, 1], [1, 2]], np.uint32)
 
 # library refusals: (a call given an empty directory, the message it raises)
 REFUSALS = {
@@ -135,6 +136,17 @@ REFUSALS = {
     "color-map-gt-unaccounted": (lambda d: evaluate.color_map(LABELS, LABELS, evaluate.MatchResult(
         counts=evaluate.EvalCounts(0, 1, 0), unmatched_pred=[1])),
         "match result inconsistent with the ground-truth map"),
+    "color-map-prediction-matched-twice": (
+        lambda d: evaluate.color_map(LABELS, TWO_LABELS, evaluate.MatchResult(
+            [(1, 1, 0.5), (1, 2, 0.5)], evaluate.EvalCounts(2, 0, 0))),
+        "match result inconsistent with the prediction map"),
+    "color-map-counts-too-low": (
+        lambda d: evaluate.color_map(LABELS, TWO_LABELS, evaluate.MatchResult([(1, 1, 0.5)], unmatched_gt=[2])),
+        "match result counts disagree with its pairs and unmatched ids"),
+    "color-map-counts-too-high": (
+        lambda d: evaluate.color_map(LABELS, TWO_LABELS, evaluate.MatchResult(
+            [(1, 1, 0.5)], evaluate.EvalCounts(5, 0, 1), unmatched_gt=[2])),
+        "match result counts disagree with its pairs and unmatched ids"),
     "polygon-set-no-rows": (lambda d: evaluate.rasterize_polygon_set(extract.PolygonSet("a", 0, 4)),
                             "canvas dimensions must be >= 1"),
     "negative-counts": (lambda d: evaluate.EvalCounts(-1, 0, 0), "counts must be non-negative"),
