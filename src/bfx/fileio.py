@@ -1,4 +1,4 @@
-"""Atomic file writes, the PGM/PPM reader, the JSON-integer rule and the
+"""Atomic file writes, the raster read path, the JSON-integer rule and the
 canvas bound; nothing here may import numpy.
 
 Every artifact goes through `atomic_write_bytes` (temp file + rename within
@@ -8,12 +8,11 @@ the renames wait until the whole call has succeeded, so a call that fails
 after some of its writes leaves none of them, nor a directory it made
 through `make_dirs`. The commit's log of writes is the one record of
 what a call writes: `bfx.cli` takes the manifest's outputs from it.
-`open_pnm` reads a PGM or PPM header front to back and hands out the
-payload in pieces the caller sizes: `bfx tile` reads one tile row at a
-time into one reused `bytearray`, and `read_pnm` reads the whole payload
-into one, which `bfx.formats` views as an array. The stages that do no
-array work (`tile`, `split`, `lr`) and the CLI's sidecars use this module
-without loading numpy.
+`open_payload` reads every raster format into buffers the caller sizes
+(`pnm_header` is the PGM/PPM header): `bfx tile` reads one tile row at a
+time into one reused `bytearray`, and `bfx.formats` reads whole payloads
+into arrays. The stages that do no array work (`tile`, `split`, `lr`) and
+the CLI's sidecars use this module without loading numpy.
 """
 
 from __future__ import annotations
@@ -155,6 +154,29 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@contextmanager
+def open_payload(path, header, *args):
+    """Open the raster file `path` and yield the (shape, fields, fill) of
+    its payload. `header(f, *args)` reads the header at the start of the
+    open file `f` and returns the format's name, the payload shape, its
+    element size and the header's fields. The payload size is checked
+    against the file size before anything is allocated, so a forged header
+    cannot ask for more memory than the file holds. `fill(buf)` reads the
+    next `memoryview(buf).nbytes` bytes into the writable buffer `buf` and
+    refuses a short read (the file shrank since); trailing bytes are
+    ignored."""
+    with open(path, "rb") as f:
+        name, shape, itemsize, fields = header(f, *args)
+        if os.fstat(f.fileno()).st_size - f.tell() < math.prod(shape) * itemsize:
+            raise ValueError(f"truncated {name} payload")
+
+        def fill(buf) -> None:
+            if f.readinto(buf) != memoryview(buf).nbytes:
+                raise ValueError(f"truncated {name} payload")
+
+        yield shape, fields, fill
+
+
 # ---------------------------------------------------------------------------
 # PGM (P5) and PPM (P6)
 # ---------------------------------------------------------------------------
@@ -163,10 +185,13 @@ def _is_json_int(value) -> bool:
 _PNM = {b"P5": ("PGM", 1, 1), b"P6": ("PPM", 255, 3)}
 
 
-def _pnm_header(f, magic: bytes) -> tuple[int, int, int]:
-    """(width, height, maxval) of the PNM header at the start of the open
-    file `f`, which is left just past the header's one separator byte (at
-    its end when the maxval runs to the end of the file)."""
+def pnm_header(f, magic: bytes):
+    """`open_payload`'s header of a PGM (`magic` b"P5", payload shape
+    (height, width)) or PPM file (b"P6", (height, width, 3)), whose fields
+    are the maxval. It is read front to back, to just past its one
+    separator byte. A field is 1 to 20 ASCII digits, the size must be
+    positive, and the maxval at most 255, and 255 for a PPM."""
+    name, min_maxval, depth = _PNM[magic]
     if f.read(len(magic)) != magic:
         raise ValueError(f"not a {magic.decode().strip()} file")
     fields = []
@@ -181,45 +206,16 @@ def _pnm_header(f, magic: bytes) -> tuple[int, int, int]:
         elif c.isspace():
             c = f.read(1)
         else:
-            token = bytearray(c)
-            while (c := f.read(1)) and not c.isspace():  # the token's end reads its separator
+            token = bytearray()
+            while c and not c.isspace():  # the token's end reads its separator
+                if not c.isdigit() or len(token) == 20:  # leading zeros count
+                    raise ValueError("PNM header field is not 1 to 20 decimal digits")
                 token += c
+                c = f.read(1)
             fields.append(int(token))
-    if fields[0] < 1 or fields[1] < 1:
-        raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")
-    return fields[0], fields[1], fields[2]
-
-
-@contextmanager
-def open_pnm(path, magic: bytes):
-    """Open a PGM (`magic` b"P5", shape (height, width)) or PPM file (b"P6",
-    shape (height, width, 3)) and yield its shape, its maxval and `fill`,
-    which reads the next len(buf) bytes of the 8-bit row-major payload into
-    the writable buffer `buf`; trailing bytes are ignored.
-
-    The header is read front to back. Its maxval must be at most 255, and
-    255 for a PPM. The payload size is checked against the file size
-    before anything is read, and `fill` refuses a short read (the file
-    shrank since)."""
-    name, min_maxval, depth = _PNM[magic]
-    with open(path, "rb") as f:
-        w, h, maxval = _pnm_header(f, magic)
-        if not min_maxval <= maxval < 256:
-            raise ValueError(f"unsupported {name} maxval {maxval}")
-        if os.fstat(f.fileno()).st_size - f.tell() < h * w * depth:
-            raise ValueError(f"truncated {name} payload")
-
-        def fill(buf) -> None:
-            if f.readinto(buf) != len(buf):
-                raise ValueError(f"truncated {name} payload")
-
-        yield ((h, w) if depth == 1 else (h, w, depth)), maxval, fill
-
-
-def read_pnm(path, magic: bytes) -> tuple[tuple[int, ...], int, bytearray]:
-    """The shape, maxval and whole payload, in one bytearray, of a PGM or
-    PPM file (see `open_pnm`)."""
-    with open_pnm(path, magic) as (shape, maxval, fill):
-        payload = bytearray(math.prod(shape))
-        fill(payload)
-    return shape, maxval, payload
+    w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"PNM size {w}x{h} is not positive")
+    if not min_maxval <= maxval < 256:
+        raise ValueError(f"unsupported {name} maxval {maxval}")
+    return name, ((h, w) if depth == 1 else (h, w, depth)), 1, maxval

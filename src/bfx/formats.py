@@ -11,25 +11,23 @@ Every writer is atomic (temp file + rename within the target directory,
 `bfx.fileio`), so interrupted runs never leave partial artifacts behind.
 A writer hands the header and the payload over as buffers, and the
 payload is copied only when its dtype or memory order differ from the
-file's, by `write_pmap` one float32 plane at a time. Every reader parses
-the header, then reads the payload into one preallocated buffer: the
-PGM/PPM header parse and payload read are `bfx.fileio.read_pnm`, stdlib
-only, whose bytearray the readers here view with `np.frombuffer`; the
-PMAP1/IMAP1 readers read into an array (`read_pmap` optionally into the
-caller's).
+file's, by `write_pmap` one float32 plane at a time. Every reader goes
+through `bfx.fileio.open_payload`, which parses the header, checks the
+payload size against the file and reads the payload into one
+preallocated array (`read_pmap` optionally the caller's). The PGM/PPM
+header is `fileio.pnm_header`, stdlib only; the PMAP1/IMAP1 header is
+`_binary_header` here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import os
 import struct
 
 import numpy as np
 
 from . import raster
-from .fileio import atomic_write_bytes, read_pnm
+from .fileio import atomic_write_bytes, open_payload, pnm_header
 
 PMAP_MAGIC = b"PMAP1\n"
 IMAP_MAGIC = b"IMAP1\n"
@@ -60,8 +58,10 @@ def write_pgm(path, mask) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """A P5 file as a {0,1} mask: a value v maps to 1 when 2v > maxval."""
-    shape, maxval, payload = read_pnm(path, b"P5")
-    return np.greater(np.frombuffer(payload, np.uint8).reshape(shape), maxval // 2).view(np.uint8)
+    with open_payload(path, pnm_header, b"P5") as (shape, maxval, fill):
+        pixels = np.empty(shape, np.uint8)
+        fill(pixels)
+    return np.greater(pixels, maxval // 2).view(np.uint8)
 
 
 def write_ppm(path, rgb) -> None:
@@ -73,8 +73,10 @@ def write_ppm(path, rgb) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    shape, _, payload = read_pnm(path, b"P6")
-    return np.frombuffer(payload, np.uint8).reshape(shape)
+    with open_payload(path, pnm_header, b"P6") as (shape, _, fill):
+        rgb = np.empty(shape, np.uint8)
+        fill(rgb)
+    return rgb
 
 
 # ---------------------------------------------------------------------------
@@ -84,43 +86,26 @@ def read_ppm(path) -> np.ndarray:
 
 _FIELDS = struct.Struct("<III")
 _BINARY_HEADER = len(PMAP_MAGIC) + _FIELDS.size
+# magic -> (refusal of another magic, payload dimensions: the leading fields)
+_BINARY = {PMAP_MAGIC: ("not a PMAP1 file", 3), IMAP_MAGIC: ("not an IMAP1 file", 2)}
 
 
-def _read_binary(path, magic: bytes, bad_magic: str, ndim: int, dtype: str, out=None):
-    """Header fields and payload of a PMAP1 or IMAP1 file, whose payload
-    shape is its first `ndim` header fields. The payload is read into one
-    preallocated array: `out` when given, which must be a C-order array of
-    `dtype` and of the declared shape.
-
-    Every dimension must be positive, and the payload size the header
-    declares is checked against the file size before anything is
-    allocated, so a forged header cannot ask for more memory than the file
-    holds. Trailing bytes are ignored."""
+def _binary_header(f, magic: bytes):
+    """The header of a PMAP1 or IMAP1 file at the start of the open file
+    `f`, for `fileio.open_payload`: the payload of 4-byte elements has the
+    shape of the leading header fields, each of which must be positive."""
+    bad_magic, ndim = _BINARY[magic]
     name = magic.decode().strip()
-    with open(path, "rb") as f:
-        head = f.read(_BINARY_HEADER)
-        if not head.startswith(magic):
-            raise ValueError(bad_magic)
-        if len(head) < _BINARY_HEADER:
-            raise ValueError(f"truncated {name} header")
-        fields = _FIELDS.unpack_from(head, len(magic))
-        shape = fields[:ndim]
-        if 0 in shape:
-            raise ValueError(f"{name} header declares a zero dimension: {shape}")
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if os.fstat(f.fileno()).st_size - _BINARY_HEADER < nbytes:
-            raise ValueError(f"truncated {name} payload")
-        if out is None:
-            arr = np.empty(shape, dtype)
-        elif out.shape != shape:
-            raise ValueError(f"{name} payload has shape {shape}, expected {out.shape}")
-        elif out.dtype != np.dtype(dtype) or not out.flags.c_contiguous:
-            raise ValueError(f"{name} payloads are read into C-order {dtype} arrays")
-        else:
-            arr = out
-        if f.readinto(arr) != nbytes:  # the file shrank after its size was taken
-            raise ValueError(f"truncated {name} payload")
-        return fields, arr
+    head = f.read(_BINARY_HEADER)
+    if not head.startswith(magic):
+        raise ValueError(bad_magic)
+    if len(head) < _BINARY_HEADER:
+        raise ValueError(f"truncated {name} header")
+    fields = _FIELDS.unpack_from(head, len(magic))
+    shape = fields[:ndim]
+    if 0 in shape:
+        raise ValueError(f"{name} header declares a zero dimension: {shape}")
+    return name, shape, 4, fields
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +133,17 @@ def write_pmap(path, pmap) -> None:
 def read_pmap(path, out=None) -> np.ndarray:
     """Read a PMAP1 stack, into `out` when given: a C-order float32 array
     of the stack's shape, which is returned filled (else a new array)."""
-    arr = _read_binary(path, PMAP_MAGIC, "not a PMAP1 file", 3, "<f4", out)[1]
-    if not raster._in_unit_interval(arr):
+    with open_payload(path, _binary_header, PMAP_MAGIC) as (shape, _, fill):
+        if out is None:
+            out = np.empty(shape, "<f4")
+        elif out.shape != shape:
+            raise ValueError(f"PMAP1 payload has shape {shape}, expected {out.shape}")
+        elif out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
+            raise ValueError("PMAP1 payloads are read into C-order <f4 arrays")
+        fill(out)
+    if not raster._in_unit_interval(out):
         raise ValueError("PMAP1 values outside [0, 1]")
-    return arr.astype(np.float32, copy=False)
+    return out.astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +165,9 @@ def write_imap(path, labels) -> None:
 
 
 def read_imap(path) -> np.ndarray:
-    fields, arr = _read_binary(path, IMAP_MAGIC, "not an IMAP1 file", 2, "<u4")
-    if int(arr.max(initial=0)) > fields[2]:
+    with open_payload(path, _binary_header, IMAP_MAGIC) as (shape, fields, fill):
+        labels = np.empty(shape, "<u4")
+        fill(labels)
+    if int(labels.max(initial=0)) > fields[2]:
         raise ValueError("IMAP1 labels exceed the declared max_label")
-    return arr.astype(np.uint32, copy=False)
+    return labels.astype(np.uint32, copy=False)

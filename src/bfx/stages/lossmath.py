@@ -1,5 +1,7 @@
 """`bfx lossmath`: a loss value or a gradient check, printed to stdout."""
 
+import math
+
 from .. import formats, trainmath
 from ..cli import _pool_map, _require
 
@@ -26,5 +28,6 @@ def run(cfg: dict):
             value = trainmath.gradient_check(plane, gts[0], params, cfg["step"])
         else:
             value = trainmath.loss_value(op, plane, gts[0], params)
+    _require(math.isfinite(value), f"lossmath {op}: the value overflows float64")
     print(f"{value:.9g}")
     return [cfg["pred"], *cfg["gt"]], None

@@ -14,7 +14,7 @@ from ..cli import _canonical_json
 def run(cfg: dict):
     size = cfg["size"]
     nodata = cfg["nodata"]
-    with fileio.open_pnm(cfg["raster"], b"P5") as ((h, w), _, fill):
+    with fileio.open_payload(cfg["raster"], fileio.pnm_header, b"P5") as ((h, w), _, fill):
         band = bytearray(size * w if size <= h else 0)  # no tile row, no band
 
         def probe(row, col):  # every tile lies inside the raster: the grid drops partial ones

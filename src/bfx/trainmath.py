@@ -103,10 +103,13 @@ def _soft_counts(p, g) -> tuple[float, float, float]:
 
 def _dice_ratio(tp, fp, fn, params: LossParams):
     """Numerator and denominator of the smoothed F-beta score from soft
-    counts, given as scalars or as arrays."""
+    counts, given as scalars or as arrays; scalars are refused when the
+    denominator, squared or times 1 + beta^2, would overflow."""
     b2 = params.beta * params.beta
     num = (1.0 + b2) * tp + params.eps
     den = (1.0 + b2) * tp + b2 * fn + fp + params.eps
+    if isinstance(den, float) and not math.isfinite(den * max(den, 1.0 + b2)):
+        raise ValueError(f"beta {params.beta!r} and eps {params.eps!r} overflow the F-beta loss")
     return num, den
 
 
@@ -210,6 +213,7 @@ def gradient_check(pred, gt, params: LossParams = LossParams(), step: float = GR
     pe = p.ravel()[eligible]
     ge = g.ravel()[eligible]
     tp, fp, fn = _soft_counts(p, g)
+    _dice_ratio(tp, fp, fn, params)  # refuses a beta or eps that overflows the loss
     terms = _bce_terms(np.clip(p, params.clamp, 1.0 - params.clamp), g)
     others = float(terms.sum()) - terms.ravel()[eligible]
 

@@ -461,7 +461,12 @@ def pnm_header(data: bytes, magic: bytes):
             end = pos
             while end < len(data) and not data[end:end + 1].isspace():
                 end += 1
-            fields.append(int(data[pos:end]))
+            token = data[pos:end]
+            # a field is 1 to 20 ASCII digits; the reader stops at the first byte that is not
+            digits = len(token) - len(token.lstrip(b"0123456789"))
+            if digits < len(token) or digits > 20:
+                raise ValueError("PNM header field is not 1 to 20 decimal digits")
+            fields.append(int(token))
             pos = end
     if fields[0] < 1 or fields[1] < 1:
         raise ValueError(f"PNM size {fields[0]}x{fields[1]} is not positive")

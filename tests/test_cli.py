@@ -1290,6 +1290,10 @@ def test_eval_directory_stem_with_two_formats_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("name,data,stage", [
     pytest.param("bad.pgm", b"P5\n3 -2\n255\n", "tile", id="pgm-negative-height"),
+    *[pytest.param("bad.pgm", header + bytes(10), "tile", id=f"pgm-field-{name}")
+      for name, header in [("underscore", b"P5\n1_0 1 255\n"), ("plus", b"P5\n+4 +1 +255\n"),
+                           ("letters", b"P5\nx 1\n255\n"), ("21-digits", b"P5\n" + b"1" * 21 + b" 1\n255\n"),
+                           ("1-mib", b"P5\n" + b"1" * (1 << 20))]],
     pytest.param("bad.pmap", formats.PMAP_MAGIC + b"\x01\x00", "fuse", id="pmap-short-header"),
     pytest.param("bad.imap", formats.IMAP_MAGIC + b"\x01\x00\x00\x00", "eval", id="imap-short-header"),
     pytest.param("bad.json", b'[{"row": 0, "col": 0, "blank": false}]', "split",

@@ -1,7 +1,9 @@
 import inspect
+import math
 import os
 import stat
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -25,13 +27,21 @@ def file_of(tmp_path, data: bytes):
     return path
 
 
+def read_pnm(path, magic):
+    """The shape, maxval and whole payload, in one bytearray, of a PGM or PPM file."""
+    with fileio.open_payload(path, fileio.pnm_header, magic) as (shape, maxval, fill):
+        payload = bytearray(math.prod(shape))
+        fill(payload)
+    return shape, maxval, payload
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     mask = (rng.random((11, 7)) < 0.5).astype(np.uint8)
     path = tmp_path / "m.pgm"
     formats.write_pgm(path, mask)
     assert np.array_equal(formats.read_pgm(path), mask)
-    shape, maxval, raw = fileio.read_pnm(path, b"P5")
+    shape, maxval, raw = read_pnm(path, b"P5")
     assert shape == mask.shape and maxval == 255 and set(raw) <= {0, 255}
 
 
@@ -222,8 +232,10 @@ def test_truncated_binary_header_is_value_error(tmp_path, read, write, magic, na
 
 @pytest.mark.parametrize("size", [b"3 -2", b"0 4", b"4 0"])
 def test_pnm_rejects_non_positive_size(tmp_path, size):
-    with pytest.raises(ValueError, match="not positive"):
-        fileio.read_pnm(file_of(tmp_path, b"P5\n" + size + b"\n255\n"), b"P5")
+    # a sign is no digit: a negative size is refused as a header field
+    message = "^PNM header field is not 1 to 20 decimal digits$" if b"-" in size else "not positive"
+    with pytest.raises(ValueError, match=message):
+        read_pnm(file_of(tmp_path, b"P5\n" + size + b"\n255\n"), b"P5")
 
 
 @pytest.mark.parametrize("read,write,magic,name,fields", BINARY)
@@ -360,11 +372,11 @@ def test_pgm_truncated_payload_is_rejected(tmp_path):
     header = b"P5\n4 3\n255\n"
     for cut in (0, 1, 11):
         path = file_of(tmp_path, header + bytes(range(cut)))
-        for read in (lambda p: fileio.read_pnm(p, b"P5"), formats.read_pgm):
+        for read in (lambda p: read_pnm(p, b"P5"), formats.read_pgm):
             with pytest.raises(ValueError, match="^truncated PGM payload$"):
                 read(path)
     full = header + bytes(range(12)) + b"trailing"
-    assert fileio.read_pnm(file_of(tmp_path, full), b"P5") == ((3, 4), 255, bytes(range(12)))
+    assert read_pnm(file_of(tmp_path, full), b"P5") == ((3, 4), 255, bytes(range(12)))
 
 
 def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
@@ -387,6 +399,16 @@ def straddle(head: bytes, tail: bytes, filler: bytes = b" ") -> bytes:
     b"P6\n2 1\n255\n",
     b"P5\n2 -1\n255\n",
     b"P5\n# open comment " + b"x" * 9000,
+    b"P5\n1_0 1 255\n",  # only ASCII digits make a field: no separators, signs or letters
+    b"P5\n+4 +1 +255\n",
+    b"P5\n3 -2\n255\n",
+    b"P5\nxxx 1\n255\n",
+    b"P5\n2 1\n25#5\n",
+    b"P5\n2\x001\n255\n",
+    b"P5\n00000000000000000002 1\n0255\n",  # 20 digits, leading zeros included
+    b"P5\n000000000000000000002 1\n255\n",  # 21
+    b"P5\n2 1\n" + b"1" * 5000,  # a field running across the 4096th byte
+    b"P5\n" + b"1" * 5000 + b"x",
 ])
 def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
     for data in (header, header + bytes(range(12)), header + bytes(5000)):
@@ -399,10 +421,10 @@ def test_pgm_header_parse_from_file_matches_bytes(tmp_path, header):
             want = np.frombuffer(data, np.uint8, w * h, offset)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                fileio.read_pnm(file_of(tmp_path, data), b"P5")
+                read_pnm(file_of(tmp_path, data), b"P5")
             assert str(got.value) == str(exc)
         else:
-            assert fileio.read_pnm(file_of(tmp_path, data), b"P5") == ((h, w), maxval, want.tobytes())
+            assert read_pnm(file_of(tmp_path, data), b"P5") == ((h, w), maxval, want.tobytes())
 
 
 def test_an_unterminated_header_comment_is_read_in_bounded_pieces(tmp_path):
@@ -410,10 +432,38 @@ def test_an_unterminated_header_comment_is_read_in_bounded_pieces(tmp_path):
 
     def read():
         with pytest.raises(ValueError, match="^truncated PNM header$"):
-            fileio.read_pnm(path, b"P5")
+            read_pnm(path, b"P5")
 
     _, peak = traced_peak(read)
     assert peak < 1 << 20
+
+
+def test_a_long_header_field_is_refused_at_its_21st_digit(tmp_path):
+    path = file_of(tmp_path, b"P5\n" + b"1" * (8 << 20))  # 8 MiB of digits
+
+    def read():
+        with pytest.raises(ValueError, match="^PNM header field is not 1 to 20 decimal digits$"):
+            read_pnm(path, b"P5")
+
+    start = time.perf_counter()
+    read()
+    assert time.perf_counter() - start < 0.05
+    _, peak = traced_peak(read)
+    assert peak < 1 << 20
+
+
+def test_fill_reads_as_many_bytes_as_the_buffer_holds(tmp_path):
+    path = file_of(tmp_path, b"P5\n4 3\n255\n" + bytes(range(12)))
+    with fileio.open_payload(path, fileio.pnm_header, b"P5") as (shape, maxval, fill):
+        rows = np.zeros(shape, np.uint8)  # 2-D: its length is its 3 rows, its size 12 bytes
+        fill(rows)
+        with pytest.raises(ValueError, match="^truncated PGM payload$"):
+            fill(bytearray(1))
+    assert (shape, maxval) == ((3, 4), 255) and rows.tobytes() == bytes(range(12))
+    with fileio.open_payload(path, fileio.pnm_header, b"P5") as (_, _, fill):
+        words = np.zeros(4, "<u4")  # 4 elements of 16 bytes: more than the payload holds
+        with pytest.raises(ValueError, match="^truncated PGM payload$"):
+            fill(words)
 
 
 def test_ppm_round_trip_and_truncation(tmp_path):

@@ -5,14 +5,21 @@ Valid files are truncated, have bytes flipped (half of them in the first
 value replaced by a hostile one (a wrong type, NaN, an infinity, a huge
 integer) or removed. Each mutant goes through the stages that read its
 format, in process. Every call must exit 0, 1 or 2 with no traceback and no
-warning; a failed call prints one `bfx: error:` or `bfx: i/o error:` line
-and leaves no file behind. No stage reads PPM, so its reader is fuzzed
+warning; a loss `lossmath` prints is finite, and a failed call prints one
+`bfx: error:` or `bfx: i/o error:` line and leaves no file behind. No stage reads PPM, so its reader is fuzzed
 directly: it returns or raises ValueError or OSError.
+
+The parameter table drives a sweep under the same contract: every `int`
+and `float` parameter of `cli.STAGES`, in each stage mode whose runner
+reads it, is set to each hostile value by flag and by config file, so a
+new parameter is covered without editing the tests.
 """
 
 import copy
+import importlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -116,8 +123,9 @@ def exit_code(capsys, argv, out, where):
     stdout, stderr = capsys.readouterr()
     assert not caught, f"{where} warned: {caught[0].message}"
     if code == 0:
-        # lossmath prints its value; every other stage is silent
-        assert stderr == "" and (stdout.count("\n") == 1 if argv[0] == "lossmath" else stdout == ""), where
+        # lossmath prints its value, a finite one; every other stage is silent
+        assert stderr == "" and (stdout.count("\n") == 1 and math.isfinite(float(stdout))
+                                 if argv[0] == "lossmath" else stdout == ""), where
         for p in out.iterdir():
             p.unlink()
     else:
@@ -259,20 +267,29 @@ def text_calls(fmt, src, path, d):
     return [[stage, *(a.format(d=d) for a in CONFIG_PATHS[stage]), "--config", path]]
 
 
-@pytest.mark.parametrize("fmt,seed", [("geojson", 4), ("annotations", 5), ("config", 6), ("tiles", 7)])
-def test_mutated_text_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatch, fmt, seed):
+def valid_inputs(tmp_path, monkeypatch):
+    """The directory of valid inputs the stages read (`{d}` in the calls),
+    and the empty working directory the calls write to."""
     d = tmp_path / "in"
     d.mkdir()
     for k, doc in enumerate(GEOJSON):
         (d / f"gt{k}.geojson").write_text(json.dumps(doc))
     (d / "ann.json").write_text(json.dumps(ANNOTATIONS[2]))
     (d / "tiles.json").write_text(json.dumps(TILE_INDEXES[0]))
-    formats.write_pmap(d / "p.pmap", fused_stack(SHAPES[1], RECTS[1]))
+    stack = fused_stack(SHAPES[1], RECTS[1])
+    for name in ("p", "t.id", "t.hf", "t.vf", "t.r180"):  # `t`: one fold of test-time views
+        formats.write_pmap(d / f"{name}.pmap", stack)
     formats.write_pgm(d / "g.pgm", blocks(SHAPES[1], RECTS[1]))
     formats.write_imap(d / "l.imap", label_map(SHAPES[1], RECTS[1]))
     out = tmp_path / "out"
     out.mkdir()
-    monkeypatch.chdir(out)  # a mutant that names a relative path writes where the checks look
+    monkeypatch.chdir(out)  # a call that names a relative path writes where the checks look
+    return d, out
+
+
+@pytest.mark.parametrize("fmt,seed", [("geojson", 4), ("annotations", 5), ("config", 6), ("tiles", 7)])
+def test_mutated_text_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatch, fmt, seed):
+    d, out = valid_inputs(tmp_path, monkeypatch)
     path = d / f"mutant.{fmt}"
     docs, hostile = TEXT_FORMATS[fmt]
     codes = set()
@@ -281,6 +298,112 @@ def test_mutated_text_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatc
         for argv in text_calls(fmt, src, str(path), str(d)):
             codes.add(exit_code(capsys, argv, out, f"{argv[0]} on {kind} mutant {i} of {fmt}"))
     assert {0, 1} <= codes
+
+
+# ---------------------------------------------------------------------------
+# the parameter table: every numeric parameter at hostile values
+# ---------------------------------------------------------------------------
+
+# edge values, values past int32, int64 and float64 reach, and the float extremes
+NUMERIC_HOSTILE = (0, -1, 1, 2, 2 ** 31, 2 ** 63, 10 ** 30, -0.0, 5e-324, 1e-300, 0.4999999,
+                   -1e308, 1e308, sys.float_info.max)
+# what only a config file can hold: other JSON types, and an integer no float holds
+CONFIG_ONLY_HOSTILE = (True, "1", None, [], 10 ** 399)
+
+
+def stage_modes():
+    """(stage, valid config, paths) of each way a stage runs: the valid
+    config of `CONFIGS` with each choice and switch that picks another code
+    path (`fuse --tta`, `extract --mode single`, each `lossmath` op, each
+    `lr` schedule, a `cutmix` box drawn from its seed)."""
+    base = {}
+    for stage, cfg in CONFIGS:
+        base.setdefault(stage, cfg)
+    modes = [(stage, cfg, CONFIG_PATHS[stage]) for stage, cfg in CONFIGS]
+    modes.append(("fuse", dict(base["fuse"], tta=True), ["{d}/t.pmap", "--out", "f.pmap"]))
+    modes.append(("extract", dict(base["extract"], mode="single"),
+                  ["--in", "{d}/g.pgm", "--out-geojson", "x.geojson", "--out-imap", "x.imap"]))
+    for op in ("dice", "bce", "channel"):
+        modes.append(("lossmath", dict(base["lossmath"], op=op), CONFIG_PATHS["lossmath"]))
+    modes.append(("lossmath", dict(base["lossmath"], op="total"),
+                  ["--pred", "{d}/p.pmap", "--gt", "{d}/g.pgm", "{d}/g.pgm", "{d}/g.pgm"]))
+    modes.append(("lr", dict(base["lr"], schedule="poly", poly_recursive=False), CONFIG_PATHS["lr"]))
+    modes.append(("cutmix", dict(base["cutmix"], box=None), CONFIG_PATHS["cutmix"]))
+    return modes
+
+
+MODES = stage_modes()
+
+
+class ReadConfig(dict):
+    """A stage's config that records the keys its runner reads."""
+
+    def __init__(self, cfg, read):
+        super().__init__(cfg)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def mode_argv(stage, paths, d, config):
+    return [stage, *(a.format(d=d) for a in paths), "--config", str(config)]
+
+
+def parameters_read(capsys, monkeypatch, stage, cfg, paths, d, out):
+    """The parameters the runner of a stage mode reads, from one valid call."""
+    runner = importlib.import_module(f"bfx.stages.{stage}")
+    read = set()
+    with monkeypatch.context() as m:
+        m.setattr(runner, "run", lambda c, run=runner.run: run(ReadConfig(c, read)))
+        config = out.parent / "valid.json"
+        config.write_text(json.dumps(cfg))
+        assert exit_code(capsys, mode_argv(stage, paths, d, config), out, f"{stage} with {cfg}") == 0
+    return read
+
+
+def hostile_calls(stage, cfg, read):
+    """(what, extra flags, config) of each call that sets one numeric
+    parameter the mode reads to a hostile value: by flag over the valid
+    config, then in the config file."""
+    for p in cli.STAGES[stage][1]:
+        if p.type in (int, float) and p.name in read:
+            for value in NUMERIC_HOSTILE:
+                flag = f"{cli._flag(p)}={value!r}"
+                yield flag, [flag], cfg
+            for value in NUMERIC_HOSTILE + CONFIG_ONLY_HOSTILE:
+                yield f"config {p.name}: {value!r:.20}", [], dict(cfg, **{p.name: value})
+
+
+def mode_id(stage, cfg):
+    mode = cfg.get("op") or cfg.get("schedule") or cfg.get("mode")
+    return "-".join([stage, *([mode] if mode else []), *(["tta"] if cfg.get("tta") else []),
+                     *(["recursive"] if cfg.get("poly_recursive") else []),
+                     *(["seed"] if stage == "cutmix" and cfg["box"] is None else [])])
+
+
+@pytest.mark.parametrize("stage,cfg,paths", MODES, ids=[mode_id(stage, cfg) for stage, cfg, _ in MODES])
+def test_every_numeric_parameter_keeps_the_exit_contract_at_hostile_values(
+        tmp_path, capsys, monkeypatch, stage, cfg, paths):
+    d, out = valid_inputs(tmp_path, monkeypatch)
+    read = parameters_read(capsys, monkeypatch, stage, cfg, paths, d, out)
+    config = tmp_path / "cfg.json"
+    codes = set()
+    for what, flags, doc in hostile_calls(stage, cfg, read):
+        config.write_text(json.dumps(doc))
+        codes.add(exit_code(capsys, mode_argv(stage, paths, d, config) + flags, out, f"{stage} {what}"))
+    assert 1 in codes or not read & {p.name for p in cli.STAGES[stage][1] if p.type in (int, float)}
+
+
+def test_every_numeric_parameter_is_read_in_some_mode(tmp_path, capsys, monkeypatch):
+    # a parameter that no mode's runner reads would escape the hostile values
+    d, out = valid_inputs(tmp_path, monkeypatch)
+    read = {(stage, name) for stage, cfg, paths in MODES
+            for name in parameters_read(capsys, monkeypatch, stage, cfg, paths, d, out)}
+    numeric = {(stage, p.name) for stage, (_, params) in cli.STAGES.items() for p in params
+               if p.type in (int, float)}
+    assert numeric <= read, numeric - read
 
 
 def test_mutated_ppm_files_are_read_or_refused(tmp_path):

@@ -306,6 +306,19 @@ def test_gradient_check_needs_an_eligible_pixel():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("beta,eps", [(1e308, 1e-6), (1e77, 1e-6), (2.0, 1e308)])
+def test_a_beta_or_eps_that_overflows_the_dice_terms_is_refused(beta, eps):
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.1, 0.9, (6, 6))
+    g = (rng.random((6, 6)) < 0.5).astype(np.uint8)
+    params = LossParams(beta=beta, eps=eps)
+    for call in (lambda: trainmath.dice_loss(p, g, params), lambda: trainmath.channel_loss(p, g, params),
+                 lambda: trainmath.loss_value("dice", p, g, params),
+                 lambda: trainmath.gradient_check(p, g, params)):
+        with pytest.raises(ValueError, match="overflow the F-beta loss$"):
+            call()
+
+
 def test_poly_schedule_values():
     assert schedules.lr_poly(0) == 0.001
     assert schedules.lr_poly(100) == 0.0
