@@ -231,13 +231,16 @@ def build_parser(only: str | None = None) -> _Parser:
 
 
 def _read_json(path: str):
-    """The JSON document in `path`; one nested too deeply to parse is a
-    validation error, not a traceback."""
+    """The JSON document in `path`. Text that is not UTF-8, does not parse
+    or is nested too deeply to parse is a validation error that names the
+    file, not a traceback."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def effective_config(stage: str, args: argparse.Namespace) -> dict:

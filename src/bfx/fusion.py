@@ -5,12 +5,12 @@ The four supported views (identity, horizontal flip, vertical flip, 180
 degree rotation) are involutions, so mapping a view back to the reference
 frame applies the same transform again. Averages accumulate in float64 and
 round to float32 once; the ensemble additionally sorts the per-pixel
-summands (a compare-exchange network over whole planes) so the result is
-independent of the order the maps arrive in. Both work plane by plane:
-views are added into the accumulator through strided indexing, and folds
-are compared and summed without stacking them. `tta_average_stream` adds
-the views as they are read, so a fold holds one view and the float64 sum,
-not four views.
+summands (a compare-exchange network) so the result is independent of the
+order the maps arrive in. Neither stacks its inputs: views are added into
+the accumulator through strided indexing, and folds are compared, summed
+and divided one band of rows at a time, so the network's planes and the
+float64 sum are band-sized. `tta_average_stream` adds the views as they
+are read, so a fold holds one view and the float64 sum, not four views.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from . import THRESHOLD
 
 VIEWS = ("identity", "hflip", "vflip", "rot180")
+_BAND_ROWS = 16  # rows of every channel that the ensemble orders and sums at once
 
 _FLIP = slice(None, None, -1)
 # each view as an index over the trailing (h, w) axes; applying it again
@@ -77,10 +78,14 @@ def ensemble_average(maps: Sequence[np.ndarray]) -> np.ndarray:
     """Pixelwise arithmetic mean of one or more probability stacks.
 
     The K planes of each pixel are put in ascending order by an odd-even
-    transposition network of np.minimum/np.maximum over whole planes
-    (Batcher, AFIPS 1968), then summed in that order into a float64
-    accumulator that starts from +0.0, divided by K and rounded to float32
-    once. The result is therefore invariant to the input ordering.
+    transposition network of np.minimum/np.maximum (Batcher, AFIPS 1968),
+    then summed in that order into a float64 accumulator that starts from
+    +0.0, divided by K and rounded to float32 once. The result is therefore
+    invariant to the input ordering. The network, the sum and the division
+    run over one band of rows of every channel at a time, each band's mean
+    written into the output: every pixel gets the same operations in the
+    same order as over whole planes, and what is held beyond the inputs and
+    the output is band-sized, whatever K is.
     """
     planes = [np.asarray(m, np.float32) for m in maps]
     if not planes:
@@ -92,17 +97,21 @@ def ensemble_average(maps: Sequence[np.ndarray]) -> np.ndarray:
         if a.shape != shape:
             raise ValueError(f"map shapes differ: {a.shape} vs {shape}")
     k = len(planes)
-    if k > 2:  # (+0.0 + x) + y == (+0.0 + y) + x, so two planes need no ordering
-        for rnd in range(k):
-            for i in range(rnd % 2, k - 1, 2):
-                lo, hi = planes[i], planes[i + 1]
-                planes[i], planes[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-    # np.minimum/np.maximum may return one sign of zero in both lanes of a
-    # (+0.0, -0.0) pair; a sum that starts from +0.0 is the same either way
-    total = np.add(planes[0], 0.0, dtype=np.float64)
-    for p in planes[1:]:
-        total += p
-    return np.divide(total, k, out=np.empty(shape, np.float32))
+    out = np.empty(shape, np.float32)
+    for r in range(0, shape[1], _BAND_ROWS):
+        band = [p[:, r:r + _BAND_ROWS] for p in planes]
+        if k > 2:  # (+0.0 + x) + y == (+0.0 + y) + x, so two planes need no ordering
+            for rnd in range(k):
+                for i in range(rnd % 2, k - 1, 2):
+                    lo, hi = band[i], band[i + 1]
+                    band[i], band[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+        # np.minimum/np.maximum may return one sign of zero in both lanes of a
+        # (+0.0, -0.0) pair; a sum that starts from +0.0 is the same either way
+        total = np.add(band[0], 0.0, dtype=np.float64)
+        for p in band[1:]:
+            total += p
+        np.divide(total, k, out=out[:, r:r + _BAND_ROWS])
+    return out
 
 
 def binarize(pmap, channel: int, threshold: float = THRESHOLD) -> np.ndarray:

@@ -49,9 +49,12 @@ def run(cfg: dict):
 
     def work(item):
         image_id, pred_path, gt_path = item
-        pred_map = _load_instance_map(pred_path)
-        gt_map = _load_instance_map(gt_path)
-        match = evaluate.match_instances(pred_map, gt_map, cfg["iou"])
+        try:
+            pred_map = _load_instance_map(pred_path)
+            gt_map = _load_instance_map(gt_path)
+            match = evaluate.match_instances(pred_map, gt_map, cfg["iou"])
+        except ValueError as exc:  # which pair of a directory was refused
+            raise ValueError(f"eval: image {image_id!r}: {exc}") from None
         # both maps are uint32 and `match` has just checked their labels
         rgb = evaluate._color_map(pred_map, gt_map, match) if cfg["colormap"] else None
         return image_id, match.counts, rgb

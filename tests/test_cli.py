@@ -452,7 +452,8 @@ def test_a_ring_whose_extent_overflows_is_refused(tmp_path, capsys):
         warnings.simplefilter("error")
         err = assert_rejected(capsys, tmp_path, ["eval", "--pred", str(tmp_path / "p.geojson"), "--gt",
                                                  str(tmp_path / "g.imap"), "--report", str(tmp_path / "r.json")])
-    assert err.startswith("bfx: error: feature 0: ring's x or y extent (max - min) is not a finite float")
+    assert err.startswith("bfx: error: eval: image 'p': "
+                          "feature 0: ring's x or y extent (max - min) is not a finite float")
 
 
 def polygon_feature(ring, **properties):
@@ -1249,18 +1250,59 @@ def test_a_config_integer_past_the_float_range_is_refused(tmp_path, capsys):
     assert "parameter lr_max must be finite" in assert_rejected(capsys, tmp_path, argv)
 
 
-@pytest.mark.parametrize("reader", ["targets-annotations", "eval-pred", "eval-gt", "split-index", "lr-config"])
+JSON_READERS = ["targets-annotations", "eval-pred", "eval-gt", "split-index", "lr-config"]
+
+
+def json_reader_argv(tmp_path, reader, doc):
+    """A call whose `reader` reads the JSON file `doc`."""
+    formats.write_imap(tmp_path / "ok.imap", np.zeros((4, 4), np.uint32))
+    ok, out = str(tmp_path / "ok.imap"), str(tmp_path / "out")
+    return {"targets-annotations": ["targets", "--annotations", str(doc), "--out-dir", out],
+            "eval-pred": ["eval", "--pred", str(doc), "--gt", ok, "--report", out + ".json"],
+            "eval-gt": ["eval", "--pred", ok, "--gt", str(doc), "--report", out + ".json"],
+            "split-index": ["split", "--index", str(doc), "--out", out + ".json"],
+            "lr-config": ["lr", "--config", str(doc), "--out", out + ".csv"]}[reader]
+
+
+@pytest.mark.parametrize("reader", JSON_READERS)
 def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys, reader):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000)
-    formats.write_imap(tmp_path / "ok.imap", np.zeros((4, 4), np.uint32))
-    ok, out = str(tmp_path / "ok.imap"), str(tmp_path / "out")
-    argv = {"targets-annotations": ["targets", "--annotations", str(deep), "--out-dir", out],
-            "eval-pred": ["eval", "--pred", str(deep), "--gt", ok, "--report", out + ".json"],
-            "eval-gt": ["eval", "--pred", ok, "--gt", str(deep), "--report", out + ".json"],
-            "split-index": ["split", "--index", str(deep), "--out", out + ".json"],
-            "lr-config": ["lr", "--config", str(deep), "--out", out + ".csv"]}[reader]
+    argv = json_reader_argv(tmp_path, reader, deep)
     assert "nested too deeply" in assert_rejected(capsys, tmp_path, argv)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(b'{"k": 3', "Expecting ',' delimiter", id="truncated"),
+    pytest.param(b'{"k": "\xff"}', "can't decode byte 0xff", id="not-utf-8"),
+])
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_json_that_does_not_parse_is_refused_with_its_path(tmp_path, capsys, reader, text, message):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(text)
+    err = assert_rejected(capsys, tmp_path, json_reader_argv(tmp_path, reader, doc))
+    assert f"{doc}: " in err and message in err
+
+
+def test_eval_of_a_directory_names_the_image_whose_pair_is_refused(tmp_path, capsys):
+    labels = np.zeros((4, 4), np.uint32)
+    labels[1:3, 1:3] = 1
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        formats.write_imap(tmp_path / d / "a.imap", labels)
+    (tmp_path / "pred" / "b.geojson").write_text('{"type": "FeatureCollection"')
+    (tmp_path / "gt" / "b.geojson").write_text(json.dumps(
+        {"type": "FeatureCollection", "height": 4, "width": 4, "features": []}))
+    (tmp_path / "pred" / "c.imap").write_bytes(b"IMAP1")
+    formats.write_imap(tmp_path / "gt" / "c.imap", labels)
+    argv = ["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+            "--report", str(tmp_path / "report.json")]
+    err = assert_rejected(capsys, tmp_path, argv)
+    assert err.startswith(f"bfx: error: eval: image 'b': {tmp_path / 'pred' / 'b.geojson'}: Expecting")
+    (tmp_path / "pred" / "b.geojson").unlink()
+    (tmp_path / "gt" / "b.geojson").unlink()
+    err = assert_rejected(capsys, tmp_path, argv + ["--threads", "2"])
+    assert err.startswith("bfx: error: eval: image 'c': ") and "IMAP1" in err
 
 
 def test_config_integer_for_float_parameter_matches_the_flag(tmp_path):

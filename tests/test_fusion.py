@@ -187,12 +187,18 @@ def assert_same_bits(out, expected):
     assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
 
 
+BAND = fusion._BAND_ROWS
+# 7 rows lie in one band of the ensemble; the others end at or next to a band edge
+HEIGHTS = (7, 1, BAND - 1, BAND, BAND + 1, 2 * BAND + 3)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("k", range(1, 10))
 def test_ensemble_matches_sorted_oracle_bit_for_bit(k, layout):
     rng = np.random.default_rng(100 + k)
-    maps = [laid_out(tricky_values(rng, (2, 7, 9)), layout) for _ in range(k)]
-    assert_same_bits(fusion.ensemble_average(maps), sorted_ensemble_average(maps))
+    for h in HEIGHTS:
+        maps = [laid_out(tricky_values(rng, (2, h, 9)), layout) for _ in range(k)]
+        assert_same_bits(fusion.ensemble_average(maps), sorted_ensemble_average(maps))
 
 
 # Multisets whose float32 mean depends on the summation order. In the first,
@@ -214,6 +220,16 @@ def test_ensemble_sums_in_ascending_order_whatever_the_fold_order(values):
     assert_same_bits(out, sorted_ensemble_average(maps))
     if len(values) == 4:
         assert out[0, 0, 0] == np.float32(0.25 + 2 ** -25)
+
+
+@pytest.mark.parametrize("values", ORDER_SENSITIVE, ids=["k4", "k3", "k6"])
+def test_ensemble_sums_in_ascending_order_in_every_band(values):
+    perms = sorted(set(itertools.permutations(values)))  # one column per fold order, on every row
+    rows = 2 * BAND + 3
+    maps = [np.tile(np.array([p[i] for p in perms], np.float32), (1, rows, 1)) for i in range(len(values))]
+    out = fusion.ensemble_average(maps)
+    assert out.shape == (1, rows, len(perms)) and (out == out[0, 0, 0]).all()
+    assert_same_bits(out, sorted_ensemble_average(maps))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -2,7 +2,8 @@
 calls, on seeded scenes that are hard for them: speckle (thousands of tiny
 components), packed ~150 px instances, one large building grown from a
 tiny seed, and a serpentine (one component, one pixel wide, whose seed
-floods it a layer at a time).
+floods it a layer at a time). Then the fold ensemble, whose peak must not
+grow with the number of folds beyond what it is given.
 
 Each bound is on the `tracemalloc` peak of one call over the scene's pixel
 count, set a little above what the call measured on that scene, so a change
@@ -14,7 +15,7 @@ boundary: speckle and the serpentine.
 import numpy as np
 import pytest
 
-from bfx import evaluate, extract, raster
+from bfx import cli, evaluate, extract, formats, fusion, raster
 
 from _memory import traced_peak
 from _oracles import serpentine
@@ -99,3 +100,29 @@ def test_memory_per_pixel_is_bounded(call, scene):
     args = make_args(building, border)
     _, peak = traced_peak(lambda: fn(*args))
     assert peak / building.size < bounds[list(SCENES).index(scene)]
+
+
+@pytest.mark.parametrize("folds", [2, 5, 8])
+def test_ensemble_holds_its_output_and_one_band_whatever_the_fold_count(folds):
+    # 3 float32 channels are 12 B/px of output; a band is 1/64 of 1024 rows
+    shape = (3, 1024, 128)
+    rng = np.random.default_rng(folds)
+    maps = [rng.random(shape, dtype=np.float32) for _ in range(folds)]
+    _, peak = traced_peak(lambda: fusion.ensemble_average(maps))
+    assert peak / (shape[1] * shape[2]) < 16
+
+
+def test_fuse_tta_holds_the_fold_means_one_view_sum_and_the_output(tmp_path):
+    """Five folds of four 3-channel views: 12 B/px per fold mean, then the
+    last fold's float64 sum (24 B/px) or the fused output and a band."""
+    folds, side = 5, 256
+    rng = np.random.default_rng(5)
+    for k in range(folds):
+        for suffix in ("id", "hf", "vf", "r180"):
+            view = rng.random((3, side, side), dtype=np.float32)
+            formats.write_pmap(tmp_path / f"fold{k}.{suffix}.pmap", view)
+    argv = ["fuse", "--tta", *(str(tmp_path / f"fold{k}.pmap") for k in range(folds)),
+            "--out", str(tmp_path / "fused.pmap"), "--threads", "1"]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    assert peak / side ** 2 < 12 * folds + 24 + 6
