@@ -10,8 +10,10 @@ failed run leaves no partial artifacts and no directory it made; a rename
 that fails partway may leave the files renamed before it (exit 2). The
 manifest's outputs are the files the commit logged, in write order: a
 runner returns its inputs and the sidecars' stem, not a list of outputs.
-A path parameter holding a NUL byte, or two writes of one call to one
-file, is refused (exit 1) and nothing is written.
+A path parameter holding a NUL byte, two writes of one call to one file,
+or a write over one of the call's inputs, its `--config` file among them
+(but `split` rewriting its own index), is refused (exit 1) and nothing is
+written.
 
 Exit status: 0 on success, 1 on validation/usage errors, 2 on I/O errors.
 
@@ -419,10 +421,14 @@ def _run(argv: list[str]) -> int:
         if args.stage is None:
             raise ValueError("no stage given (see --help)")
         cfg = effective_config(args.stage, args)
-        with fileio.staged_commit() as writes:  # no artifact appears unless the call succeeds
+        with fileio.staged_commit() as commit:  # no artifact appears unless the call succeeds
             inputs, stem = import_module(f"bfx.stages.{args.stage}").run(cfg)
             if stem is not None:  # the outputs: what the runner wrote, before the sidecars
-                _finish_run(args.stage, cfg, inputs, [path for _, path in writes], stem)
+                _finish_run(args.stage, cfg, inputs, [path for _, path in commit.writes], stem)
+            commit.inputs = [args.config] if args.config is not None else []
+            if args.stage != "split" or (os.path.realpath(cfg["out"] or cfg["index"])
+                                         != os.path.realpath(cfg["index"])):
+                commit.inputs += inputs
         return 0
     except ValueError as exc:
         print(f"bfx: error: {exc}", file=sys.stderr)

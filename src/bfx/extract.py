@@ -218,8 +218,8 @@ def polygonize(instances, image_id: str = "") -> PolygonSet:
         np.bincount(flat[first], last - first + 1, minlength=n + 1).astype(np.int64), "instance")
     # by direction +x, +y, -x, -y: top, right, bottom and left sides
     owners = [sides[s][1], sides[1][0], sides[s][0], sides[1][1]]
-    # int32 holds every edge index and rank (ranks stay below 4 E <= 16 H W)
-    itype = np.int32 if 16 * flat.size < 2 ** 31 else np.int64
+    # every edge index and rank stays below 4 E <= 16 H W
+    itype = raster._index_type(16 * flat.size)
     owner = np.concatenate(owners).astype(itype)
     sizes = [o.size for o in owners]
     bounds = np.cumsum(sizes)

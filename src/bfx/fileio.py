@@ -7,7 +7,8 @@ behind. Inside `staged_commit()`, which `bfx.cli` opens around each call,
 the renames wait until the whole call has succeeded, so a call that fails
 after some of its writes leaves none of them, nor a directory it made
 through `make_dirs`. The commit's log of writes is the one record of
-what a call writes: `bfx.cli` takes the manifest's outputs from it.
+what a call writes: `bfx.cli` takes the manifest's outputs from it, and
+gives the commit the call's inputs, none of which a write may replace.
 `open_payload` reads every raster format into buffers the caller sizes
 (`pnm_header` is the PGM/PPM header): `bfx tile` reads one tile row at a
 time into one reused `bytearray`, and `bfx.formats` reads whole payloads
@@ -24,8 +25,8 @@ from contextvars import ContextVar
 from types import SimpleNamespace
 
 # the open staged commit of this thread: `writes`, the (temp file, path) of
-# each write in write order, and `dirs`, each directory level `make_dirs`
-# made, shallowest first
+# each write in write order, `dirs`, each directory level `make_dirs`
+# made, shallowest first, and `inputs`, the paths no write may replace
 _STAGED = ContextVar("bfx_staged_commit", default=None)
 
 
@@ -100,26 +101,30 @@ def make_dirs(path) -> None:
 def staged_commit():
     """Hold back the renames of the `atomic_write_bytes` calls made in this
     context (this thread) until the block has run to its end, then rename
-    every temp file in write order. The context's value is the commit's log
-    of (temp file, path) pairs, in write order, which grows as the block
-    writes.
+    every temp file in write order. The context's value is the commit:
+    `writes`, its log of (temp file, path) pairs in write order, which grows
+    as the block writes, and `inputs`, the paths the block read, which the
+    block may set.
 
-    If the block raises, or two writes go to one file (a ValueError naming
-    the later path), every temp file is unlinked, then every directory
-    `make_dirs` made in the commit that is empty by then is removed, and no
-    file is written. A rename that fails stops the commit with its error
+    If the block raises, two writes go to one file, or a write's real path
+    is an input's (a ValueError naming the write's path), every temp file
+    is unlinked, then every directory `make_dirs` made in the commit that is
+    empty by then is removed, and no file is written. A rename that fails stops the commit with its error
     (an OSError names that file): the files renamed before it stay, and
     the temp files after it and the empty directories are removed."""
-    staged = SimpleNamespace(writes=[], dirs=[])
+    staged = SimpleNamespace(writes=[], dirs=[], inputs=[])
     token = _STAGED.set(staged)
     renamed = 0
     try:
-        yield staged.writes
+        yield staged
         entries = set()
+        read = {os.path.realpath(p) for p in staged.inputs}
         for tmp, path in staged.writes:  # a temp file lies in its file's directory
             entry = (os.path.realpath(os.path.dirname(tmp)), os.path.basename(path))
             if entry in entries:  # its rename would replace the earlier write's file
                 raise ValueError(f"the call writes {path!r} twice")
+            if read and os.path.realpath(path) in read:
+                raise ValueError(f"the call writes {path!r} over one of its inputs")
             entries.add(entry)
         for tmp, path in staged.writes:
             try:

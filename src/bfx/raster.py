@@ -9,6 +9,13 @@ instances. Pixels outside the canvas count as 0 for both erosion and
 dilation (a mask embedded in a sea of zeros), which keeps every operation
 total on valid inputs.
 
+Erosion and dilation take floor(log2 side) + 1 passes per axis, or one
+reduction when the reach spans the axis: 11 passes, not 1024, for a
+side-1025 window on a 1024-long axis. `connected_components` keeps its
+run, pair and root tables in int32 whenever every flat index of its
+canvas fits (`_index_type`, the one width rule, shared with
+`extract.polygonize`).
+
 Every call that takes an instance map checks it by one rule,
 `_instance_map`: the map is 2-D, of an integer dtype other than bool, and
 each label lies in 0..N with N at most the pixel count, so that a table
@@ -86,22 +93,32 @@ def check_kernel_side(side: int) -> int:
 
 
 def _window_extreme(arr: np.ndarray, side: int, op, axis: int) -> np.ndarray:
-    """Running min/max over a centered window along one axis, zero padded; a
-    reach past the axis length adds only zeros, so it is clamped to that length."""
+    """Running min/max over a centered window of L = `side` pixels along one
+    axis, zero padded, in floor(log2 L) + 1 passes of `op`. Min and max are
+    idempotent, so the window is `op` of two overlapping windows of the
+    largest power of two P <= L (van Herk, PRL 1992): doubling passes take
+    the extreme over 1, 2, 4, ..., P pixels in two alternating padded
+    buffers, then one pass joins the two. A reach that spans the whole axis
+    sees every pixel and a zero: one reduction, broadcast."""
     n = arr.shape[axis]
-    r = min(side // 2, n)
+    r = side // 2
+    if r and r >= n - 1:
+        return np.broadcast_to(op(op.reduce(arr, axis, keepdims=True), 0), arr.shape).copy()
     shape = list(arr.shape)
     shape[axis] += 2 * r
-    p = np.zeros(shape, arr.dtype)  # not np.pad, whose per-call overhead dominates small crops
-    sl = [slice(None), slice(None)]
-    sl[axis] = slice(r, r + n)
-    p[tuple(sl)] = arr
-    sl[axis] = slice(0, n)
-    out = p[tuple(sl)].copy()
-    for k in range(1, 2 * r + 1):
-        sl[axis] = slice(k, k + n)
-        op(out, p[tuple(sl)], out=out)
-    return out
+    a = np.zeros(shape, arr.dtype)  # not np.pad, whose per-call overhead dominates small crops
+    (a.T if axis else a)[r:r + n] = arr.T if axis else arr
+    # each pass is one ufunc over the flat buffer, shifted `width` steps along the axis:
+    # windows that run past the end of their line get stray values, which the output never reads
+    step = a.strides[axis] // a.itemsize
+    a, b = a.ravel(), np.empty(a.size, a.dtype)
+    width = 1  # a[i] is the extreme of the `width` padded pixels from i on
+    while 2 * width <= side:
+        op(a[:-width * step], a[width * step:], out=b[:-width * step])
+        a, b, width = b, a, 2 * width
+    a = a.reshape(shape).T if axis else a.reshape(shape)
+    out = op(a[:n], a[side - width:side - width + n])
+    return out.T if axis else out
 
 
 def _morph(mask, side: int, op) -> np.ndarray:
@@ -116,21 +133,32 @@ def erode(mask, kernel_side: int = 3) -> np.ndarray:
     An output pixel is 1 iff every pixel under the window is 1; the window
     extends past the canvas near edges, where missing pixels count as 0.
     A square window is separable: a row min, then a column min, a new array.
-    With that zero border, k erosions by side s are one by side k(s-1)+1
-    (Haralick, Sternberg & Zhuang, TPAMI 1987).
+    Each takes floor(log2 side) + 1 doubling passes, or one reduction when
+    the reach spans the whole axis (`_window_extreme`). With that zero
+    border, k erosions by side s are one by side k(s-1)+1 (Haralick,
+    Sternberg & Zhuang, TPAMI 1987).
     """
     return _morph(mask, kernel_side, np.minimum)
 
 
 def dilate(mask, kernel_side: int = 3) -> np.ndarray:
-    """Binary dilation by a centered square window, clipped at canvas edges."""
+    """Binary dilation by a centered square window, clipped at canvas edges,
+    in the passes of `erode`."""
     return _morph(mask, kernel_side, np.maximum)
 
 
+def _index_type(top: int) -> type:
+    """int32 if it holds every index up to `top`, else int64: the one rule
+    for the width of the index tables of `connected_components` and
+    `extract.polygonize`."""
+    return np.int32 if top < 2 ** 31 else np.int64
+
+
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The index ranges [first, first + count) laid end to end, in order."""
-    ends = np.add.accumulate(count)
-    return np.arange(ends[-1] if ends.size else 0) + (first - ends + count).repeat(count)
+    """The index ranges [first, first + count) laid end to end, in order,
+    in the dtype of `first`, which must hold their total length."""
+    ends = np.add.accumulate(count, dtype=first.dtype)
+    return np.arange(ends[-1] if ends.size else 0, dtype=first.dtype) + (first - ends + count).repeat(count)
 
 
 def connected_components(mask) -> np.ndarray:
@@ -145,7 +173,9 @@ def connected_components(mask) -> np.ndarray:
     hooking with pointer jumping merges them until every run points at the
     earliest run of its component. The run scan and the painting are
     O(H*W); each merging pass is O(R) over the R runs, and 1024^2
-    serpentines, spirals and speckle need at most six hooking passes.
+    serpentines, spirals and speckle need at most six hooking passes. The
+    run, pair and root tables are int32, and the dense labels uint32,
+    whenever the largest flat key h*(w+1) fits int32 (`_index_type`).
     """
     m = as_mask(mask)
     h, w = m.shape
@@ -154,9 +184,11 @@ def connected_components(mask) -> np.ndarray:
     # flat keys in an (h, w+1) canvas: the appended zero column ends every
     # run inside its own row, so starts/ends come out row-major and sorted
     stride = w + 1
+    itype = _index_type(h * stride)
     padded = np.zeros((h, stride), np.int8)
     padded[:, :w] = m
-    edges = np.flatnonzero(np.diff(padded.ravel(), prepend=np.int8(0)))
+    edges = np.flatnonzero(np.diff(padded.ravel(), prepend=np.int8(0))).astype(itype)
+    del padded
     starts, ends = edges[0::2], edges[1::2]
     n = starts.size
     if n == 0:
@@ -164,28 +196,30 @@ def connected_components(mask) -> np.ndarray:
 
     # runs a (row above) and b touch iff a.lo < b.hi + 1 and b.lo < a.hi + 1:
     # 8-connected runs also touch diagonally, so each range is widened by 1
-    first = np.searchsorted(ends, starts - stride - 1, side="right")
-    stop = np.searchsorted(starts, ends - stride + 1, side="left")
-    # one (above, below) pair per touching pair: runs first[b]..stop[b]-1 touch b
-    count = stop - first
-    below = np.repeat(np.arange(n), count)
+    first = np.searchsorted(ends, starts - stride - 1, side="right").astype(itype)
+    count = np.searchsorted(starts, ends - stride + 1, side="left").astype(itype) - first
+    # one (above, below) pair per touching pair: runs first[b]..first[b]+count[b]-1 touch b
+    below = np.repeat(np.arange(n, dtype=itype), count)
     above = _ranges(first, count)
+    del first, count  # the hooking passes need only the pairs
 
     # hook the larger root onto the smaller until no touching pair differs;
     # the root of a component is then its earliest run, i.e. its anchor
-    root = np.arange(n)
+    root = np.arange(n, dtype=itype)
     while above.size:
-        ra, rb = root[above], root[below]
+        ra, rb = root.take(above), root.take(below)  # by int32 indices, take beats fancy indexing
         split = ra != rb
         above, below, ra, rb = above[split], below[split], ra[split], rb[split]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        root = root.astype(np.intp)  # jumps gather by intp indices, which numpy need not cast
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
                 break
             root = jumped
+        root = root.astype(itype)
 
     # roots are numbered in run order, which is anchor order
-    dense = np.cumsum(root == np.arange(n))[root]
+    dense = np.cumsum(root == np.arange(n, dtype=itype), dtype=np.uint32).take(root)
     labels[m != 0] = np.repeat(dense, ends - starts)
     return labels

@@ -752,6 +752,48 @@ def test_two_writes_of_one_call_to_one_file_are_refused(tmp_path, monkeypatch, c
     assert sorted(os.listdir()) == before
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["tile", "--raster", "r.pgm", "--size", "2", "--index", "r.pgm"], "r.pgm"),
+    (["eval", "--pred", "p.imap", "--gt", "p.imap", "--colormap", "p.imap"], "p.imap"),
+    (["eval", "--pred", "p.imap", "--gt", "g.imap", "--report", "./g.imap"], "./g.imap"),
+    (["extract", "--in", "s.pmap", "--out-geojson", "o.geojson", "--out-imap", "s.pmap"], "s.pmap"),
+    (["fuse", "s.pmap", "m.pmap", "--out", "m.pmap"], "m.pmap"),
+    (["cutmix", "--image-a", "s.pmap", "--masks-a", "m.pmap", "--image-b", "m.pmap", "--masks-b", "m.pmap",
+      "--box", "0,0,4,4", "--out-image", "s.pmap", "--out-masks", "x.pmap"], "s.pmap"),
+    (["tile", "--raster", "r.pgm", "--size", "2", "--index", "link.json"], "link.json"),
+    (["tile", "--raster", "t.config.json", "--size", "2", "--index", "t.json"], "t.config.json"),
+    (["lr", "--config", "c.json", "--out", "c.json"], "c.json"),
+], ids=["tile-index", "eval-colormap", "eval-report", "extract-imap", "fuse-out", "cutmix-image",
+        "symlink-to-an-input", "a-sidecar", "lr-config"])
+def test_an_output_that_names_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    formats.write_pmap("s.pmap", fused_scene())
+    formats.write_pmap("m.pmap", (fused_scene() > 0.5).astype(np.float32))
+    labels = np.zeros((8, 8), np.uint32)
+    labels[1:4, 1:4] = 1
+    formats.write_imap("p.imap", labels)
+    formats.write_imap("g.imap", labels)
+    for raster in ("r.pgm", "t.config.json"):  # the sidecar of t.json is the second
+        (tmp_path / raster).write_bytes(b"P5\n4 4\n255\n" + bytes(range(1, 17)))
+    os.symlink("r.pgm", "link.json")
+    (tmp_path / "c.json").write_text('{"schedule": "poly"}')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"bfx: error: the call writes {named!r} over one of its inputs\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert os.path.islink("link.json")
+
+
+@pytest.mark.parametrize("out", [None, "t.json", "./t.json"])
+def test_split_rewrites_its_own_index_in_place(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    records = [{"tile_id": i, "row": 0, "col": i, "blank": False} for i in range(4)]
+    (tmp_path / "t.json").write_text(json.dumps(records))
+    assert cli.main(["split", "--index", "t.json", "--k", "2", *(["--out", out] if out else [])]) == 0
+    assert [r["fold"] for r in read_json(tmp_path / "t.json")] == [0, 1, 0, 1]
+    assert sorted(os.listdir()) == ["t.config.json", "t.json", "t.manifest.json"]
+
+
 def assert_the_manifest_lists_the_files_left(out):
     """The files under `out`, which was empty before one call, are its
     manifest's outputs and its two sidecars."""

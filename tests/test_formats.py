@@ -148,11 +148,11 @@ def test_atomic_write_replaces_existing(tmp_path):
 
 
 def test_a_staged_commit_logs_every_write_and_renames_them_in_order(tmp_path):
-    with fileio.staged_commit() as writes:
+    with fileio.staged_commit() as commit:
         fileio.atomic_write_text(tmp_path / "b.txt", "b")
         fileio.atomic_write_text(str(tmp_path / "a.txt"), "a")
-        assert [path for _, path in writes] == [str(tmp_path / "b.txt"), str(tmp_path / "a.txt")]
-        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(tmp) for tmp, _ in writes)
+        assert [path for _, path in commit.writes] == [str(tmp_path / "b.txt"), str(tmp_path / "a.txt")]
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(tmp) for tmp, _ in commit.writes)
     assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
 
 

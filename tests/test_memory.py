@@ -85,8 +85,8 @@ def pred_and_gt(building, border):
 # masks, made before the peak is traced, and its bound in bytes per pixel on
 # each scene of SCENES, in order)
 CALLS = {
-    "connected_components": (raster.connected_components, lambda b, d: (b,), (27, 17, 15, 68)),
-    "multi_class_instances": (extract.multi_class_instances, fused, (31, 27, 23, 36)),
+    "connected_components": (raster.connected_components, lambda b, d: (b,), (15, 10, 10, 34)),
+    "multi_class_instances": (extract.multi_class_instances, fused, (21, 27, 23, 36)),
     "polygonize": (extract.polygonize, labels, (68, 18, 3, 82)),
     "match_instances": (evaluate.match_instances, pred_and_gt, (10, 16, 21, 9)),
 }

@@ -62,13 +62,16 @@ def test_dilate_bridges_a_four_column_gap_with_side_15():
     assert int(raster.connected_components(grown).max()) == 1
 
 
-@pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1), (5, 3)])
+@pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1), (5, 3), (7, 1), (9, 1), (17, 1),
+                                              (31, 1), (33, 1), (63, 1), (65, 1)])
 def test_morphology_matches_window_oracle(side, iterations):
-    # k passes of a side-s window are one pass of a side k(s-1)+1 window
+    # k passes of a side-s window are one pass of a side k(s-1)+1 window; the
+    # sides from 7 on lie at either edge of a power of two, and from 63 on
+    # the reach passes both axes of the 20x24 masks but not the long one of 3x70
     rng = np.random.default_rng(side * 10 + iterations)
     wide = iterations * (side - 1) + 1
-    for _ in range(4):
-        m = (rng.random((20, 24)) < 0.45).astype(np.uint8)
+    for shape in [(20, 24)] * 4 + [(3, 70)]:
+        m = (rng.random(shape) < 0.45).astype(np.uint8)
         assert np.array_equal(raster.erode(m, wide), window_erode(m, side, iterations))
         assert np.array_equal(raster.dilate(m, wide), window_dilate(m, side, iterations))
 
@@ -78,7 +81,7 @@ def test_windows_wider_than_the_mask_match_window_oracle(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(6):
         m = (rng.random(shape) < 0.7).astype(np.uint8)
-        for side in (3, 5, 7, 9, 15):
+        for side in (3, 5, 7, 9, 15, 17, 31, 33, 63, 65):
             assert np.array_equal(raster.erode(m, side), window_erode(m, side))
             assert np.array_equal(raster.dilate(m, side), window_dilate(m, side))
 
@@ -92,6 +95,25 @@ def test_a_huge_window_is_one_clamped_pass():
     assert eroded.dtype == np.uint8 and not eroded.any()
     assert dilated.dtype == np.uint8 and dilated.all()
     assert peak < 8 * m.nbytes  # the reach is clamped to the axis length: no side pads past 2n
+
+
+@pytest.mark.parametrize("op", [np.minimum, np.maximum])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_window_of_1025_on_a_1024_long_axis_takes_11_passes(axis, op):
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return op(*args, **kwargs)
+
+    m = (np.random.default_rng(1025).random((1024, 5)) < 0.003).astype(np.uint8)
+    m = np.ascontiguousarray(m.T) if axis else m
+    out = raster._window_extreme(m, 1025, counted, axis)
+    assert calls <= 11  # floor(log2 1025) + 1, where one pass per pixel of reach took 1024
+    padded = np.pad(m, [(512, 512) if a == axis else (0, 0) for a in (0, 1)])
+    expected = np.stack([op.reduce(padded.take(range(i, i + 1025), axis), axis) for i in range(1024)], axis)
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("side,iterations", [(3, 1), (3, 2), (15, 1), (15, 2)])
@@ -127,6 +149,11 @@ def test_kernel_validation():
 # ---------------------------------------------------------------------------
 # connected components
 # ---------------------------------------------------------------------------
+
+
+def test_index_tables_are_int32_up_to_the_largest_int32_index():
+    assert raster._index_type(2 ** 31 - 1) is np.int32
+    assert raster._index_type(2 ** 31) is np.int64
 
 
 def test_components_two_blocks_one_column_apart():
